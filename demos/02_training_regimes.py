@@ -18,8 +18,8 @@ cfg = harness.parse_config(None, {
     "regime.iterations": 120, "seed": 0,
 })
 
-records, _ = harness.build_dataset(cfg)
-_, feats, labels, tr, te = harness._prepare_features(cfg, records)
+records = harness.build_dataset(cfg)
+feats, labels, tr, te = harness._prepare_features(cfg, records)
 arch = harness._head_arch(cfg, feats.shape[1:])
 print(f"dataset: {len(records)} samples, features {feats.shape[1:]}, "
       f"head {arch.arch_id} (fc width {arch.fc_width})")

@@ -45,7 +45,7 @@ bi = nets.build_backbone((3, size, size), 16, seed=1)
 bo = nets.build_backbone((3, size, size), 16, seed=2)
 head = nets.build_noc(nets.NocArch("C1F3", bi.meta["feature_shape"], 6, 1 / 32),
                       seed=0)
-records, _ = harness.build_dataset(cfg)
+records = harness.build_dataset(cfg)
 rgb = ad.Tensor(np.stack([records[i].image.pixels for i in range(3)]))
 omaps = ad.Tensor(np.stack([
     np.repeat(records[i].orientation.pixels, 3, axis=0) for i in range(3)]))

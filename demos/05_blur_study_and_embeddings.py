@@ -12,19 +12,18 @@ import numpy as np
 from noclab import evaluate as ev
 from noclab import harness
 
-base = {
-    "experiment": "blur_combo",
+cfg = harness.parse_config(None, {
+    "experiment": "blur_combo", "combo": "all",
     "dataset.classes": 8, "dataset.per_class": 40,
     "regime.name": "1LR", "regime.iterations": 80, "seed": 0,
-}
-
+    "output_dir": "/tmp/demo_blur",
+})
+# one run scores all four combos; combos sharing a net variant share its head
+art = harness.run_experiment(cfg)
+svm_acc = {m: a for m, r, s, a, f in art.metrics_rows if s == "svm"}
 print("combo  (data - net - SVM)   SVM accuracy")
 for combo in ("N-N-N", "B-N-N", "B-B-B", "N-B-B"):
-    cfg = harness.parse_config(None, dict(
-        base, combo=combo, output_dir=f"/tmp/demo_blur_{combo}"))
-    art = harness.run_experiment(cfg)
-    svm_acc = {s: a for m, r, s, a, f in art.metrics_rows}["svm"]
-    print(f"  {combo:26s} {svm_acc:5.1f}%")
+    print(f"  {combo:26s} {svm_acc[combo]:5.1f}%")
 print("expected shape: B-N-N drops well below N-N-N; B-B-B recovers; "
       "N-B-B stays close to N-N-N")
 
@@ -33,8 +32,8 @@ cfg = harness.parse_config(None, {
     "dataset.classes": 6, "dataset.per_class": 40, "seed": 0,
     "regime.name": "2LR", "regime.iterations": 120,
 })
-records, _ = harness.build_dataset(cfg)
-_, feats, labels, tr, te = harness._prepare_features(cfg, records)
+records = harness.build_dataset(cfg)
+feats, labels, tr, te = harness._prepare_features(cfg, records)
 arch = harness._head_arch(cfg, feats.shape[1:])
 head = harness.train_head(cfg, arch, feats[tr], labels[tr], "2LR", [])
 pen = ev.l2_normalize_rows(harness.head_penultimate(head, feats[te]))

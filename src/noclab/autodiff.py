@@ -224,19 +224,6 @@ def relu(x):
     return _from_op(out, (x,), bwd)
 
 
-def _bias_broadcast(a_shape, b_shape):
-    """A restricted broadcast: vector bias over the trailing or channel axis.
-
-    Supports (n,)+(...,n) row-bias and (c,)+(c,h,w) / (b,c,h,w)
-    per-channel bias. Returns the axes of the large shape the bias
-    gradient must sum over plus the reshape applied to the vector, or
-    None when shapes are simply equal.
-    """
-    if a_shape == b_shape:
-        return None
-    raise SizeMismatch(f"elementwise shape mismatch {a_shape} vs {b_shape}")
-
-
 def add(a, b):
     """Elementwise sum. Also accepts a vector bias broadcast: (n,) added to
     (..., n) rows, or (c,) added over the spatial dims of (c,h,w)/(b,c,h,w)."""

@@ -10,8 +10,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import datapipe as dp
 from . import evaluate as ev
 from . import harness, nets
@@ -36,7 +34,7 @@ def cmd_gen(args):
     cfg = _load_config(args)
     out = cfg["output_dir"]
     os.makedirs(out, exist_ok=True)
-    records, clips = harness.build_dataset(cfg)
+    records = harness.build_dataset(cfg)
     rows = []
     for i, rec in enumerate(records):
         name = f"img_{i:05d}.ppm"
@@ -55,19 +53,15 @@ def cmd_train(args):
     cfg = _load_config(args)
     out = cfg["output_dir"]
     os.makedirs(out, exist_ok=True)
-    records, _ = harness.build_dataset(cfg)
-    backbone, feats, labels, tr, te = harness._prepare_features(cfg, records)
+    feats, labels, tr, te = harness._prepare_features(cfg, harness.build_dataset(cfg))
     arch = harness._head_arch(cfg, feats.shape[1:])
     loss_rows = []
     head = harness.train_head(cfg, arch, feats[tr], labels[tr],
                               cfg["regime.name"], loss_rows)
     mpath = os.path.join(out, f"model_{arch.arch_id}_{cfg['regime.name']}.noc")
     nets.save_model(head, mpath)
-    harness.emit_csv(
-        [(s, p, "" if a is None else f"{a:.10g}", f"{l:.10g}")
-         for s, p, a, l in loss_rows],
-        ("step", "partition", "alpha", "loss"),
-        os.path.join(out, "loss.csv"))
+    harness.emit_csv(harness.loss_csv_rows(loss_rows), harness.LOSS_HEADER,
+                     os.path.join(out, "loss.csv"))
     acc = harness.head_accuracy(head, feats[te], labels[te])
     print(f"trained {arch.arch_id} with {cfg['regime.name']}; "
           f"test accuracy {acc:.1f}; model at {mpath}")
@@ -101,18 +95,16 @@ def cmd_plotdata(args):
     cfg = _load_config(args)
     out = cfg["output_dir"]
     os.makedirs(out, exist_ok=True)
-    records, _ = harness.build_dataset(cfg)
-    backbone, feats, labels, tr, te = harness._prepare_features(cfg, records)
+    records = harness.build_dataset(cfg)
+    feats, labels, tr, te = harness._prepare_features(cfg, records)
     arch = harness._head_arch(cfg, feats.shape[1:])
     head = harness.train_head(cfg, arch, feats[tr], labels[tr],
                               cfg["regime.name"], [])
     pen = ev.l2_normalize_rows(harness.head_penultimate(head, feats[te]))
     sources = [records[i].source for i in te]
     coords, _, _ = ev.pca_project(pen, 2, seed=cfg.seed)
-    harness.emit_csv(
-        [(f"{x:.6f}", f"{y:.6f}", int(c), s)
-         for (x, y), c, s in zip(coords, labels[te], sources)],
-        ("x", "y", "class_id", "source"), os.path.join(out, "pca.csv"))
+    harness.emit_csv(harness.embedding_csv_rows(coords, labels[te], sources),
+                     harness.EMBEDDING_HEADER, os.path.join(out, "pca.csv"))
     n = len(pen)
     cap = min(n, 500)
     if cap < 16:  # smallest test split with a feasible perplexity (>= 5)
@@ -122,9 +114,8 @@ def cmd_plotdata(args):
     tsne_coords, _ = ev.tsne_embed(pen[:cap], perplexity=perp, iters=300,
                                    seed=cfg.seed)
     harness.emit_csv(
-        [(f"{x:.6f}", f"{y:.6f}", int(c), s)
-         for (x, y), c, s in zip(tsne_coords, labels[te][:cap], sources[:cap])],
-        ("x", "y", "class_id", "source"), os.path.join(out, "tsne.csv"))
+        harness.embedding_csv_rows(tsne_coords, labels[te][:cap], sources[:cap]),
+        harness.EMBEDDING_HEADER, os.path.join(out, "tsne.csv"))
     print(f"wrote {out}/pca.csv and {out}/tsne.csv")
 
 

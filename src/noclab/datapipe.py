@@ -423,10 +423,10 @@ def gen_synthetic_dataset(num_classes=16, per_class=100, size=32, motion=False,
     motion=False: one still frame per record, all visual families distinct.
     motion="correlated" (or True): classes share visual families in pairs
     and are distinguished by motion direction; each record carries the
-    flow-orientation frame and a 2-frame clip is emitted.
+    flow-orientation frame.
     motion="uncorrelated": distinct visuals, random motion direction.
 
-    Returns (records, clips); clips is empty without motion.
+    Returns the list of records.
     """
     if not (1 <= num_classes <= 16):
         raise InvalidValue("num_classes must be in [1,16]")
@@ -438,7 +438,6 @@ def gen_synthetic_dataset(num_classes=16, per_class=100, size=32, motion=False,
         raise InvalidValue(f"bad motion mode {motion!r}")
     rng = np.random.default_rng(seed)
     records = []
-    clips = []
     for c in range(num_classes):
         if motion == "correlated":
             family = c % max(1, (num_classes + 1) // 2)
@@ -457,11 +456,10 @@ def gen_synthetic_dataset(num_classes=16, per_class=100, size=32, motion=False,
                 f2 = _shift_frame(frame, dx, dy)
                 flow = horn_schunck(frame, f2, lam=0.5, iters=60)
                 rec = SampleRecord(frame, c, orientation=orientation_map(flow))
-                clips.append(VideoClip([frame, f2], label=c))
             else:
                 rec = SampleRecord(frame, c)
             records.append(rec)
-    return records, clips
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ DEFAULTS = {
     "blur.length": 9,
     "blur.angle": 0.0,
     "blur.noise": 0.02,      # post-blur sensor noise std
-    "combo": "N-N-N",
+    "combo": "all",  # one of COMBOS, or all four
     "fusion.orientation_scale": 0.3,  # orientation-stream weight in sum fusion
     "svm.c_reg": 1.0,
     "svm.epochs": 10,
@@ -64,10 +64,11 @@ _ENUMS = {
     "arch.arch_id": nets.ARCH_IDS,
     "regime.name": REGIMES,
     "blur.kind": ("gaussian", "motion"),
-    "combo": COMBOS,
+    "combo": COMBOS + ("all",),
 }
 
 _OPEN_UNIT = ("regime.beta", "regime.gamma")  # must lie in (0,1)
+_AT_LEAST_ONE = ("regime.batch_size", "regime.iterations", "regime.partitions")
 
 
 @dataclass
@@ -124,8 +125,8 @@ def _validate(key, value, lineno=None):
         raise ConfigError(f"{key}: {value!r} not one of {_ENUMS[key]}{where}")
     if key in _OPEN_UNIT and not (0 < value < 1):
         raise ConfigError(f"{key}: {value} outside (0, 1){where}")
-    if key == "regime.batch_size" and value < 1:
-        raise ConfigError(f"regime.batch_size must be >= 1{where}")
+    if key in _AT_LEAST_ONE and value < 1:
+        raise ConfigError(f"{key} must be >= 1{where}")
     if key == "arch.width_scale" and not (0 < value <= 1):
         raise ConfigError(f"arch.width_scale outside (0, 1]{where}")
     if key in ("blur.sigma", "blur.sigma_min", "blur.sigma_max") and value <= 0:
@@ -160,6 +161,8 @@ def parse_config(path=None, overrides=None):
             raise ConfigError(f"unknown override key {key!r}")
         value = _coerce(key, raw) if isinstance(raw, str) else raw
         cfg.values[key] = _validate(key, value)
+    if cfg["blur.sigma_min"] > cfg["blur.sigma_max"]:
+        raise ConfigError("blur.sigma_max below blur.sigma_min")
     return cfg
 
 
@@ -173,14 +176,13 @@ def _motion_mode(cfg):
 
 
 def build_dataset(cfg):
-    records, clips = dp.gen_synthetic_dataset(
+    return dp.gen_synthetic_dataset(
         num_classes=int(cfg["dataset.classes"]),
         per_class=int(cfg["dataset.per_class"]),
         size=int(cfg["dataset.size"]),
         motion=_motion_mode(cfg),
         seed=cfg.seed,
     )
-    return records, clips
 
 
 def stratified_split(labels, test_frac=0.2, seed=0):
@@ -239,7 +241,7 @@ def train_head(cfg, arch, X, labels, regime, loss_rows):
             idx = np.flatnonzero(assignments == j)
             batches = optim.make_batches(X[idx], labels[idx], hyper.batch_size,
                                          seed=cfg.seed + j)
-            _, rows = train_epoch_logged(head, batches, regime, hyper)
+            _, rows = optim.train_epoch(head, batches, regime, hyper)
             loss_rows.extend((t + j * hyper.iterations, j, a, l)
                              for (t, _, a, l) in rows)
     elif regime == "3LR":
@@ -250,10 +252,6 @@ def train_head(cfg, arch, X, labels, regime, loss_rows):
     else:
         raise InvalidValue(f"unknown regime {regime!r}")
     return head
-
-
-def train_epoch_logged(head, batches, regime, hyper):
-    return optim.train_epoch(head, batches, regime, hyper)
 
 
 def head_accuracy(head, X, labels):
@@ -270,21 +268,32 @@ def head_penultimate(head, X, batch=256):
     return np.concatenate(out)
 
 
-def svm_accuracy(cfg, head, X_train, y_train, X_test, y_test):
-    """SVM on L2-normalized penultimate features; returns (accuracy, Metrics)."""
-    ftr = ev.l2_normalize_rows(head_penultimate(head, X_train))
-    fte = ev.l2_normalize_rows(head_penultimate(head, X_test))
-    model = ev.svm_train(ftr, y_train, c_reg=float(cfg["svm.c_reg"]),
-                         epochs=int(cfg["svm.epochs"]), seed=cfg.seed)
-    pred = ev.svm_predict(model, fte)
-    metrics = ev.compute_metrics(pred, y_test,
-                                 background_class=int(cfg["dataset.classes"]) - 1,
-                                 num_classes=int(cfg["dataset.classes"]))
-    return metrics.accuracy, metrics
-
-
 # ---------------------------------------------------------------------------
-# experiment drivers
+# artifacts
+
+METRICS_HEADER = ("method", "regime", "split", "accuracy", "false_alarms")
+LOSS_HEADER = ("step", "partition", "alpha", "loss")
+EMBEDDING_HEADER = ("x", "y", "class_id", "source")
+
+
+def loss_csv_rows(loss_rows):
+    """CSV rows of a loss trace of (step, partition, alpha, loss) tuples."""
+    return [(step, part, "" if alpha is None else f"{alpha:.10g}", f"{loss:.10g}")
+            for step, part, alpha, loss in loss_rows]
+
+
+def embedding_csv_rows(coords, labels, sources):
+    """CSV rows of a 2-D embedding: one (x, y, class_id, source) per point."""
+    return [(f"{x:.6f}", f"{y:.6f}", int(cls), src)
+            for (x, y), cls, src in zip(coords, labels, sources)]
+
+
+def emit_csv(rows, header, path):
+    """Write rows (iterables of str-able values) as LF-terminated CSV."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) for v in row) + "\n")
 
 
 @dataclass
@@ -296,72 +305,20 @@ class RunArtifact:
     def path(self, name):
         return os.path.join(self.output_dir, name)
 
-
-def _store_loss_csv(artifact, name, rows):
-    path = artifact.path(name)
-    with open(path, "w", newline="") as fh:
-        fh.write("step,partition,alpha,loss\n")
-        for step, part, alpha, loss in rows:
-            a = "" if alpha is None else f"{alpha:.10g}"
-            fh.write(f"{step},{part},{a},{loss:.10g}\n")
-    artifact.files[name] = path
-
-
-def _store_metrics_csv(artifact):
-    path = artifact.path("metrics.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("method,regime,split,accuracy,false_alarms\n")
-        for row in sorted(artifact.metrics_rows):
-            method, regime, split, acc, fa = row
-            fh.write(f"{method},{regime},{split},{acc:.1f},{fa}\n")
-    artifact.files["metrics.csv"] = path
-
-
-def _store_confusion_csv(artifact, name, metrics):
-    path = artifact.path(name)
-    with open(path, "w", newline="") as fh:
-        k = metrics.confusion.shape[0]
-        fh.write(",".join(["truth\\pred"] + [str(c) for c in range(k)]) + "\n")
-        for r in range(k):
-            fh.write(",".join([str(r)] + [str(int(x)) for x in metrics.confusion[r]]) + "\n")
-    artifact.files[name] = path
-
-
-def _store_embedding_csv(artifact, name, coords, labels, sources):
-    path = artifact.path(name)
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y,class_id,source\n")
-        for (x, y), cls, src in zip(coords, labels, sources):
-            fh.write(f"{x:.6f},{y:.6f},{int(cls)},{src}\n")
-    artifact.files[name] = path
-
-
-def _store_manifest(artifact):
-    path = artifact.path("manifest.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("name,path\n")
-        for name in sorted(artifact.files):
-            rel = os.path.relpath(artifact.files[name], artifact.output_dir)
-            fh.write(f"{name},{rel}\n")
-
-
-def emit_csv(rows, header, path):
-    """Write rows (iterables of str-able values) as LF-terminated CSV."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    def emit(self, name, rows, header):
+        """Write a CSV into the output dir and list it in the manifest."""
+        emit_csv(rows, header, self.path(name))
+        self.files[name] = self.path(name)
 
 
 def emit_table(artifact):
     """Aligned text table of the collected metrics, one row per
     (method, regime), accuracy to one decimal."""
     rows = sorted(artifact.metrics_rows)
-    header = ("method", "regime", "split", "accuracy", "false_alarms")
-    cells = [header] + [
+    cells = [METRICS_HEADER] + [
         (m, r, s, f"{a:.1f}", str(fa)) for m, r, s, a, fa in rows
     ]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(METRICS_HEADER))]
     lines = []
     for row in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
@@ -374,6 +331,10 @@ def _echo_config(cfg, artifact):
         for key in sorted(cfg.values):
             fh.write(f"{key} = {cfg.values[key]}\n")
     artifact.files["config.txt"] = path
+
+
+# ---------------------------------------------------------------------------
+# experiment drivers
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
@@ -394,51 +355,87 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
         _run_sweep(cfg, artifact, archs=[cfg["arch.arch_id"]],
                    regimes=list(REGIMES))
 
-    _store_metrics_csv(artifact)
+    artifact.emit("metrics.csv", [(m, r, s, f"{a:.1f}", fa) for m, r, s, a, fa
+                                  in sorted(artifact.metrics_rows)], METRICS_HEADER)
     with open(artifact.path("table.txt"), "w") as fh:
         fh.write(emit_table(artifact))
     artifact.files["table.txt"] = artifact.path("table.txt")
-    _store_manifest(artifact)
+    emit_csv([(name, os.path.relpath(artifact.files[name], out_dir))
+              for name in sorted(artifact.files)],
+             ("name", "path"), artifact.path("manifest.csv"))
     return artifact
 
 
-def _prepare_features(cfg, records):
+def _split(cfg, records):
     labels = np.array([r.class_id for r in records])
     train_idx, test_idx = stratified_split(labels, 0.2, cfg.seed)
-    backbone = nets.build_backbone((3, int(cfg["dataset.size"]),
-                                    int(cfg["dataset.size"])),
-                                   int(cfg["backbone.channels"]),
-                                   seed=cfg.seed + 1)
-    feats = extract_features(backbone, [r.image for r in records])
-    return backbone, feats, labels, train_idx, test_idx
+    return labels, train_idx, test_idx
+
+
+def _backbone(cfg, seed_offset=1):
+    size = int(cfg["dataset.size"])
+    return nets.build_backbone((3, size, size), int(cfg["backbone.channels"]),
+                               seed=cfg.seed + seed_offset)
+
+
+def _prepare_features(cfg, records):
+    """Backbone features of the records' images, their labels and the split."""
+    labels, train_idx, test_idx = _split(cfg, records)
+    feats = extract_features(_backbone(cfg), [r.image for r in records])
+    return feats, labels, train_idx, test_idx
+
+
+def _evaluate_head(cfg, artifact, regime, X, labels, tr, te, scored, arch_id=None):
+    """Train one head under `regime` and one SVM on its penultimate
+    features, both on the training split of X, then score them on the
+    test split of each (method, tag, X_eval) in `scored`.
+
+    Each scored entry writes loss_<tag>.csv, confusion_<tag>.csv and
+    model_<tag>.noc and adds the `net` and `svm` metric rows of
+    `method`. Returns the trained head.
+    """
+    loss_rows = []
+    arch = _head_arch(cfg, X.shape[1:], arch_id=arch_id)
+    head = train_head(cfg, arch, X[tr], labels[tr], regime, loss_rows)
+    loss_csv = loss_csv_rows(loss_rows)
+    ftr = ev.l2_normalize_rows(head_penultimate(head, X[tr]))
+    svm = ev.svm_train(ftr, labels[tr], c_reg=float(cfg["svm.c_reg"]),
+                       epochs=int(cfg["svm.epochs"]), seed=cfg.seed)
+    k = int(cfg["dataset.classes"])
+    for method, tag, X_eval in scored:
+        artifact.emit(f"loss_{tag}.csv", loss_csv, LOSS_HEADER)
+        fte = ev.l2_normalize_rows(head_penultimate(head, X_eval[te]))
+        pred = ev.svm_predict(svm, fte)
+        metrics = ev.compute_metrics(pred, labels[te], background_class=k - 1,
+                                     num_classes=k)
+        artifact.metrics_rows.append((method, regime, "net",
+                                      head_accuracy(head, X_eval[te], labels[te]), 0))
+        artifact.metrics_rows.append((method, regime, "svm", metrics.accuracy,
+                                      metrics.false_alarms))
+        confusion = metrics.confusion
+        artifact.emit(f"confusion_{tag}.csv",
+                      ([r, *(int(x) for x in row)] for r, row in enumerate(confusion)),
+                      ["truth\\pred", *(str(c) for c in range(len(confusion)))])
+        mname = f"model_{tag}.noc"
+        nets.save_model(head, artifact.path(mname))
+        artifact.files[mname] = artifact.path(mname)
+    return head
 
 
 def _run_sweep(cfg, artifact, archs, regimes):
-    records, _ = build_dataset(cfg)
-    backbone, feats, labels, tr, te = _prepare_features(cfg, records)
-    fshape = feats.shape[1:]
+    records = build_dataset(cfg)
+    feats, labels, tr, te = _prepare_features(cfg, records)
     for arch_id in archs:
         for regime in regimes:
-            loss_rows = []
-            arch = _head_arch(cfg, fshape, arch_id=arch_id)
-            head = train_head(cfg, arch, feats[tr], labels[tr], regime, loss_rows)
-            _store_loss_csv(artifact, f"loss_{arch_id}_{regime}.csv", loss_rows)
-            nn_acc = head_accuracy(head, feats[te], labels[te])
-            svm_acc, metrics = svm_accuracy(cfg, head, feats[tr], labels[tr],
-                                            feats[te], labels[te])
-            artifact.metrics_rows.append((arch_id, regime, "net", nn_acc, 0))
-            artifact.metrics_rows.append((arch_id, regime, "svm", svm_acc,
-                                          metrics.false_alarms))
-            _store_confusion_csv(artifact, f"confusion_{arch_id}_{regime}.csv",
-                                 metrics)
-            mpath = artifact.path(f"model_{arch_id}_{regime}.noc")
-            nets.save_model(head, mpath)
-            artifact.files[os.path.basename(mpath)] = mpath
+            head = _evaluate_head(cfg, artifact, regime, feats, labels, tr, te,
+                                  [(arch_id, f"{arch_id}_{regime}", feats)],
+                                  arch_id=arch_id)
     # embedding of test features through the last trained head
     pen = ev.l2_normalize_rows(head_penultimate(head, feats[te]))
     coords, _, _ = ev.pca_project(pen, 2, seed=cfg.seed)
-    _store_embedding_csv(artifact, "embedding.csv", coords, labels[te],
-                         [records[i].source for i in te])
+    sources = [records[i].source for i in te]
+    artifact.emit("embedding.csv", embedding_csv_rows(coords, labels[te], sources),
+                  EMBEDDING_HEADER)
 
 
 def _blur_frames(cfg, frames):
@@ -451,8 +448,6 @@ def _blur_frames(cfg, frames):
     rng = np.random.default_rng(cfg.seed + 17)
     lo = float(cfg["blur.sigma_min"])
     hi = float(cfg["blur.sigma_max"])
-    if hi < lo:
-        raise ConfigError("blur.sigma_max below blur.sigma_min")
     noise = float(cfg["blur.noise"])
     out = []
     for f in frames:
@@ -465,68 +460,39 @@ def _blur_frames(cfg, frames):
 
 
 def _run_blur_combo(cfg, artifact):
-    records, _ = build_dataset(cfg)
-    labels = np.array([r.class_id for r in records])
-    tr, te = stratified_split(labels, 0.2, cfg.seed)
-    size = int(cfg["dataset.size"])
-    backbone = nets.build_backbone((3, size, size), int(cfg["backbone.channels"]),
-                                   seed=cfg.seed + 1)
-    frames_n = [r.image for r in records]
-    frames_b = _blur_frames(cfg, frames_n)
-    feats = {"N": extract_features(backbone, frames_n),
-             "B": extract_features(backbone, frames_b)}
-    fshape = feats["N"].shape[1:]
-
-    combo = cfg["combo"]
-    data_v, net_v, svm_v = combo.split("-")
-    # the SVM always trains on features from the net variant under test
-    assert net_v == svm_v, "unsupported combo"
-    regime = cfg["regime.name"]
-    loss_rows = []
-    arch = _head_arch(cfg, fshape)
-    head = train_head(cfg, arch, feats[net_v][tr], labels[tr], regime, loss_rows)
-    _store_loss_csv(artifact, f"loss_{combo}.csv", loss_rows)
-    svm_acc, metrics = svm_accuracy(cfg, head, feats[svm_v][tr], labels[tr],
-                                    feats[data_v][te], labels[te])
-    nn_acc = head_accuracy(head, feats[data_v][te], labels[te])
-    artifact.metrics_rows.append((combo, regime, "net", nn_acc, 0))
-    artifact.metrics_rows.append((combo, regime, "svm", svm_acc,
-                                  metrics.false_alarms))
-    _store_confusion_csv(artifact, f"confusion_{combo}.csv", metrics)
-    mpath = artifact.path(f"model_{combo}.noc")
-    nets.save_model(head, mpath)
-    artifact.files[os.path.basename(mpath)] = mpath
+    """The requested combos over one dataset. A combo reads data-net-SVM
+    variant, N sharp or B blurred; the SVM always uses the net's
+    variant, so combos that share a net variant share its head and SVM."""
+    combos = COMBOS if cfg["combo"] == "all" else (cfg["combo"],)
+    records = build_dataset(cfg)
+    labels, tr, te = _split(cfg, records)
+    frames = {"N": [r.image for r in records]}
+    used = sorted({v for combo in combos for v in combo.split("-")})
+    if "B" in used:
+        frames["B"] = _blur_frames(cfg, frames["N"])
+    backbone = _backbone(cfg)
+    feats = {v: extract_features(backbone, frames[v]) for v in used}
+    by_net = {}
+    for combo in combos:
+        data_v, net_v, _ = combo.split("-")
+        by_net.setdefault(net_v, []).append((combo, combo, feats[data_v]))
+    for net_v, scored in by_net.items():
+        _evaluate_head(cfg, artifact, cfg["regime.name"], feats[net_v], labels,
+                       tr, te, scored)
 
 
 def _run_fusion(cfg, artifact):
     if _motion_mode(cfg) is False:
         raise ConfigError("fusion experiment needs dataset.motion set")
-    records, _ = build_dataset(cfg)
-    labels = np.array([r.class_id for r in records])
-    tr, te = stratified_split(labels, 0.2, cfg.seed)
-    size = int(cfg["dataset.size"])
-    chans = int(cfg["backbone.channels"])
-    backbone_i = nets.build_backbone((3, size, size), chans, seed=cfg.seed + 1)
-    backbone_o = nets.build_backbone((3, size, size), chans, seed=cfg.seed + 2)
-    rgb = [r.image for r in records]
+    records = build_dataset(cfg)
+    labels, tr, te = _split(cfg, records)
+    f_rgb = extract_features(_backbone(cfg, 1), [r.image for r in records])
     # orientation maps are single-channel; replicate to the 3-channel input
     orient = [dp.Frame(np.repeat(r.orientation.pixels, 3, axis=0)) for r in records]
-    f_rgb = extract_features(backbone_i, rgb)
     # the orientation stream is down-weighted before the sum so an
     # uninformative stream degrades the fused features only mildly
-    f_or = float(cfg["fusion.orientation_scale"]) * extract_features(backbone_o, orient)
-    f_fused = f_rgb + f_or
-    fshape = f_rgb.shape[1:]
-    regime = cfg["regime.name"]
+    f_fused = f_rgb + float(cfg["fusion.orientation_scale"]) * extract_features(
+        _backbone(cfg, 2), orient)
     for method, feats in (("rgb_only", f_rgb), ("rgb_plus_orientation", f_fused)):
-        loss_rows = []
-        arch = _head_arch(cfg, fshape)
-        head = train_head(cfg, arch, feats[tr], labels[tr], regime, loss_rows)
-        _store_loss_csv(artifact, f"loss_{method}.csv", loss_rows)
-        nn_acc = head_accuracy(head, feats[te], labels[te])
-        svm_acc, metrics = svm_accuracy(cfg, head, feats[tr], labels[tr],
-                                        feats[te], labels[te])
-        artifact.metrics_rows.append((method, regime, "net", nn_acc, 0))
-        artifact.metrics_rows.append((method, regime, "svm", svm_acc,
-                                      metrics.false_alarms))
-        _store_confusion_csv(artifact, f"confusion_{method}.csv", metrics)
+        _evaluate_head(cfg, artifact, cfg["regime.name"], feats, labels, tr, te,
+                       [(method, method, feats)])

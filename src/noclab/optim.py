@@ -262,7 +262,6 @@ def train_partitioned(init, X, labels, plan: PartitionPlan, hyper: Hyper,
             raise InvalidPlan(f"partition {j} is empty")
         batches = make_batches(X[idx], labels[idx], hyper.batch_size, seed=seed + j)
         clone = init.clone()
-        trace = [] if loss_trace is not None else None
         _, rows = train_epoch(clone, batches, "3LR-inner", hyper,
                               num_steps=plan.iterations)
         if loss_trace is not None:

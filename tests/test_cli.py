@@ -88,6 +88,11 @@ def test_bad_config_returns_error_code(tmp_path, capsys):
     assert run(["eval", "--set", "experiment=party"]) == 1
     assert "error:" in capsys.readouterr().err
     assert run(["eval", "--set", "nonsense"]) == 1
+    out = str(tmp_path / "tr")
+    assert run(["train", "--output-dir", out, "--set", "regime.name=1LR",
+                "--set", "regime.partitions=0"] + SMALL) == 1
+    assert "regime.partitions must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_seed_changes_data(tmp_path):

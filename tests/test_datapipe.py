@@ -238,25 +238,24 @@ def test_orientation_map_quadrants():
 
 
 def test_gen_dataset_shapes_and_labels():
-    records, clips = dp.gen_synthetic_dataset(4, 3, 16, motion=False, seed=0)
-    assert len(records) == 12 and clips == []
+    records = dp.gen_synthetic_dataset(4, 3, 16, motion=False, seed=0)
+    assert len(records) == 12
     assert sorted({r.class_id for r in records}) == [0, 1, 2, 3]
     assert all(r.image.pixels.shape == (3, 16, 16) for r in records)
     assert all(r.orientation is None for r in records)
 
 
 def test_gen_dataset_motion_modes():
-    recs, clips = dp.gen_synthetic_dataset(4, 2, 16, motion="correlated", seed=0)
-    assert len(clips) == 8
+    recs = dp.gen_synthetic_dataset(4, 2, 16, motion="correlated", seed=0)
+    assert len(recs) == 8
     assert all(r.orientation is not None for r in recs)
-    assert all(len(c.frames) == 2 for c in clips)
-    recs_u, _ = dp.gen_synthetic_dataset(4, 2, 16, motion="uncorrelated", seed=0)
+    recs_u = dp.gen_synthetic_dataset(4, 2, 16, motion="uncorrelated", seed=0)
     assert all(r.orientation is not None for r in recs_u)
 
 
 def test_gen_dataset_deterministic():
-    a, _ = dp.gen_synthetic_dataset(3, 2, 16, seed=5)
-    b, _ = dp.gen_synthetic_dataset(3, 2, 16, seed=5)
+    a = dp.gen_synthetic_dataset(3, 2, 16, seed=5)
+    b = dp.gen_synthetic_dataset(3, 2, 16, seed=5)
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.image.pixels, rb.image.pixels)
 

@@ -62,6 +62,9 @@ def test_parse_config_file(tmp_path):
     ("blur.sigma = -1", "must be > 0"),
     ("blur.noise = -0.1", "must be >= 0"),
     ("fusion.orientation_scale = -1", "must be >= 0"),
+    ("regime.partitions = 0", "must be >= 1"),
+    ("regime.iterations = 0", "must be >= 1"),
+    ("regime.iterations = -3", "must be >= 1"),
 ])
 def test_parse_config_rejects(tmp_path, line, fragment):
     p = tmp_path / "bad.cfg"
@@ -79,6 +82,11 @@ def test_parse_config_override_beats_file(tmp_path):
     assert cfg.seed == 9
     with pytest.raises(ConfigError):
         harness.parse_config(None, {"no.such": 1})
+    # the sigma range is checked once every key is read, file or override
+    p.write_text("blur.sigma_min = 2.5\n")
+    assert harness.parse_config(str(p))["blur.sigma_min"] == 2.5
+    with pytest.raises(ConfigError, match="blur.sigma_max below blur.sigma_min"):
+        harness.parse_config(str(p), {"blur.sigma_max": "2"})
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +170,22 @@ def test_blur_combo_run(tmp_path):
     assert os.path.exists(art.path("loss_B-N-N.csv"))
 
 
+def test_blur_combo_all_matches_single_runs(tmp_path):
+    """One run of all four combos gives each combo the artifacts and metric
+    rows of that combo run on its own."""
+    whole = harness.run_experiment(small_cfg(tmp_path / "all", experiment="blur_combo"))
+    assert {m for m, *_ in whole.metrics_rows} == set(harness.COMBOS)
+    for combo in harness.COMBOS:
+        single = harness.run_experiment(small_cfg(tmp_path / combo,
+                                                  experiment="blur_combo",
+                                                  combo=combo))
+        assert single.metrics_rows == [r for r in whole.metrics_rows if r[0] == combo]
+        for name in (f"loss_{combo}.csv", f"confusion_{combo}.csv",
+                     f"model_{combo}.noc"):
+            with open(single.path(name), "rb") as a, open(whole.path(name), "rb") as b:
+                assert a.read() == b.read(), name
+
+
 def test_fusion_requires_motion(tmp_path):
     cfg = small_cfg(tmp_path, **{"experiment": "fusion"})
     with pytest.raises(ConfigError):
@@ -176,6 +200,11 @@ def test_fusion_run(tmp_path):
     art = harness.run_experiment(cfg)
     methods = {m for m, *_ in art.metrics_rows}
     assert methods == {"rgb_only", "rgb_plus_orientation"}
+    manifest = open(art.path("manifest.csv")).read().splitlines()
+    for method in methods:
+        name = f"model_{method}.noc"
+        assert os.path.exists(art.path(name))
+        assert f"{name},{name}" in manifest
 
 
 def test_loss_csv_schema(tmp_path):
