@@ -32,8 +32,10 @@ for regime in ("1LR", "2LR", "3LR"):
     print(f"{regime}: first-10 loss {np.mean(losses[:10]):.3f} -> "
           f"last-10 loss {np.mean(losses[-10:]):.3f}, test accuracy {acc:.1f}%")
 
-# The 3LR trace interleaves three partitions; each partition's clone
-# starts from the same initialization and the final model is the mean.
+# The 3LR trace holds one contiguous block per partition, its steps
+# restarting at 0; each partition's clone starts from the same
+# initialization and the final model is the mean. (1LR and 2LR chain one
+# model through the partitions and number steps on across them.)
 rows = []
 harness.train_head(cfg, arch, feats[tr], labels[tr], "3LR", rows)
 parts = sorted({p for _, p, _, _ in rows})

@@ -51,13 +51,13 @@ def cmd_gen(args):
 
 def cmd_train(args):
     cfg = _load_config(args)
-    out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
     feats, labels, tr, te = harness._prepare_features(cfg, harness.build_dataset(cfg))
     arch = harness._head_arch(cfg, feats.shape[1:])
     loss_rows = []
     head = harness.train_head(cfg, arch, feats[tr], labels[tr],
                               cfg["regime.name"], loss_rows)
+    out = cfg["output_dir"]
+    os.makedirs(out, exist_ok=True)
     mpath = os.path.join(out, f"model_{arch.arch_id}_{cfg['regime.name']}.noc")
     nets.save_model(head, mpath)
     harness.emit_csv(harness.loss_csv_rows(loss_rows), harness.LOSS_HEADER,

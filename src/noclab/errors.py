@@ -22,7 +22,7 @@ class ArchMismatch(NoclabError):
 
 
 class InvalidPlan(NoclabError):
-    """A partition plan is malformed (empty partition, uncovered samples)."""
+    """Samples cannot be dealt into the requested partitions."""
 
 
 class ConfigError(NoclabError):

@@ -17,10 +17,9 @@ from . import autodiff as ad
 from . import datapipe as dp
 from . import evaluate as ev
 from . import nets, optim
-from .errors import ConfigError, InvalidValue
+from .errors import ConfigError
 
 EXPERIMENTS = ("arch_sweep", "regime_sweep", "blur_combo", "fusion")
-REGIMES = ("1LR", "2LR", "3LR")
 COMBOS = ("N-N-N", "N-B-B", "B-N-N", "B-B-B")
 
 DEFAULTS = {
@@ -62,7 +61,7 @@ _ENUMS = {
     "experiment": EXPERIMENTS,
     "dataset.motion": ("none", "correlated", "uncorrelated"),
     "arch.arch_id": nets.ARCH_IDS,
-    "regime.name": REGIMES,
+    "regime.name": optim.REGIMES,
     "blur.kind": ("gaussian", "motion"),
     "combo": COMBOS + ("all",),
 }
@@ -142,6 +141,7 @@ def parse_config(path=None, overrides=None):
     """Load a flat `key = value` config file; `#` starts a comment.
     Overrides (a dict) beat file values; unknown keys are rejected."""
     cfg = ExperimentConfig()
+    lines = {}  # key -> file line that set it, unless an override beat it
     if path is not None:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -156,14 +156,41 @@ def parse_config(path=None, overrides=None):
                 if key not in DEFAULTS:
                     raise ConfigError(f"unknown key {key!r} (line {lineno})")
                 cfg.values[key] = _validate(key, _coerce(key, raw, lineno), lineno)
+                lines[key] = lineno
     for key, raw in (overrides or {}).items():
         if key not in DEFAULTS:
             raise ConfigError(f"unknown override key {key!r}")
         value = _coerce(key, raw) if isinstance(raw, str) else raw
         cfg.values[key] = _validate(key, value)
-    if cfg["blur.sigma_min"] > cfg["blur.sigma_max"]:
-        raise ConfigError("blur.sigma_max below blur.sigma_min")
+        lines.pop(key, None)
+    _check_cross_keys(cfg, lines)
     return cfg
+
+
+def _check_cross_keys(cfg, lines):
+    """Checks that span several keys, made once every key is read; an
+    error names the file lines of the keys involved."""
+
+    def where(*keys):
+        found = sorted(lines[k] for k in keys if k in lines)
+        return f" (line {', '.join(map(str, found))})" if found else ""
+
+    if cfg["blur.sigma_min"] > cfg["blur.sigma_max"]:
+        raise ConfigError("blur.sigma_max below blur.sigma_min"
+                          + where("blur.sigma_min", "blur.sigma_max"))
+    per_class = cfg["dataset.per_class"]
+    n_train = cfg["dataset.classes"] * max(0, per_class - _test_count(per_class))
+    if n_train < cfg["regime.partitions"]:
+        raise ConfigError(
+            f"training split of {n_train} samples is smaller than "
+            f"regime.partitions = {cfg['regime.partitions']}"
+            + where("dataset.classes", "dataset.per_class", "regime.partitions"))
+    width = nets.NocArch.scaled_fc_width(cfg["arch.width_scale"])
+    if width < cfg["dataset.classes"]:
+        raise ConfigError(
+            f"scaled fc width {width} is below "
+            f"dataset.classes = {cfg['dataset.classes']}"
+            + where("arch.width_scale", "dataset.classes"))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +212,15 @@ def build_dataset(cfg):
     )
 
 
-def stratified_split(labels, test_frac=0.2, seed=0):
+TEST_FRAC = 0.2  # share of each class held out for testing
+
+
+def _test_count(class_size, test_frac=TEST_FRAC):
+    """Test samples a class of `class_size` gives to the stratified split."""
+    return max(1, int(round(class_size * test_frac)))
+
+
+def stratified_split(labels, test_frac=TEST_FRAC, seed=0):
     """Disjoint stratified train/test index split."""
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
@@ -193,7 +228,7 @@ def stratified_split(labels, test_frac=0.2, seed=0):
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
         idx = idx[rng.permutation(len(idx))]
-        cut = max(1, int(round(len(idx) * test_frac)))
+        cut = _test_count(len(idx), test_frac)
         test.extend(idx[:cut])
         train.extend(idx[cut:])
     train = sorted(int(i) for i in train)
@@ -230,28 +265,9 @@ def _head_arch(cfg, input_shape, arch_id=None):
 
 def train_head(cfg, arch, X, labels, regime, loss_rows):
     """Train one head on precomputed features under a named regime."""
-    hyper = cfg.hyper()
-    head = nets.build_noc(arch, seed=cfg.seed)
-    parts = int(cfg["regime.partitions"])
-    labels = np.asarray(labels)
-    assignments = np.arange(len(labels)) % parts
-    if regime in ("1LR", "2LR"):
-        # sequential chaining: the net trained on one partition trains the next
-        for j in range(parts):
-            idx = np.flatnonzero(assignments == j)
-            batches = optim.make_batches(X[idx], labels[idx], hyper.batch_size,
-                                         seed=cfg.seed + j)
-            _, rows = optim.train_epoch(head, batches, regime, hyper)
-            loss_rows.extend((t + j * hyper.iterations, j, a, l)
-                             for (t, _, a, l) in rows)
-    elif regime == "3LR":
-        plan = optim.PartitionPlan(parts, tuple(int(a) for a in assignments),
-                                   hyper.iterations)
-        head = optim.train_partitioned(head, X, labels, plan, hyper,
-                                       seed=cfg.seed, loss_trace=loss_rows)
-    else:
-        raise InvalidValue(f"unknown regime {regime!r}")
-    return head
+    return optim.train(nets.build_noc(arch, seed=cfg.seed), X, labels, regime,
+                       cfg.hyper(), int(cfg["regime.partitions"]), seed=cfg.seed,
+                       loss_trace=loss_rows)
 
 
 def head_accuracy(head, X, labels):
@@ -353,7 +369,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
                    regimes=[cfg["regime.name"]])
     else:  # regime_sweep
         _run_sweep(cfg, artifact, archs=[cfg["arch.arch_id"]],
-                   regimes=list(REGIMES))
+                   regimes=list(optim.REGIMES))
 
     artifact.emit("metrics.csv", [(m, r, s, f"{a:.1f}", fa) for m, r, s, a, fa
                                   in sorted(artifact.metrics_rows)], METRICS_HEADER)
@@ -368,7 +384,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
 
 def _split(cfg, records):
     labels = np.array([r.class_id for r in records])
-    train_idx, test_idx = stratified_split(labels, 0.2, cfg.seed)
+    train_idx, test_idx = stratified_split(labels, TEST_FRAC, cfg.seed)
     return labels, train_idx, test_idx
 
 

@@ -39,9 +39,13 @@ class NocArch:
         if self.fc_width < self.num_classes:
             raise InvalidValue("scaled fc width below class count")
 
+    @staticmethod
+    def scaled_fc_width(width_scale):
+        return int(round(FULL_FC_WIDTH * width_scale))
+
     @property
     def fc_width(self):
-        return int(round(FULL_FC_WIDTH * self.width_scale))
+        return self.scaled_fc_width(self.width_scale)
 
     @property
     def conv_maps(self):

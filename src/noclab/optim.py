@@ -2,6 +2,11 @@
 covariance-preconditioned per-partition training with a final parameter
 average (3LR).
 
+`train` is the one entry point from (features, labels, regime,
+partitions) to a trained model: it deals the samples into partitions
+and chains (1LR, 2LR) or averages (3LR) the per-partition runs of
+`train_epoch`.
+
 All preconditioning is elementwise (diagonal). The covariance
 accumulator uses the literal gamma*(1-gamma) variance factor; pass
 standard_ewma=True for the conventional (1-gamma) weighting.
@@ -9,7 +14,7 @@ standard_ewma=True for the conventional (1-gamma) weighting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +25,8 @@ from .errors import InvalidPlan, InvalidValue, SizeMismatch
 DEFAULT_BETA = 0.9
 DEFAULT_GAMMA = 0.9
 DEFAULT_EPSILON = 1e-8
+
+REGIMES = ("1LR", "2LR", "3LR")
 
 
 @dataclass(frozen=True)
@@ -134,24 +141,6 @@ def average_params(models):
     return out
 
 
-@dataclass(frozen=True)
-class PartitionPlan:
-    num_partitions: int
-    assignments: tuple  # per-sample partition index
-    iterations: int
-
-    def __post_init__(self):
-        idx = np.asarray(self.assignments)
-        if self.num_partitions < 1 or self.iterations < 1:
-            raise InvalidPlan("need at least one partition and one iteration")
-        present = set(int(i) for i in idx)
-        if present != set(range(self.num_partitions)):
-            raise InvalidPlan("every partition must be non-empty and indices contiguous")
-
-    def partition_indices(self, j):
-        return [i for i, p in enumerate(self.assignments) if p == j]
-
-
 @dataclass
 class Hyper:
     """Regime hyperparameters; alpha_start/alpha_end drive 1LR's schedule,
@@ -168,72 +157,42 @@ class Hyper:
     standard_ewma: bool = False
 
 
-def _loss_on_batch(model, X, labels):
-    logits = nets.forward(model, ad.Tensor(X))
-    return ad.softmax_cross_entropy(logits, labels)
-
-
-def _train_steps(model, batches, step_fn, num_steps, loss_trace=None, partition=0,
-                 alpha_of=None):
-    """Run `num_steps` minibatch steps cycling over `batches`.
-
-    step_fn(name, param, grad, alpha) -> new param tensor.
-    """
-    n = len(batches)
-    for t in range(num_steps):
-        X, labels = batches[t % n]
-        loss = _loss_on_batch(model, X, labels)
-        ad.backward(loss)
-        alpha = alpha_of(t) if alpha_of else None
-        for name, p in model.param_items():
-            if p.grad is None:
-                continue
-            model.params[name] = step_fn(name, p, p.grad, alpha)
-        if loss_trace is not None:
-            loss_trace.append((t, partition, alpha, loss.item()))
-    return model
+def _sgd_rule(theta, grad, state, alpha):
+    return sgd_step(theta, grad, alpha), state
 
 
 def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
     """Train for `num_steps` minibatch steps (default hyper.iterations)
-    under one regime; returns (model, loss trace rows)."""
+    under one regime; returns (model, loss trace rows).
+
+    Raises InvalidValue as soon as a minibatch loss is not finite.
+    """
+    rule = {"1LR": _sgd_rule, "2LR": rmsprop_step, "3LR": covprecond_step}.get(regime)
+    if rule is None:
+        raise InvalidValue(f"unknown regime {regime!r}")
     if not batches:
         raise InvalidValue("no batches")
     steps = hyper.iterations if num_steps is None else num_steps
-    trace = []
+    sched = None
     if regime == "1LR":
         sched = Schedule(hyper.alpha_start, hyper.alpha_end, steps)
-
-        def step(name, p, g, alpha):
-            return sgd_step(p, g, alpha)
-
-        _train_steps(model, batches, step, steps, trace,
-                     alpha_of=lambda t: schedule_alpha(sched, t))
-    elif regime == "2LR":
-        states = {n: PreconditionerState.zeros_like(p, beta=hyper.beta,
-                                                    epsilon=hyper.epsilon)
-                  for n, p in model.param_items()}
-
-        def step(name, p, g, alpha):
-            new, states[name] = rmsprop_step(p, g, states[name], hyper.alpha)
-            return new
-
-        _train_steps(model, batches, step, steps, trace,
-                     alpha_of=lambda t: hyper.alpha)
-    elif regime == "3LR-inner":
-        states = {n: PreconditionerState.zeros_like(p, gamma=hyper.gamma,
-                                                    epsilon=hyper.epsilon,
-                                                    standard_ewma=hyper.standard_ewma)
-                  for n, p in model.param_items()}
-
-        def step(name, p, g, alpha):
-            new, states[name] = covprecond_step(p, g, states[name], hyper.alpha)
-            return new
-
-        _train_steps(model, batches, step, steps, trace,
-                     alpha_of=lambda t: hyper.alpha)
-    else:
-        raise InvalidValue(f"unknown regime {regime!r}")
+    states = {n: PreconditionerState.zeros_like(p, beta=hyper.beta, gamma=hyper.gamma,
+                                                epsilon=hyper.epsilon,
+                                                standard_ewma=hyper.standard_ewma)
+              for n, p in model.param_items()}
+    trace = []
+    for t in range(steps):
+        X, labels = batches[t % len(batches)]
+        loss = ad.softmax_cross_entropy(nets.forward(model, ad.Tensor(X)), labels)
+        value = loss.item()
+        if not np.isfinite(value):
+            raise InvalidValue(f"{regime} diverged at step {t}: loss {value}")
+        ad.backward(loss)
+        alpha = hyper.alpha if sched is None else schedule_alpha(sched, t)
+        for name, p in model.param_items():
+            if p.grad is not None:
+                model.params[name], states[name] = rule(p, p.grad, states[name], alpha)
+        trace.append((t, 0, alpha, value))
     return model, trace
 
 
@@ -247,24 +206,39 @@ def make_batches(X, labels, batch_size, seed=0):
             for i in range(0, len(labels), batch_size)]
 
 
-def train_partitioned(init, X, labels, plan: PartitionPlan, hyper: Hyper,
-                      seed=0, loss_trace=None):
-    """3LR: clone the init per partition, train each clone on its own
-    partition with the covariance-preconditioned step, then average."""
+def train(init, X, labels, regime: str, hyper: Hyper, partitions, seed=0,
+          loss_trace=None):
+    """Train a model from `init` under one regime and return it.
+
+    Samples are dealt round-robin (sample i to partition i % partitions);
+    partition j is shuffled into minibatches with seed `seed + j` and
+    trained for hyper.iterations steps. 1LR and 2LR chain one model
+    through the partitions and number trace steps on across them; 3LR
+    trains a clone of `init` per partition, restarting the step count,
+    and returns the parameter average of the clones. `init` itself is
+    left untouched. Trace rows (step, partition, alpha, loss) are
+    appended to `loss_trace`.
+    """
     X = np.asarray(X)
     labels = np.asarray(labels)
-    if len(labels) != len(plan.assignments):
-        raise InvalidPlan("plan does not cover the data")
-    clones = []
-    for j in range(plan.num_partitions):
-        idx = plan.partition_indices(j)
-        if not idx:
-            raise InvalidPlan(f"partition {j} is empty")
-        batches = make_batches(X[idx], labels[idx], hyper.batch_size, seed=seed + j)
-        clone = init.clone()
-        _, rows = train_epoch(clone, batches, "3LR-inner", hyper,
-                              num_steps=plan.iterations)
+    if len(X) != len(labels):
+        raise SizeMismatch(f"{len(X)} samples vs {len(labels)} labels")
+    if not 1 <= partitions <= len(labels):
+        raise InvalidPlan(f"cannot deal {len(labels)} samples into "
+                          f"{partitions} partitions")
+    averaged = regime == "3LR"
+    chained = init.clone()
+    models = []
+    for j in range(partitions):
+        batches = make_batches(X[j::partitions], labels[j::partitions],
+                               hyper.batch_size, seed=seed + j)
+        model = init.clone() if averaged else chained
+        try:
+            _, rows = train_epoch(model, batches, regime, hyper)
+        except InvalidValue as exc:
+            raise InvalidValue(f"partition {j}: {exc}") from exc
+        offset = 0 if averaged else j * hyper.iterations
         if loss_trace is not None:
-            loss_trace.extend((t, j, a, l) for (t, _, a, l) in rows)
-        clones.append(clone)
-    return average_params(clones)
+            loss_trace.extend((t + offset, j, a, l) for t, _, a, l in rows)
+        models.append(model)
+    return average_params(models) if averaged else chained

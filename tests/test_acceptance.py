@@ -132,7 +132,7 @@ def test_criterion_4_averaging_jensen():
             idx = np.arange(j, 30, 3)
             batches = optim.make_batches(X[idx], y[idx], 10, seed=seed + j)
             clone = init.clone()
-            optim.train_epoch(clone, batches, "3LR-inner", hyper)
+            optim.train_epoch(clone, batches, "3LR", hyper)
             clones.append(clone)
         avg = optim.average_params(clones)
         anchors = {k: rng.normal(size=v.data.shape)

@@ -95,6 +95,17 @@ def test_bad_config_returns_error_code(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_train_divergence_returns_error_code(tmp_path, capsys):
+    out = str(tmp_path / "div")
+    with np.errstate(all="ignore"):
+        code = run(["train", "--output-dir", out, "--set", "regime.name=1LR",
+                    "--set", "regime.alpha_start=1e8"] + SMALL[:6])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "1LR diverged" in err and "partition" in err
+    assert not os.path.exists(out)
+
+
 def test_seed_changes_data(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     run(["gen", "--output-dir", a, "--seed", "1"] + SMALL)

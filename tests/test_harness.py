@@ -65,6 +65,8 @@ def test_parse_config_file(tmp_path):
     ("regime.partitions = 0", "must be >= 1"),
     ("regime.iterations = 0", "must be >= 1"),
     ("regime.iterations = -3", "must be >= 1"),
+    ("dataset.per_class = 1", "training split of 0 samples is smaller than"),
+    ("arch.width_scale = 0.001", "scaled fc width 4 is below dataset.classes"),
 ])
 def test_parse_config_rejects(tmp_path, line, fragment):
     p = tmp_path / "bad.cfg"

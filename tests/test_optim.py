@@ -1,5 +1,5 @@
-"""Unit tests for schedules, step rules, partition plans and the three
-training regimes."""
+"""Unit tests for schedules, step rules, parameter averaging and the
+three training regimes."""
 
 import numpy as np
 import pytest
@@ -89,7 +89,7 @@ def test_covprecond_accumulator_nonnegative(gamma, grads):
 
 
 # ---------------------------------------------------------------------------
-# averaging and partition plans
+# averaging
 
 
 def arch():
@@ -120,14 +120,6 @@ def test_average_params_mismatch():
         optim.average_params([])
 
 
-def test_partition_plan_validation():
-    optim.PartitionPlan(2, (0, 1, 0, 1), 5)
-    with pytest.raises(InvalidPlan):
-        optim.PartitionPlan(3, (0, 1, 0, 1), 5)  # partition 2 empty
-    with pytest.raises(InvalidPlan):
-        optim.PartitionPlan(1, (0, 0), 0)
-
-
 # ---------------------------------------------------------------------------
 # training loops
 
@@ -142,7 +134,7 @@ def toy_data(n=48, seed=0):
     return X, y
 
 
-@pytest.mark.parametrize("regime", ["1LR", "2LR", "3LR-inner"])
+@pytest.mark.parametrize("regime", ["1LR", "2LR", "3LR"])
 def test_train_epoch_reduces_loss(regime):
     X, y = toy_data()
     model = nets.build_noc(arch(), seed=0)
@@ -175,19 +167,66 @@ def test_train_epoch_rejects_unknown_regime():
         optim.train_epoch(model, [], "1LR", optim.Hyper())
 
 
-def test_train_partitioned_returns_average_of_trained_clones():
+def test_train_3lr_is_average_of_partition_clones():
     X, y = toy_data()
-    plan = optim.PartitionPlan(3, tuple(int(i) % 3 for i in range(len(y))), 30)
+    hyper = optim.Hyper(iterations=30)
     init = nets.build_noc(arch(), seed=0)
     trace = []
-    out = optim.train_partitioned(init, X, y, plan, optim.Hyper(iterations=30),
-                                  seed=0, loss_trace=trace)
-    # three partitions, each 30 recorded steps
-    assert len(trace) == 90
-    assert {p for _, p, _, _ in trace} == {0, 1, 2}
-    # averaged model differs from the init (training happened)
-    assert any(not np.allclose(out.params[k].data, init.params[k].data)
+    out = optim.train(init, X, y, "3LR", hyper, 3, seed=5, loss_trace=trace)
+    clones = []
+    for j in range(3):
+        idx = np.flatnonzero(np.arange(len(y)) % 3 == j)
+        clone = init.clone()
+        optim.train_epoch(clone, optim.make_batches(X[idx], y[idx], hyper.batch_size,
+                                                    seed=5 + j), "3LR", hyper)
+        clones.append(clone)
+    ref = optim.average_params(clones)
+    for k in ref.params:
+        assert np.array_equal(out.params[k].data, ref.params[k].data)
+    # one contiguous block per partition, each restarting at step 0
+    assert [(t, p) for t, p, _, _ in trace] == [(t, j) for j in range(3)
+                                                 for t in range(30)]
+    # the init is left as it was
+    fresh = nets.build_noc(arch(), seed=0)
+    assert all(np.array_equal(init.params[k].data, fresh.params[k].data)
                for k in init.params)
+
+
+@pytest.mark.parametrize("regime", ["1LR", "2LR"])
+def test_train_chains_one_model_through_partitions(regime):
+    X, y = toy_data()
+    hyper = optim.Hyper(iterations=10)
+    init = nets.build_noc(arch(), seed=0)
+    trace = []
+    out = optim.train(init, X, y, regime, hyper, 3, seed=5, loss_trace=trace)
+    ref = init.clone()
+    for j in range(3):
+        idx = np.flatnonzero(np.arange(len(y)) % 3 == j)
+        optim.train_epoch(ref, optim.make_batches(X[idx], y[idx], hyper.batch_size,
+                                                  seed=5 + j), regime, hyper)
+    for k in ref.params:
+        assert np.array_equal(out.params[k].data, ref.params[k].data)
+    # steps number on across partitions
+    assert [t for t, _, _, _ in trace] == list(range(30))
+    assert [p for _, p, _, _ in trace] == [j for j in range(3) for _ in range(10)]
+
+
+def test_train_rejects_more_partitions_than_samples():
+    X, y = toy_data(n=4)
+    init = nets.build_noc(arch(), seed=0)
+    with pytest.raises(InvalidPlan):
+        optim.train(init, X, y, "3LR", optim.Hyper(iterations=2), 5)
+    with pytest.raises(InvalidPlan):
+        optim.train(init, X, y, "1LR", optim.Hyper(iterations=2), 0)
+
+
+def test_train_rejects_divergence():
+    X, y = toy_data()
+    hyper = optim.Hyper(iterations=30, alpha_start=1e8)
+    with np.errstate(all="ignore"), pytest.raises(InvalidValue) as err:
+        optim.train(nets.build_noc(arch(), seed=0), X, y, "1LR", hyper, 3)
+    msg = str(err.value)
+    assert "1LR" in msg and "partition 0" in msg and "step" in msg
 
 
 def test_make_batches_covers_all_samples():
