@@ -233,7 +233,6 @@ def stratified_split(labels, test_frac=TEST_FRAC, seed=0):
         train.extend(idx[cut:])
     train = sorted(int(i) for i in train)
     test = sorted(int(i) for i in test)
-    assert not set(train) & set(test)
     return train, test
 
 

@@ -157,10 +157,8 @@ def build_noc(arch: NocArch, seed: int) -> Model:
         layers.append(("relu",))
         add_fc(n, arch.num_classes)
 
-    # penultimate feature = relu output following the second-to-last fc
-    pen = len(layers) - 2
-    assert layers[pen][0] == "relu"
-    model = Model(arch.arch_id, tuple(arch.input_shape), layers, params, pen)
+    # every layout ends (relu, fc): the penultimate feature is that relu's output
+    model = Model(arch.arch_id, tuple(arch.input_shape), layers, params, len(layers) - 2)
     model.meta["num_classes"] = arch.num_classes
     model.meta["width_scale"] = arch.width_scale
     return model
@@ -268,31 +266,52 @@ def save_model(model: Model, path):
             fh.write(t.data.astype("<f8").tobytes())
 
 
+def _read_exact(fh, n, path):
+    data = fh.read(n)
+    if len(data) != n:
+        raise InvalidValue(f"{path}: truncated file")
+    return data
+
+
+def _unpack(fmt, fh, path):
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt), path))
+
+
+def _read_name(fh, path):
+    (length,) = _unpack("<B", fh, path)
+    try:
+        return _read_exact(fh, length, path).decode()
+    except UnicodeDecodeError as exc:
+        raise InvalidValue(f"{path}: malformed name") from exc
+
+
 def load_params(path, model: Model):
-    """Load a saved parameter set into a structurally matching model."""
+    """Load a saved parameter set into a structurally matching model.
+
+    A truncated or malformed file raises InvalidValue; a file saved from
+    another architecture raises ArchMismatch.
+    """
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise InvalidValue(f"{path}: bad magic")
-        (alen,) = struct.unpack("<B", fh.read(1))
-        arch_id = fh.read(alen).decode()
-        ndims, d0, d1, d2 = struct.unpack("<BIII", fh.read(13))
+        arch_id = _read_name(fh, path)
+        ndims, d0, d1, d2 = _unpack("<BIII", fh, path)
         shape = (d0, d1, d2)[:ndims]
         if arch_id != model.arch_id or shape != tuple(model.input_shape):
             raise ArchMismatch(f"{path}: saved {arch_id}{shape} vs model "
                                f"{model.arch_id}{tuple(model.input_shape)}")
-        (nparams,) = struct.unpack("<I", fh.read(4))
+        (nparams,) = _unpack("<I", fh, path)
         if nparams != len(model.params):
             raise ArchMismatch(f"{path}: parameter count mismatch")
         for _ in range(nparams):
-            (nlen,) = struct.unpack("<B", fh.read(1))
-            name = fh.read(nlen).decode()
+            name = _read_name(fh, path)
             if name not in model.params:
                 raise ArchMismatch(f"{path}: unknown parameter {name!r}")
-            (nd,) = struct.unpack("<B", fh.read(1))
-            pshape = struct.unpack(f"<{nd}I", fh.read(4 * nd))
+            (nd,) = _unpack("<B", fh, path)
+            pshape = _unpack(f"<{nd}I", fh, path)
             if pshape != model.params[name].data.shape:
                 raise ArchMismatch(f"{path}: shape mismatch for {name!r}")
-            n = int(np.prod(pshape))
-            data = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(pshape)
+            raw = _read_exact(fh, 8 * int(np.prod(pshape)), path)
+            data = np.frombuffer(raw, dtype="<f8").reshape(pshape)
             model.params[name] = ad.Tensor(data.copy(), requires_grad=True)
     return model

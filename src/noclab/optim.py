@@ -165,7 +165,9 @@ def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
     """Train for `num_steps` minibatch steps (default hyper.iterations)
     under one regime; returns (model, loss trace rows).
 
-    Raises InvalidValue as soon as a minibatch loss is not finite.
+    Raises InvalidValue as soon as a minibatch loss is not finite; numpy's
+    overflow and invalid-value warnings are silenced so that this check
+    is the one report of a diverging run.
     """
     rule = {"1LR": _sgd_rule, "2LR": rmsprop_step, "3LR": covprecond_step}.get(regime)
     if rule is None:
@@ -181,18 +183,19 @@ def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
                                                 standard_ewma=hyper.standard_ewma)
               for n, p in model.param_items()}
     trace = []
-    for t in range(steps):
-        X, labels = batches[t % len(batches)]
-        loss = ad.softmax_cross_entropy(nets.forward(model, ad.Tensor(X)), labels)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise InvalidValue(f"{regime} diverged at step {t}: loss {value}")
-        ad.backward(loss)
-        alpha = hyper.alpha if sched is None else schedule_alpha(sched, t)
-        for name, p in model.param_items():
-            if p.grad is not None:
-                model.params[name], states[name] = rule(p, p.grad, states[name], alpha)
-        trace.append((t, 0, alpha, value))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            X, labels = batches[t % len(batches)]
+            loss = ad.softmax_cross_entropy(nets.forward(model, ad.Tensor(X)), labels)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise InvalidValue(f"{regime} diverged at step {t}: loss {value}")
+            ad.backward(loss)
+            alpha = hyper.alpha if sched is None else schedule_alpha(sched, t)
+            for name, p in model.param_items():
+                if p.grad is not None:
+                    model.params[name], states[name] = rule(p, p.grad, states[name], alpha)
+            trace.append((t, 0, alpha, value))
     return model, trace
 
 
@@ -217,7 +220,8 @@ def train(init, X, labels, regime: str, hyper: Hyper, partitions, seed=0,
     trains a clone of `init` per partition, restarting the step count,
     and returns the parameter average of the clones. `init` itself is
     left untouched. Trace rows (step, partition, alpha, loss) are
-    appended to `loss_trace`.
+    appended to `loss_trace`. Raises InvalidValue, naming the partition,
+    when a loss or a trained parameter is not finite.
     """
     X = np.asarray(X)
     labels = np.asarray(labels)
@@ -237,6 +241,12 @@ def train(init, X, labels, regime: str, hyper: Hyper, partitions, seed=0,
             _, rows = train_epoch(model, batches, regime, hyper)
         except InvalidValue as exc:
             raise InvalidValue(f"partition {j}: {exc}") from exc
+        # the loss guard cannot see an update that turns a parameter
+        # non-finite at the partition's last step
+        for name, p in model.param_items():
+            if not np.all(np.isfinite(p.data)):
+                raise InvalidValue(f"partition {j}: {regime} left parameter "
+                                   f"{name!r} non-finite")
         offset = 0 if averaged else j * hyper.iterations
         if loss_trace is not None:
             loss_trace.extend((t + offset, j, a, l) for t, _, a, l in rows)

@@ -2,7 +2,6 @@
 
 import os
 
-import numpy as np
 import pytest
 
 from noclab import cli
@@ -95,11 +94,11 @@ def test_bad_config_returns_error_code(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_returns_error_code(tmp_path, capsys):
     out = str(tmp_path / "div")
-    with np.errstate(all="ignore"):
-        code = run(["train", "--output-dir", out, "--set", "regime.name=1LR",
-                    "--set", "regime.alpha_start=1e8"] + SMALL[:6])
+    code = run(["train", "--output-dir", out, "--set", "regime.name=1LR",
+                "--set", "regime.alpha_start=1e8"] + SMALL[:6])
     assert code == 1
     err = capsys.readouterr().err
     assert "1LR diverged" in err and "partition" in err

@@ -3,12 +3,12 @@ flow, synthetic generation and Netpbm I/O."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from noclab import datapipe as dp
-from noclab.errors import InvalidValue, SizeMismatch
+from noclab.errors import InvalidValue, NoclabError, SizeMismatch
 
 RNG = np.random.default_rng(11)
 
@@ -221,6 +221,59 @@ def test_horn_schunck_validation():
         dp.horn_schunck(np.zeros((4, 4)), np.zeros((5, 5)))
     with pytest.raises(InvalidValue):
         dp.horn_schunck(np.zeros((4, 4)), np.zeros((4, 4)), lam=0.0)
+    with pytest.raises(InvalidValue):
+        dp.horn_schunck(np.zeros(4), np.zeros(4))
+    with pytest.raises(InvalidValue):
+        dp.horn_schunck(np.zeros((1, 2, 4, 4)), np.zeros((1, 2, 4, 4)))
+
+
+def reference_horn_schunck(a, b, lam=0.5, iters=100):
+    """One frame pair at a time, edge replication by np.pad: the
+    unbatched iteration the library must reproduce bit for bit."""
+
+    def neighbor_mean(x):
+        p = np.pad(x, 1, mode="edge")
+        return (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:]) / 4.0
+
+    Ix = np.zeros_like(a)
+    Iy = np.zeros_like(a)
+    Ix[:, :-1] = a[:, 1:] - a[:, :-1]
+    Iy[:-1, :] = a[1:, :] - a[:-1, :]
+    It = b - a
+    denom = lam ** 2 + Ix ** 2 + Iy ** 2
+    u = np.zeros_like(a)
+    v = np.zeros_like(a)
+    for _ in range(iters):
+        ubar = neighbor_mean(u)
+        vbar = neighbor_mean(v)
+        t = (Ix * ubar + Iy * vbar + It) / denom
+        u = ubar - Ix * t
+        v = vbar - Iy * t
+    return u, v
+
+
+def test_horn_schunck_plane_and_frame_match_reference():
+    f1, f2 = bump(10, 12), bump(12, 13)
+    u, v = reference_horn_schunck(f1, f2, lam=0.7, iters=40)
+    for a, b in ((f1, f2), (dp.Frame(f1), dp.Frame(f2))):
+        flow = dp.horn_schunck(a, b, lam=0.7, iters=40)
+        assert flow.u.shape == (24, 24)
+        assert np.array_equal(flow.u, u) and np.array_equal(flow.v, v)
+
+
+@pytest.mark.parametrize("n", [1, dp._FLOW_BLOCK, dp._FLOW_BLOCK + 1])
+def test_horn_schunck_stack_matches_per_frame(n):
+    rng = np.random.default_rng(n)
+    a = rng.random((n, 9, 12))
+    b = rng.random((n, 9, 12))
+    flow = dp.horn_schunck(a, b, iters=25)
+    assert flow.u.shape == flow.v.shape == (n, 9, 12)
+    for i in range(n):
+        single = dp.horn_schunck(a[i], b[i], iters=25)
+        assert np.array_equal(flow.u[i], single.u)
+        assert np.array_equal(flow.v[i], single.v)
+        u, v = reference_horn_schunck(a[i], b[i], iters=25)
+        assert np.array_equal(flow.u[i], u) and np.array_equal(flow.v[i], v)
 
 
 def test_orientation_map_quadrants():
@@ -251,6 +304,31 @@ def test_gen_dataset_motion_modes():
     assert all(r.orientation is not None for r in recs)
     recs_u = dp.gen_synthetic_dataset(4, 2, 16, motion="uncorrelated", seed=0)
     assert all(r.orientation is not None for r in recs_u)
+
+
+@pytest.mark.parametrize("motion", ["correlated", "uncorrelated"])
+def test_gen_dataset_orientation_matches_per_record_flow(motion):
+    num_classes, per_class, size, seed = 4, 5, 16, 3
+    records = dp.gen_synthetic_dataset(num_classes, per_class, size, motion=motion,
+                                       seed=seed)
+    # the generator's draws, replayed one record at a time
+    rng = np.random.default_rng(seed)
+    i = 0
+    for c in range(num_classes):
+        family = c % ((num_classes + 1) // 2) if motion == "correlated" else c
+        for _ in range(per_class):
+            frame = dp._render_class_image(family, size, rng)
+            if motion == "correlated":
+                angle = 2 * np.pi * c / num_classes
+            else:
+                angle = rng.uniform(0, 2 * np.pi)
+            shift = (int(round(2.0 * np.sin(angle))), int(round(2.0 * np.cos(angle))))
+            shifted = dp.Frame(np.roll(frame.pixels, shift, axis=(1, 2)))
+            want = dp.orientation_map(dp.horn_schunck(frame, shifted, lam=0.5, iters=60))
+            assert np.array_equal(records[i].image.pixels, frame.pixels)
+            assert np.array_equal(records[i].orientation.pixels, want.pixels)
+            i += 1
+    assert i == len(records)
 
 
 def test_gen_dataset_deterministic():
@@ -289,6 +367,51 @@ def test_pgm_roundtrip(tmp_path):
     back = dp.read_pgm(path)
     assert back.pixels.shape == (1, 5, 7)
     assert np.max(np.abs(back.pixels - f.pixels)) <= 0.5 / 255 + 1e-12
+
+
+NETPBM = {"ppm": (3, dp.write_ppm, dp.read_ppm), "pgm": (1, dp.write_pgm, dp.read_pgm)}
+small_frames = st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+
+
+@pytest.mark.parametrize("kind", sorted(NETPBM))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(small_frames)
+def test_netpbm_roundtrip_property(tmp_path, kind, shape_seed):
+    channels, write, read = NETPBM[kind]
+    h, w, seed = shape_seed
+    f = rand_frame(channels, h, w, seed)
+    path = tmp_path / f"x.{kind}"
+    write(f, path)
+    back = read(path)
+    assert back.pixels.shape == f.pixels.shape
+    assert np.array_equal(back.pixels, np.round(f.pixels * 255) / 255)
+
+
+@pytest.mark.parametrize("kind", sorted(NETPBM))
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(small_frames)
+def test_netpbm_truncation_raises_typed_error(tmp_path, kind, shape_seed):
+    channels, write, read = NETPBM[kind]
+    h, w, seed = shape_seed
+    full, cut = tmp_path / f"full.{kind}", tmp_path / f"cut.{kind}"
+    write(rand_frame(channels, h, w, seed), full)
+    data = full.read_bytes()
+    for offset in range(len(data)):
+        cut.write_bytes(data[:offset])
+        with pytest.raises(NoclabError):
+            read(cut)
+
+
+@pytest.mark.parametrize("header", [b"P6\n2 2\n0\n", b"P6\n2 2\n256\n",
+                                    b"P6\n0 2\n255\n", b"P6\n2 x\n255\n",
+                                    b"P6\n-2 2\n255\n", b"P6\n99999999 99999999\n255\n"])
+def test_netpbm_rejects_malformed_header(tmp_path, header):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(header + bytes(12))
+    with pytest.raises(InvalidValue):
+        dp.read_ppm(path)
 
 
 def test_netpbm_validation(tmp_path):

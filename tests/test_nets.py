@@ -3,10 +3,12 @@ model persistence."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from noclab import autodiff as ad
 from noclab import nets
-from noclab.errors import ArchMismatch, InvalidValue, SizeMismatch
+from noclab.errors import ArchMismatch, InvalidValue, NoclabError, SizeMismatch
 
 
 def small_arch(arch_id, shape=(3, 8, 8), classes=4, scale=1 / 64):
@@ -114,3 +116,34 @@ def test_load_bad_magic(tmp_path):
     m = nets.build_noc(small_arch("C0F3"), seed=0)
     with pytest.raises(InvalidValue):
         nets.load_params(path, m)
+
+
+def tiny_head(seed):
+    """C0F3 with 4-wide hidden layers: a .noc file of about 400 bytes."""
+    return nets.build_noc(nets.NocArch("C0F3", (1, 1, 1), 2, 1 / 1024), seed=seed)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2 ** 32 - 1), st.floats(allow_nan=False, allow_infinity=False))
+def test_save_load_roundtrip_property(tmp_path, seed, value):
+    m = tiny_head(seed)
+    m.params["fc0.b"].data[0] = value
+    path = tmp_path / "m.noc"
+    nets.save_model(m, path)
+    back = nets.load_params(path, tiny_head(seed + 1))
+    for k in m.params:
+        assert np.array_equal(m.params[k].data, back.params[k].data)
+
+
+@settings(max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2 ** 32 - 1))
+def test_load_truncated_raises_typed_error(tmp_path, seed):
+    full, cut = tmp_path / "full.noc", tmp_path / "cut.noc"
+    nets.save_model(tiny_head(seed), full)
+    data = full.read_bytes()
+    for offset in range(len(data)):
+        cut.write_bytes(data[:offset])
+        with pytest.raises(NoclabError):
+            nets.load_params(cut, tiny_head(0))

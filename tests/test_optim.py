@@ -220,13 +220,27 @@ def test_train_rejects_more_partitions_than_samples():
         optim.train(init, X, y, "1LR", optim.Hyper(iterations=2), 0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_rejects_divergence():
     X, y = toy_data()
     hyper = optim.Hyper(iterations=30, alpha_start=1e8)
-    with np.errstate(all="ignore"), pytest.raises(InvalidValue) as err:
+    with pytest.raises(InvalidValue) as err:
         optim.train(nets.build_noc(arch(), seed=0), X, y, "1LR", hyper, 3)
     msg = str(err.value)
     assert "1LR" in msg and "partition 0" in msg and "step" in msg
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("regime", ["2LR", "3LR"])
+def test_train_rejects_non_finite_parameters(regime):
+    # one step at the largest float rate: the loss it sees is finite, the
+    # update it makes overflows
+    X, y = toy_data()
+    hyper = optim.Hyper(iterations=1, alpha=1e308)
+    with pytest.raises(InvalidValue) as err:
+        optim.train(nets.build_noc(arch(), seed=0), X, y, regime, hyper, 2)
+    msg = str(err.value)
+    assert "partition 0" in msg and "parameter" in msg and "non-finite" in msg
 
 
 def test_make_batches_covers_all_samples():
