@@ -239,11 +239,12 @@ def sample_dataset(clips, featurizer, per_cluster=1, seed=0, tau=None):
 
 
 def _gaussian_kernel(sigma):
+    """Normalized 1-D taps of radius max(1, ceil(3 sigma)); the 2-D
+    gaussian kernel is their outer product."""
     r = max(1, int(np.ceil(3 * sigma)))
     x = np.arange(-r, r + 1)
     k = np.exp(-0.5 * (x / sigma) ** 2)
-    k2 = np.outer(k, k)
-    return k2 / k2.sum()
+    return k / k.sum()
 
 
 def _motion_kernel(length, angle_deg):
@@ -262,25 +263,32 @@ def _motion_kernel(length, angle_deg):
 def synth_blur(image: Frame, kind="gaussian", sigma=2.0, length=9, angle=0.0,
                noise=0.0, seed=None):
     """Blur a frame with a gaussian or a 1-px-wide motion-line kernel,
-    reflect-padded.
+    reflect-padded. The gaussian is separable: one 1-D pass down the
+    rows and one along the columns of every channel at once.
 
     `noise` adds i.i.d. post-blur pixel noise (re-capture noise); it is
     what makes blur destructive rather than a reversible linear map.
     """
+    if not (np.isfinite(noise) and noise >= 0):
+        raise InvalidValue(f"noise must be finite and >= 0, got {noise}")
     if kind == "gaussian":
-        if sigma <= 0:
-            raise InvalidValue("sigma must be positive")
-        kernel = _gaussian_kernel(sigma)
+        if not (np.isfinite(sigma) and sigma > 0):
+            raise InvalidValue(f"sigma must be finite and positive, got {sigma}")
+        k = _gaussian_kernel(sigma)
+        out = ndimage.convolve1d(image.pixels, k, axis=1, mode="reflect")
+        out = ndimage.convolve1d(out, k, axis=2, mode="reflect")
     elif kind == "motion":
         if length < 1:
             raise InvalidValue("motion length must be >= 1")
+        if not np.isfinite(angle):
+            raise InvalidValue(f"motion angle must be finite, got {angle}")
         kernel = _motion_kernel(length, angle)
+        out = np.stack([
+            ndimage.convolve(image.pixels[c], kernel, mode="reflect")
+            for c in range(image.channels)
+        ])
     else:
         raise InvalidValue(f"unknown blur kind {kind!r}")
-    out = np.stack([
-        ndimage.convolve(image.pixels[c], kernel, mode="reflect")
-        for c in range(image.channels)
-    ])
     if noise > 0:
         rng = np.random.default_rng(seed)
         out = out + rng.normal(0.0, noise, size=out.shape)

@@ -41,6 +41,10 @@ def svm_train(features, labels, c_reg=1.0, epochs=20, seed=0,
     """One-vs-rest linear SVM by stochastic subgradient descent on
     0.5*||w||^2 + c_reg * sum hinge, learning rate 1/(c_reg * t).
 
+    The classes advance in lock-step: at step t every class takes the
+    next sample of its own per-epoch permutation, drawn class by class,
+    epoch by epoch, so the RNG stream is that of one class at a time.
+
     With track_objective=True also returns the per-epoch objective
     (summed over the one-vs-rest subproblems).
     """
@@ -49,35 +53,35 @@ def svm_train(features, labels, c_reg=1.0, epochs=20, seed=0,
     classes = np.unique(y)
     if len(classes) < 2:
         raise InvalidValue("need at least two classes")
-    if c_reg <= 0:
-        raise InvalidValue("c_reg must be positive")
+    if not (np.isfinite(c_reg) and c_reg > 0):
+        raise InvalidValue(f"c_reg must be finite and positive, got {c_reg}")
     n, dim = X.shape
+    k = len(classes)
     rng = np.random.default_rng(seed)
-    W = np.zeros((len(classes), dim))
-    B = np.zeros(len(classes))
+    perms = np.array([rng.permutation(n) for _ in range(k * epochs)]).reshape(
+        k, epochs, n)
+    Y = np.where(y == classes[:, None], 1.0, -1.0)  # (classes, n)
+    rows = np.arange(k)
+    W = np.zeros((k, dim))
+    B = np.zeros(k)
     epoch_obj = np.zeros(epochs)
-    for ci, cls in enumerate(classes):
-        ys = np.where(y == cls, 1.0, -1.0)
-        w = np.zeros(dim)
-        b = 0.0
-        t = 0
-        for ep in range(epochs):
-            order = rng.permutation(n)
-            for i in order:
-                t += 1
-                eta = 1.0 / (c_reg * t)
-                margin = ys[i] * (X[i] @ w + b)
-                gw = w.copy()
-                gb = 0.0
-                if margin < 1:
-                    gw -= c_reg * ys[i] * X[i]
-                    gb -= c_reg * ys[i]
-                w -= eta * gw
-                b -= eta * gb
-            if track_objective:
-                epoch_obj[ep] += svm_objective(w, b, X, ys, c_reg)
-        W[ci] = w
-        B[ci] = b
+    t = 0
+    for ep in range(epochs):
+        for idx in perms[:, ep].T:
+            t += 1
+            eta = 1.0 / (c_reg * t)
+            xi = X[idx]
+            yi = Y[rows, idx]
+            viol = yi * (np.einsum("ij,ij->i", xi, W) + B) < 1
+            gW = W.copy()
+            gB = np.zeros(k)
+            gW[viol] -= (c_reg * yi[viol])[:, None] * xi[viol]
+            gB[viol] -= c_reg * yi[viol]
+            W -= eta * gW
+            B -= eta * gB
+        if track_objective:
+            for ci in range(k):
+                epoch_obj[ep] += svm_objective(W[ci], B[ci], X, Y[ci], c_reg)
     model = SvmModel(weights=W, biases=B, classes=classes)
     if track_objective:
         return model, list(epoch_obj)

@@ -8,6 +8,7 @@ RGB vs RGB+orientation fusion. Every run is a pure function of
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -68,6 +69,9 @@ _ENUMS = {
 
 _OPEN_UNIT = ("regime.beta", "regime.gamma")  # must lie in (0,1)
 _AT_LEAST_ONE = ("regime.batch_size", "regime.iterations", "regime.partitions")
+_POSITIVE = ("blur.sigma", "blur.sigma_min", "blur.sigma_max", "svm.c_reg",
+             "regime.alpha", "regime.alpha_start", "regime.alpha_end",
+             "regime.epsilon")
 
 
 @dataclass
@@ -120,6 +124,8 @@ def _coerce(key, raw, lineno=None):
 
 def _validate(key, value, lineno=None):
     where = f" (line {lineno})" if lineno is not None else ""
+    if isinstance(DEFAULTS[key], float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value}{where}")
     if key in _ENUMS and value not in _ENUMS[key]:
         raise ConfigError(f"{key}: {value!r} not one of {_ENUMS[key]}{where}")
     if key in _OPEN_UNIT and not (0 < value < 1):
@@ -128,7 +134,7 @@ def _validate(key, value, lineno=None):
         raise ConfigError(f"{key} must be >= 1{where}")
     if key == "arch.width_scale" and not (0 < value <= 1):
         raise ConfigError(f"arch.width_scale outside (0, 1]{where}")
-    if key in ("blur.sigma", "blur.sigma_min", "blur.sigma_max") and value <= 0:
+    if key in _POSITIVE and value <= 0:
         raise ConfigError(f"{key} must be > 0{where}")
     if key == "blur.noise" and value < 0:
         raise ConfigError(f"blur.noise must be >= 0{where}")

@@ -288,8 +288,10 @@ def _read_name(fh, path):
 def load_params(path, model: Model):
     """Load a saved parameter set into a structurally matching model.
 
-    A truncated or malformed file raises InvalidValue; a file saved from
-    another architecture raises ArchMismatch.
+    A truncated or malformed file, or one with bytes after the last
+    parameter, raises InvalidValue; a file saved from another
+    architecture raises ArchMismatch. The model is changed only once
+    the whole file has been read.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
@@ -303,15 +305,21 @@ def load_params(path, model: Model):
         (nparams,) = _unpack("<I", fh, path)
         if nparams != len(model.params):
             raise ArchMismatch(f"{path}: parameter count mismatch")
+        loaded = {}
         for _ in range(nparams):
             name = _read_name(fh, path)
             if name not in model.params:
                 raise ArchMismatch(f"{path}: unknown parameter {name!r}")
+            if name in loaded:
+                raise InvalidValue(f"{path}: duplicate parameter {name!r}")
             (nd,) = _unpack("<B", fh, path)
             pshape = _unpack(f"<{nd}I", fh, path)
             if pshape != model.params[name].data.shape:
                 raise ArchMismatch(f"{path}: shape mismatch for {name!r}")
             raw = _read_exact(fh, 8 * int(np.prod(pshape)), path)
             data = np.frombuffer(raw, dtype="<f8").reshape(pshape)
-            model.params[name] = ad.Tensor(data.copy(), requires_grad=True)
+            loaded[name] = ad.Tensor(data.copy(), requires_grad=True)
+        if fh.read(1):
+            raise InvalidValue(f"{path}: trailing bytes after the last parameter")
+    model.params.update(loaded)
     return model

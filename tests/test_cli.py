@@ -1,10 +1,13 @@
 """CLI verb tests (gen / train / eval / grid / plotdata)."""
 
+import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 
-from noclab import cli
+from noclab import cli, harness
 
 SMALL = [
     "--set", "dataset.classes=3",
@@ -94,6 +97,21 @@ def test_bad_config_returns_error_code(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("setting,experiment", [
+    ("svm.c_reg=nan", "regime_sweep"),
+    ("blur.sigma_min=nan", "blur_combo"),
+    ("regime.alpha=-1", "regime_sweep"),
+])
+def test_non_finite_or_non_positive_config_returns_error_code(
+        tmp_path, capsys, setting, experiment):
+    out = str(tmp_path / "grid")
+    code = run(["grid", "--experiments", experiment, "--output-dir", out,
+                "--set", setting] + SMALL)
+    assert code == 1
+    assert f"error: {setting.split('=')[0]} must be" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_returns_error_code(tmp_path, capsys):
     out = str(tmp_path / "div")
@@ -112,3 +130,34 @@ def test_seed_changes_data(tmp_path):
     fa = open(os.path.join(a, "img_00000.ppm"), "rb").read()
     fb = open(os.path.join(b, "img_00000.ppm"), "rb").read()
     assert fa != fb
+
+
+def _digests(root):
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            if name != "config.txt":
+                path = os.path.join(dirpath, name)
+                with open(path, "rb") as fh:
+                    out[os.path.relpath(path, root)] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def test_grid_identical_under_one_and_two_blas_threads(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        out = str(tmp_path / f"threads{threads}")
+        subprocess.run([sys.executable, "-m", "noclab.cli", "grid",
+                        "--output-dir", out, "--seed", "3"] + SMALL,
+                       env=env, check=True, capture_output=True, timeout=600)
+        digests[threads] = _digests(out)
+    names = set(digests["1"])
+    assert any(n.endswith(".csv") for n in names)
+    assert any(n.endswith(".noc") for n in names)
+    assert {n.split(os.sep)[0] for n in names} == set(harness.EXPERIMENTS)
+    assert digests["1"] == digests["2"]

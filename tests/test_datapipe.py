@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from noclab import datapipe as dp
 from noclab.errors import InvalidValue, NoclabError, SizeMismatch
@@ -145,7 +146,11 @@ def test_sample_dataset_dedupes_static_clip():
 
 
 def test_blur_kernels_normalized():
-    assert abs(dp._gaussian_kernel(1.5).sum() - 1.0) < 1e-12
+    for sigma in (0.2, 0.3, 1.0, 1.5, 3.0):
+        g = dp._gaussian_kernel(sigma)
+        assert g.ndim == 1 and len(g) == 2 * max(1, int(np.ceil(3 * sigma))) + 1
+        assert abs(g.sum() - 1.0) < 1e-12
+        assert np.array_equal(g, g[::-1])
     k = dp._motion_kernel(9, 0.0)
     assert abs(k.sum() - 1.0) < 1e-12
     assert np.count_nonzero(k) == 9  # horizontal line
@@ -170,12 +175,46 @@ def test_blur_reduces_variance_and_noise_is_seeded():
 
 def test_blur_validation():
     f = rand_frame()
-    with pytest.raises(InvalidValue):
-        dp.synth_blur(f, sigma=0.0)
+    for sigma in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidValue):
+            dp.synth_blur(f, sigma=sigma)
     with pytest.raises(InvalidValue):
         dp.synth_blur(f, kind="motion", length=0)
+    for angle in (np.nan, np.inf):
+        with pytest.raises(InvalidValue):
+            dp.synth_blur(f, kind="motion", angle=angle)
+    for noise in (-0.1, np.nan, np.inf):
+        with pytest.raises(InvalidValue):
+            dp.synth_blur(f, noise=noise, seed=0)
     with pytest.raises(InvalidValue):
         dp.synth_blur(f, kind="box")
+
+
+def reference_gaussian_blur(frame, sigma):
+    """One 2-D convolution per channel with the outer-product kernel:
+    the unseparated blur the library must reproduce to rounding."""
+    r = max(1, int(np.ceil(3 * sigma)))
+    x = np.arange(-r, r + 1)
+    k = np.exp(-0.5 * (x / sigma) ** 2)
+    k2 = np.outer(k, k)
+    k2 /= k2.sum()
+    return np.stack([ndimage.convolve(frame.pixels[c], k2, mode="reflect")
+                     for c in range(frame.channels)])
+
+
+@pytest.mark.parametrize("size", [3, 5, 16, 32])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_gaussian_blur_matches_2d_reference(size, channels):
+    rng = np.random.default_rng(size * 10 + channels)
+    for sigma in (0.2, 0.5, 1.0, 1.7, 2.9, 3.0):
+        f = dp.Frame(rng.random((channels, size, size)))
+        ref = reference_gaussian_blur(f, sigma)
+        out = dp.synth_blur(f, sigma=sigma).pixels
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) < 1e-12
+        noisy = dp.synth_blur(f, sigma=sigma, noise=0.05, seed=7).pixels
+        draw = np.random.default_rng(7).normal(0.0, 0.05, size=ref.shape)
+        assert np.max(np.abs(noisy - np.clip(ref + draw, 0.0, 1.0))) < 1e-12
 
 
 # ---------------------------------------------------------------------------

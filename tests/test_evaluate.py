@@ -39,8 +39,9 @@ def test_svm_validation():
     X, y = blobs()
     with pytest.raises(InvalidValue):
         ev.svm_train(X, np.zeros(len(y)))  # single class
-    with pytest.raises(InvalidValue):
-        ev.svm_train(X, y, c_reg=0.0)
+    for c_reg in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidValue):
+            ev.svm_train(X, y, c_reg=c_reg)
     model = ev.svm_train(X, y, epochs=2)
     with pytest.raises(SizeMismatch):
         ev.svm_predict(model, np.zeros((3, 5)))
@@ -57,6 +58,64 @@ def test_svm_labels_preserved():
     model = ev.svm_train(X, y + 10, epochs=10, seed=0)
     pred = ev.svm_predict(model, X)
     assert set(pred) <= {10, 11, 12}
+
+
+def reference_svm_train(features, labels, c_reg=1.0, epochs=20, seed=0):
+    """One class at a time, one sample at a time: the per-class loop the
+    lock-step library version must reproduce bit for bit. Returns the
+    model and the per-epoch objective trace."""
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels)
+    classes = np.unique(y)
+    n, dim = X.shape
+    rng = np.random.default_rng(seed)
+    W = np.zeros((len(classes), dim))
+    B = np.zeros(len(classes))
+    epoch_obj = np.zeros(epochs)
+    for ci, cls in enumerate(classes):
+        ys = np.where(y == cls, 1.0, -1.0)
+        w = np.zeros(dim)
+        b = 0.0
+        t = 0
+        for ep in range(epochs):
+            for i in rng.permutation(n):
+                t += 1
+                eta = 1.0 / (c_reg * t)
+                margin = ys[i] * (X[i] @ w + b)
+                gw = w.copy()
+                gb = 0.0
+                if margin < 1:
+                    gw -= c_reg * ys[i] * X[i]
+                    gb -= c_reg * ys[i]
+                w -= eta * gw
+                b -= eta * gb
+            epoch_obj[ep] += ev.svm_objective(w, b, X, ys, c_reg)
+        W[ci] = w
+        B[ci] = b
+    return ev.SvmModel(weights=W, biases=B, classes=classes), list(epoch_obj)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("n,label_set,dim,epochs,c_reg", [
+    (40, (0, 1), 2, 3, 1.0),
+    (160, tuple(range(16)), 8, 3, 1.0),
+    (60, (3, 7, 9), 5, 1, 0.5),
+    (30, (3, 7, 9), 1, 3, 2.0),
+])
+def test_svm_matches_per_class_reference(seed, n, label_set, dim, epochs, c_reg):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, dim))
+    y = np.asarray(label_set)[rng.integers(0, len(label_set), n)]
+    y[:len(label_set)] = label_set  # every class present
+    ref, ref_obj = reference_svm_train(X, y, c_reg=c_reg, epochs=epochs, seed=seed)
+    model, obj = ev.svm_train(X, y, c_reg=c_reg, epochs=epochs, seed=seed,
+                              track_objective=True)
+    assert np.array_equal(model.weights, ref.weights)
+    assert np.array_equal(model.biases, ref.biases)
+    assert np.array_equal(model.classes, ref.classes)
+    assert obj == ref_obj
+    plain = ev.svm_train(X, y, c_reg=c_reg, epochs=epochs, seed=seed)
+    assert np.array_equal(plain.weights, ref.weights)
 
 
 # ---------------------------------------------------------------------------

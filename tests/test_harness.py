@@ -67,6 +67,19 @@ def test_parse_config_file(tmp_path):
     ("regime.iterations = -3", "must be >= 1"),
     ("dataset.per_class = 1", "training split of 0 samples is smaller than"),
     ("arch.width_scale = 0.001", "scaled fc width 4 is below dataset.classes"),
+    ("svm.c_reg = nan", "svm.c_reg must be finite"),
+    ("svm.c_reg = 0", "svm.c_reg must be > 0"),
+    ("blur.sigma_min = nan", "blur.sigma_min must be finite"),
+    ("blur.angle = inf", "blur.angle must be finite"),
+    ("blur.noise = nan", "blur.noise must be finite"),
+    ("fusion.orientation_scale = -inf", "must be finite"),
+    ("regime.alpha = -1", "regime.alpha must be > 0"),
+    ("regime.alpha = nan", "regime.alpha must be finite"),
+    ("regime.alpha_start = inf", "regime.alpha_start must be finite"),
+    ("regime.alpha_end = 0", "regime.alpha_end must be > 0"),
+    ("regime.epsilon = nan", "regime.epsilon must be finite"),
+    ("regime.epsilon = -1e-8", "regime.epsilon must be > 0"),
+    ("regime.beta = nan", "regime.beta must be finite"),
 ])
 def test_parse_config_rejects(tmp_path, line, fragment):
     p = tmp_path / "bad.cfg"

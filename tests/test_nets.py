@@ -147,3 +147,36 @@ def test_load_truncated_raises_typed_error(tmp_path, seed):
         cut.write_bytes(data[:offset])
         with pytest.raises(NoclabError):
             nets.load_params(cut, tiny_head(0))
+
+
+@pytest.mark.parametrize("tail", [b"\x00", bytes(70), b"NOC1 garbage"],
+                         ids=["one_byte", "70_zero_bytes", "text"])
+def test_load_trailing_bytes_raises_typed_error(tmp_path, tail):
+    path = tmp_path / "m.noc"
+    nets.save_model(tiny_head(1), path)
+    path.write_bytes(path.read_bytes() + tail)
+    with pytest.raises(InvalidValue, match="trailing bytes"):
+        nets.load_params(path, tiny_head(0))
+
+
+def test_failed_load_leaves_model_untouched(tmp_path):
+    path = tmp_path / "m.noc"
+    nets.save_model(tiny_head(1), path)
+    data = path.read_bytes()
+    bad = {
+        "trailing": data + bytes(8),
+        "truncated": data[:-4],  # inside the last parameter
+        # fc1.b renamed to fc0.b: same shape, so only the duplicate is wrong
+        "duplicate": data.replace(b"fc1.b", b"fc0.b"),
+    }
+    for kind, raw in bad.items():
+        path.write_bytes(raw)
+        model = tiny_head(0)
+        before = dict(model.params)
+        snapshot = {k: v.data.copy() for k, v in model.params.items()}
+        with pytest.raises(InvalidValue):
+            nets.load_params(path, model)
+        assert model.params.keys() == before.keys(), kind
+        for k in before:
+            assert model.params[k] is before[k], (kind, k)
+            assert np.array_equal(model.params[k].data, snapshot[k]), (kind, k)
