@@ -100,6 +100,120 @@ def _accum(tensor, grads, delta):
 
 
 # ---------------------------------------------------------------------------
+# numpy kernels of the head ops
+#
+# Each op's math lives once, here. The Tensor ops below wrap these
+# kernels in graph nodes; `nets.loss_and_grads` calls them directly, in
+# the same order, to train a head without building a graph. Keep every
+# memory layout as it is: the bias gradients are reductions whose
+# summation order follows the layout of the incoming gradient.
+
+
+def _matmul_bwd(g, a, b, need_a=True):
+    """Gradients of a @ b for its operands; the first is None unless need_a."""
+    return (g @ b.T if need_a else None), a.T @ g
+
+
+def _im2col(x, kh, kw, stride, pad):
+    """Zero-padded input (b, c_in, h+2p, w+2p) and its columns
+    (b, oh*ow, c_in*kh*kw), plus the output size oh, ow."""
+    b_, c_in, h, w = x.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    # (b, c_in, oh, ow, kh, kw) -> (b, oh*ow, c_in*kh*kw)
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b_, oh * ow, c_in * kh * kw)
+    return xp, cols, oh, ow
+
+
+def _conv2d_fwd(cols, k, bias, oh, ow):
+    c_out = k.shape[0]
+    wmat = k.reshape(c_out, -1)
+    return (cols @ wmat.T + bias).transpose(0, 2, 1).reshape(len(cols), c_out, oh, ow)
+
+
+def _conv2d_bwd(g, cols, k, oh, ow, xp=None, stride=1, pad=0):
+    """Gradients (kernels, bias, input) of `_conv2d_fwd`; the input's is
+    None unless the padded input xp is given."""
+    b_ = len(cols)
+    c_out, c_in, kh, kw = k.shape
+    g4 = g.reshape(b_, c_out, oh, ow)
+    gcols = g4.reshape(b_, c_out, oh * ow).transpose(0, 2, 1)  # (b, oh*ow, c_out)
+    db = g4.sum(axis=(0, 2, 3))
+    dk = np.einsum("bpo,bpk->ok", gcols, cols).reshape(c_out, c_in, kh, kw)
+    if xp is None:
+        return dk, db, None
+    dcols = gcols @ k.reshape(c_out, -1)  # (b, oh*ow, c_in*kh*kw)
+    dxp = np.zeros_like(xp)
+    dwin = dcols.reshape(b_, oh, ow, c_in, kh, kw)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += (
+                dwin[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+            )
+    h, w = xp.shape[2] - 2 * pad, xp.shape[3] - 2 * pad
+    return dk, db, dxp[:, :, pad : pad + h, pad : pad + w]
+
+
+def _maxpool2d_fwd(x, window, stride):
+    """Per-window max of (b, c, h, w) and each window's row-major argmax."""
+    b_, c, h, w = x.shape
+    oh = (h - window) // stride + 1
+    ow = (w - window) // stride + 1
+    win = sliding_window_view(x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
+    flat = win.reshape(b_, c, oh, ow, window * window)
+    arg = flat.argmax(axis=-1)  # first occurrence on ties
+    return np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0], arg
+
+
+def _maxpool2d_bwd(g, x, arg, window, stride):
+    # zeros_like keeps x's layout, which the next bias gradient sums in
+    dx = np.zeros_like(x)
+    bi, ci, oi, oj = np.indices(arg.shape)
+    ri = oi * stride + arg // window
+    rj = oj * stride + arg % window
+    np.add.at(dx, (bi, ci, ri, rj), g.reshape(arg.shape))
+    return dx
+
+
+def _relu_fwd(x):
+    mask = x > 0
+    return np.where(mask, x, 0.0), mask
+
+
+def _relu_bwd(g, mask):
+    return g * mask
+
+
+def _check_labels(labels, n, classes):
+    """Labels as int64, one per row, each in [0, classes)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (n,):
+        raise SizeMismatch(f"{n} rows but {labels.shape} labels")
+    if np.any(labels < 0) or np.any(labels >= classes):
+        raise InvalidValue("label out of range")
+    return labels
+
+
+def _softmax_xent_fwd(z, labels):
+    """Mean cross-entropy of row-max-stabilized softmax(z) and the softmax."""
+    n = len(z)
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1)
+    loss = float(np.mean(np.log(total) - shifted[np.arange(n), labels]))
+    return loss, e / total[:, None]
+
+
+def _softmax_xent_bwd(g, softmax, labels):
+    n = len(softmax)
+    d = softmax.copy()
+    d[np.arange(n), labels] -= 1.0
+    return float(g) * d / n
+
+
+# ---------------------------------------------------------------------------
 # linear algebra
 
 
@@ -109,8 +223,9 @@ def matmul(a, b):
     out = a.data @ b.data
 
     def bwd(g, grads):
-        _accum(a, grads, g @ b.data.T)
-        _accum(b, grads, a.data.T @ g)
+        da, db = _matmul_bwd(g, a.data, b.data, a._needs_graph())
+        _accum(a, grads, da)
+        _accum(b, grads, db)
 
     return _from_op(out, (a, b), bwd)
 
@@ -139,41 +254,20 @@ def conv2d(inp, kernels, bias, stride=1, pad=0):
         raise SizeMismatch(f"conv2d input {inp.shape} vs kernels {kernels.shape}")
     if bias.data.shape != (k.shape[0],):
         raise SizeMismatch(f"conv2d bias {bias.shape} vs {k.shape[0]} output maps")
-    b_, c_in, h, w = x.shape
-    c_out, _, kh, kw = k.shape
+    kh, kw = k.shape[2:]
     stride = int(stride)
     pad = int(pad)
-    if h + 2 * pad < kh or w + 2 * pad < kw:
+    if x.shape[2] + 2 * pad < kh or x.shape[3] + 2 * pad < kw:
         raise SizeMismatch("kernel larger than padded input")
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # (b, c_in, oh, ow, kh, kw) -> (b, oh*ow, c_in*kh*kw)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b_, oh * ow, c_in * kh * kw)
-    wmat = k.reshape(c_out, c_in * kh * kw)
-    out = (cols @ wmat.T + bias.data).transpose(0, 2, 1).reshape(b_, c_out, oh, ow)
+    xp, cols, oh, ow = _im2col(x, kh, kw, stride, pad)
+    out = _conv2d_fwd(cols, k, bias.data, oh, ow)
 
     def bwd(g, grads):
-        g4 = g.reshape(b_, c_out, oh, ow)
-        gcols = g4.reshape(b_, c_out, oh * ow).transpose(0, 2, 1)  # (b, oh*ow, c_out)
-        _accum(bias, grads, g4.sum(axis=(0, 2, 3)))
-        _accum(
-            kernels,
-            grads,
-            np.einsum("bpo,bpk->ok", gcols, cols).reshape(c_out, c_in, kh, kw),
-        )
-        if inp._needs_graph():
-            dcols = gcols @ wmat  # (b, oh*ow, c_in*kh*kw)
-            dxp = np.zeros_like(xp)
-            dwin = dcols.reshape(b_, oh, ow, c_in, kh, kw)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += (
-                        dwin[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-                    )
-            dx = dxp[:, :, pad : pad + h, pad : pad + w]
+        dk, db, dx = _conv2d_bwd(g, cols, k, oh, ow,
+                                 xp if inp._needs_graph() else None, stride, pad)
+        _accum(bias, grads, db)
+        _accum(kernels, grads, dk)
+        if dx is not None:
             _accum(inp, grads, dx[0] if squeeze else dx)
 
     res = out[0] if squeeze else out
@@ -183,28 +277,17 @@ def conv2d(inp, kernels, bias, stride=1, pad=0):
 def maxpool2d(inp, window, stride):
     """Per-window max; ties route the gradient to the first position (row-major)."""
     x, squeeze = _as_batched(inp.data)
-    b_, c, h, w = x.shape
     window = int(window)
     stride = int(stride)
-    if h < window or w < window:
-        raise SizeMismatch(f"pool window {window} larger than input {h}x{w}")
-    oh = (h - window) // stride + 1
-    ow = (w - window) // stride + 1
-    win = sliding_window_view(x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
-    flat = win.reshape(b_, c, oh, ow, window * window)
-    arg = flat.argmax(axis=-1)  # first occurrence on ties
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    if x.shape[2] < window or x.shape[3] < window:
+        raise SizeMismatch(f"pool window {window} larger than input "
+                           f"{x.shape[2]}x{x.shape[3]}")
+    out, arg = _maxpool2d_fwd(x, window, stride)
 
     def bwd(g, grads):
-        if not inp._needs_graph():
-            return
-        g4 = g.reshape(b_, c, oh, ow)
-        dx = np.zeros_like(x)
-        bi, ci, oi, oj = np.indices((b_, c, oh, ow))
-        ri = oi * stride + arg // window
-        rj = oj * stride + arg % window
-        np.add.at(dx, (bi, ci, ri, rj), g4)
-        _accum(inp, grads, dx[0] if squeeze else dx)
+        if inp._needs_graph():
+            dx = _maxpool2d_bwd(g, x, arg, window, stride)
+            _accum(inp, grads, dx[0] if squeeze else dx)
 
     res = out[0] if squeeze else out
     return _from_op(res, (inp,), bwd)
@@ -215,11 +298,10 @@ def maxpool2d(inp, window, stride):
 
 
 def relu(x):
-    mask = x.data > 0
-    out = np.where(mask, x.data, 0.0)
+    out, mask = _relu_fwd(x.data)
 
     def bwd(g, grads):
-        _accum(x, grads, g * mask)
+        _accum(x, grads, _relu_bwd(g, mask))
 
     return _from_op(out, (x,), bwd)
 
@@ -361,21 +443,11 @@ def softmax_cross_entropy(logits, labels):
     z = logits.data
     if z.ndim != 2:
         raise SizeMismatch(f"logits must be 2-d, got {logits.shape}")
-    labels = np.asarray(labels, dtype=np.int64)
-    n, classes = z.shape
-    if labels.shape != (n,):
-        raise SizeMismatch(f"{n} rows but {labels.shape} labels")
-    if np.any(labels < 0) or np.any(labels >= classes):
-        raise InvalidValue("label out of range")
-    shifted = z - z.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(logsumexp - shifted[np.arange(n), labels]))
-    softmax = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    labels = _check_labels(labels, *z.shape)
+    loss, softmax = _softmax_xent_fwd(z, labels)
 
     def bwd(g, grads):
-        d = softmax.copy()
-        d[np.arange(n), labels] -= 1.0
-        _accum(logits, grads, float(g) * d / n)
+        _accum(logits, grads, _softmax_xent_bwd(g, softmax, labels))
 
     return _from_op(loss, (logits,), bwd)
 

@@ -79,13 +79,17 @@ def cmd_grid(args):
     base_out = cfg["output_dir"]
     experiments = (args.experiments.split(",") if args.experiments
                    else list(harness.EXPERIMENTS))
+    # validate every sub-config, the experiment name included, before any
+    # experiment makes data or a directory
+    subcfgs = []
     for exp in experiments:
         sub = dict(cfg.values)
         sub["experiment"] = exp
         sub["output_dir"] = os.path.join(base_out, exp)
         if exp == "fusion" and sub["dataset.motion"] == "none":
             sub["dataset.motion"] = "correlated"
-        subcfg = harness.ExperimentConfig(sub)
+        subcfgs.append(harness.parse_config(None, sub))
+    for exp, subcfg in zip(experiments, subcfgs):
         artifact = harness.run_experiment(subcfg)
         print(f"[{exp}] artifacts in {artifact.output_dir}")
 

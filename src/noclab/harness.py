@@ -359,12 +359,12 @@ def _echo_config(cfg, artifact):
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
+    experiment = _validate("experiment", cfg["experiment"])
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     artifact = RunArtifact(output_dir=out_dir, metrics_rows=[])
     _echo_config(cfg, artifact)
 
-    experiment = cfg["experiment"]
     if experiment == "fusion":
         _run_fusion(cfg, artifact)
     elif experiment == "blur_combo":
@@ -372,7 +372,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
     elif experiment == "arch_sweep":
         _run_sweep(cfg, artifact, archs=list(nets.ARCH_IDS),
                    regimes=[cfg["regime.name"]])
-    else:  # regime_sweep
+    elif experiment == "regime_sweep":
         _run_sweep(cfg, artifact, archs=[cfg["arch.arch_id"]],
                    regimes=list(optim.REGIMES))
 

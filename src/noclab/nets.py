@@ -222,6 +222,100 @@ def forward(model: Model, batch: ad.Tensor, cache=None):
     return x
 
 
+@dataclass(frozen=True)
+class Minibatch:
+    """A training minibatch checked against a head, ready for
+    `loss_and_grads`: the first layer's input, or its im2col columns
+    (cols, oh, ow) when that layer is a conv, and the int64 labels."""
+
+    head_input: object
+    labels: np.ndarray
+
+
+def prepare_batch(model: Model, X, labels) -> Minibatch:
+    """Check a minibatch's shape and labels against `model` and compute
+    what its first layer reads, once for every step that reuses it."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[1:] != tuple(model.input_shape):
+        raise SizeMismatch(f"batch shape {X.shape[1:]} vs model input {model.input_shape}")
+    classes = model.params[model.layers[-1][2]].data.shape[0]
+    labels = ad._check_labels(labels, len(X), classes)
+    first = model.layers[0]
+    if first[0] == "conv":
+        _, wn, _, stride, pad = first
+        _, _, kh, kw = model.params[wn].data.shape
+        _, cols, oh, ow = ad._im2col(X, kh, kw, stride, pad)
+        return Minibatch((cols, oh, ow), labels)
+    return Minibatch(X, labels)
+
+
+def loss_and_grads(model: Model, params, batch: Minibatch):
+    """Softmax cross-entropy of a prepared batch and its gradient for
+    every parameter, with `params` (name -> ndarray) in place of the
+    model's own.
+
+    Runs the layer chain forward and back through the autodiff kernels,
+    in the order `ad.backward` would, without building a graph. Each
+    layer feeds exactly one consumer, so no gradient is accumulated and
+    the results equal the graph path's bit for bit. No gradient is
+    computed for the batch itself.
+    """
+    first_param = next(i for i, layer in enumerate(model.layers)
+                       if layer[0] in ("conv", "fc"))
+    x = batch.head_input
+    tape = []
+    for i, layer in enumerate(model.layers):
+        kind = layer[0]
+        if kind == "conv":
+            _, wn, bn, stride, pad = layer
+            k = params[wn]
+            if i == 0:
+                xp, (cols, oh, ow) = None, x
+            else:
+                xp, cols, oh, ow = ad._im2col(x, k.shape[2], k.shape[3], stride, pad)
+            tape.append((xp, cols, oh, ow))
+            x = ad._conv2d_fwd(cols, k, params[bn], oh, ow)
+        elif kind == "maxpool":
+            out, arg = ad._maxpool2d_fwd(x, layer[1], layer[2])
+            tape.append((x, arg))
+            x = out
+        elif kind == "fc":
+            tape.append(x)
+            x = x @ params[layer[1]] + params[layer[2]]
+        elif kind == "relu":
+            x, mask = ad._relu_fwd(x)
+            tape.append(mask)
+        elif kind == "flatten":
+            tape.append(x.shape)
+            x = x.reshape(len(x), x.size // len(x))
+        else:
+            raise InvalidValue(f"unknown layer kind {kind!r}")
+    loss, softmax = ad._softmax_xent_fwd(x, batch.labels)
+
+    g = ad._softmax_xent_bwd(1.0, softmax, batch.labels)
+    grads = {}
+    for i in range(len(model.layers) - 1, first_param - 1, -1):
+        layer, saved = model.layers[i], tape[i]
+        kind = layer[0]
+        if kind == "conv":
+            _, wn, bn, stride, pad = layer
+            xp, cols, oh, ow = saved
+            # xp is None for a first-layer conv: no gradient for the batch
+            grads[wn], grads[bn], g = ad._conv2d_bwd(g, cols, params[wn], oh, ow,
+                                                     xp, stride, pad)
+        elif kind == "maxpool":
+            g = ad._maxpool2d_bwd(g, *saved, layer[1], layer[2])
+        elif kind == "fc":
+            _, wn, bn = layer
+            grads[bn] = g.sum(axis=0)
+            g, grads[wn] = ad._matmul_bwd(g, saved, params[wn], i > first_param)
+        elif kind == "relu":
+            g = ad._relu_bwd(g, saved)
+        else:  # flatten
+            g = g.reshape(saved)
+    return loss, grads
+
+
 def penultimate_features(model: Model, batch: ad.Tensor) -> ad.Tensor:
     """Activations of the last hidden fc layer (post-relu), one row per sample."""
     cache = []

@@ -165,6 +165,9 @@ def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
     """Train for `num_steps` minibatch steps (default hyper.iterations)
     under one regime; returns (model, loss trace rows).
 
+    Each minibatch is checked and prepared once (`nets.prepare_batch`)
+    and every step runs the graph-free `nets.loss_and_grads` on working
+    copies of the parameters, which replace the model's at the end.
     Raises InvalidValue as soon as a minibatch loss is not finite; numpy's
     overflow and invalid-value warnings are silenced so that this check
     is the one report of a diverging run.
@@ -178,24 +181,24 @@ def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
     sched = None
     if regime == "1LR":
         sched = Schedule(hyper.alpha_start, hyper.alpha_end, steps)
+    prepared = [nets.prepare_batch(model, X, labels) for X, labels in batches]
+    params = {n: p.data for n, p in model.param_items()}
     states = {n: PreconditionerState.zeros_like(p, beta=hyper.beta, gamma=hyper.gamma,
                                                 epsilon=hyper.epsilon,
                                                 standard_ewma=hyper.standard_ewma)
-              for n, p in model.param_items()}
+              for n, p in params.items()}
     trace = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
-            X, labels = batches[t % len(batches)]
-            loss = ad.softmax_cross_entropy(nets.forward(model, ad.Tensor(X)), labels)
-            value = loss.item()
+            value, grads = nets.loss_and_grads(model, params, prepared[t % len(prepared)])
             if not np.isfinite(value):
                 raise InvalidValue(f"{regime} diverged at step {t}: loss {value}")
-            ad.backward(loss)
             alpha = hyper.alpha if sched is None else schedule_alpha(sched, t)
-            for name, p in model.param_items():
-                if p.grad is not None:
-                    model.params[name], states[name] = rule(p, p.grad, states[name], alpha)
+            for name, g in grads.items():
+                params[name], states[name] = rule(params[name], g, states[name], alpha)
             trace.append((t, 0, alpha, value))
+    for name, p in params.items():
+        model.params[name] = ad.Tensor(p, requires_grad=True)
     return model, trace
 
 

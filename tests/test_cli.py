@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from noclab import cli, harness
+from noclab.errors import ConfigError
 
 SMALL = [
     "--set", "dataset.classes=3",
@@ -74,6 +75,23 @@ def test_grid_runs_selected_experiments(tmp_path):
                 "--experiments", "arch_sweep",
                 "--set", "regime.name=1LR"] + SMALL) == 0
     assert os.path.exists(os.path.join(out, "arch_sweep", "metrics.csv"))
+
+
+@pytest.mark.parametrize("experiments", ["regime_swep", "regime_sweep,regime_swep"])
+def test_grid_rejects_unknown_experiment(tmp_path, capsys, experiments):
+    out = str(tmp_path / "grid")
+    assert run(["grid", "--output-dir", out, "--experiments", experiments]
+               + SMALL[:6]) == 1
+    assert "error: experiment: 'regime_swep' not one of" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_run_experiment_rejects_unknown_experiment(tmp_path):
+    cfg = harness.parse_config(None, {"output_dir": str(tmp_path / "run")})
+    cfg.values["experiment"] = "regime_swep"
+    with pytest.raises(ConfigError):
+        harness.run_experiment(cfg)
+    assert not os.path.exists(cfg["output_dir"])
 
 
 def test_config_file_plus_override(tmp_path, capsys):

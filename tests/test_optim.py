@@ -243,6 +243,107 @@ def test_train_rejects_non_finite_parameters(regime):
     assert "partition 0" in msg and "parameter" in msg and "non-finite" in msg
 
 
+# ---------------------------------------------------------------------------
+# the graph-free training chain against the autodiff graph
+
+
+def reference_train_epoch(model, batches, regime, hyper, num_steps):
+    """The graph-path training loop: every step builds an autodiff graph
+    through `nets.forward` and runs `ad.backward` on its loss."""
+    rule = {"1LR": optim._sgd_rule, "2LR": optim.rmsprop_step,
+            "3LR": optim.covprecond_step}[regime]
+    sched = optim.Schedule(hyper.alpha_start, hyper.alpha_end, num_steps)
+    states = {n: optim.PreconditionerState.zeros_like(p, beta=hyper.beta,
+                                                      gamma=hyper.gamma,
+                                                      epsilon=hyper.epsilon)
+              for n, p in model.param_items()}
+    trace = []
+    for t in range(num_steps):
+        X, labels = batches[t % len(batches)]
+        loss = ad.softmax_cross_entropy(nets.forward(model, ad.Tensor(X)), labels)
+        ad.backward(loss)
+        alpha = optim.schedule_alpha(sched, t) if regime == "1LR" else hyper.alpha
+        for name, p in model.param_items():
+            model.params[name], states[name] = rule(p, p.grad, states[name], alpha)
+        trace.append((t, 0, alpha, loss.item()))
+    return trace
+
+
+def chain_case(arch_id, n=44):
+    """A head with two conv maps and a 128-wide fc stack on 4x6x6 inputs,
+    and 44 samples in minibatches of 16, 16 and 12."""
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(n, 4, 6, 6))
+    y = rng.integers(0, 5, size=n)
+    model = nets.build_noc(nets.NocArch(arch_id, (4, 6, 6), 5, 1 / 32), seed=2)
+    return model, optim.make_batches(X, y, 16, seed=1)
+
+
+CHAIN_CASES = [(a, r) for a in nets.ARCH_IDS for r in optim.REGIMES]
+
+
+@pytest.mark.parametrize("arch_id,regime", CHAIN_CASES)
+def test_chain_gradients_equal_graph(arch_id, regime):
+    # gradients at the parameters a few steps of `regime` reach
+    model, batches = chain_case(arch_id)
+    optim.train_epoch(model, batches, regime, optim.Hyper(iterations=4))
+    for X, labels in batches:
+        loss, grads = nets.loss_and_grads(
+            model, {n: p.data for n, p in model.param_items()},
+            nets.prepare_batch(model, X, labels))
+        ref = ad.softmax_cross_entropy(nets.forward(model, ad.Tensor(X)), labels)
+        leaf = ad.backward(ref)
+        assert loss == ref.item()
+        assert set(grads) == set(model.params)
+        for name, p in model.param_items():
+            assert np.array_equal(grads[name], leaf[p]), name
+
+
+@pytest.mark.parametrize("arch_id,regime", CHAIN_CASES)
+def test_train_epoch_equals_graph_reference(arch_id, regime):
+    model, batches = chain_case(arch_id)
+    ref = model.clone()
+    hyper = optim.Hyper(alpha=0.01)
+    steps = 3 * len(batches)  # every prepared minibatch is reused twice
+    _, trace = optim.train_epoch(model, batches, regime, hyper, num_steps=steps)
+    ref_trace = reference_train_epoch(ref, batches, regime, hyper, steps)
+    assert trace == ref_trace
+    for name in ref.params:
+        assert np.array_equal(model.params[name].data, ref.params[name].data), name
+
+
+@pytest.mark.parametrize("arch_id", nets.ARCH_IDS)
+def test_train_epoch_checks_batches_before_training(arch_id):
+    model, batches = chain_case(arch_id)
+    before = {n: p.data.copy() for n, p in model.param_items()}
+    X, y = batches[-1]
+    with pytest.raises(SizeMismatch):
+        optim.train_epoch(model, batches[:-1] + [(X[:, :, :5], y)], "2LR",
+                          optim.Hyper(iterations=3))
+    with pytest.raises(SizeMismatch):
+        optim.train_epoch(model, batches[:-1] + [(X, y[:-1])], "2LR",
+                          optim.Hyper(iterations=3))
+    bad = y.copy()
+    bad[0] = 5
+    with pytest.raises(InvalidValue, match="label out of range"):
+        optim.train_epoch(model, batches[:-1] + [(X, bad)], "2LR",
+                          optim.Hyper(iterations=3))
+    # rejected before the first step: the model is untouched
+    assert all(np.array_equal(model.params[n].data, v) for n, v in before.items())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("arch_id,regime,hyper", [
+    ("C0F3", "1LR", optim.Hyper(iterations=30, alpha_start=1e8)),
+    ("C1F3", "3LR", optim.Hyper(iterations=30, alpha=1e100)),
+    ("M1", "2LR", optim.Hyper(iterations=30, alpha=1e100)),
+])
+def test_train_epoch_rejects_divergence(arch_id, regime, hyper):
+    model, batches = chain_case(arch_id)
+    with pytest.raises(InvalidValue, match=f"{regime} diverged at step"):
+        optim.train_epoch(model, batches, regime, hyper)
+
+
 def test_make_batches_covers_all_samples():
     X = np.arange(10)[:, None]
     y = np.arange(10)
