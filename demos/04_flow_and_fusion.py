@@ -39,15 +39,18 @@ for method, regime, split, acc, fa in sorted(art.metrics_rows):
     if split == "net":
         print(f"  {method:22s} accuracy {acc:5.1f}%")
 
-# the head itself can also be driven through the two-stream forward pass
+# the fusion the experiment runs: standardized backbone features of the
+# two streams, the orientation stream scaled down before the sum
 size = int(cfg["dataset.size"])
-bi = nets.build_backbone((3, size, size), 16, seed=1)
-bo = nets.build_backbone((3, size, size), 16, seed=2)
-head = nets.build_noc(nets.NocArch("C1F3", bi.meta["feature_shape"], 6, 1 / 32),
-                      seed=0)
-records = harness.build_dataset(cfg)
-rgb = ad.Tensor(np.stack([records[i].image.pixels for i in range(3)]))
-omaps = ad.Tensor(np.stack([
-    np.repeat(records[i].orientation.pixels, 3, axis=0) for i in range(3)]))
-logits = nets.two_stream_forward(bi, bo, head, rgb, omaps)
-print(f"two_stream_forward logits shape: {logits.shape}")
+channels = int(cfg["backbone.channels"])
+bi = nets.build_backbone((3, size, size), channels, seed=1)
+bo = nets.build_backbone((3, size, size), channels, seed=2)
+records = harness.build_dataset(cfg)[:3]
+f_rgb = harness.extract_features(bi, [r.image for r in records])
+f_orient = harness.extract_features(bo, [
+    dp.Frame(np.repeat(r.orientation.pixels, 3, axis=0)) for r in records])
+scale = cfg["fusion.orientation_scale"]
+fused = nets.fuse_sum(f_rgb, f_orient, scale)
+head = nets.build_noc(nets.NocArch("C1F3", fused.shape[1:], 6, 1 / 32), seed=0)
+logits = nets.forward(head, ad.Tensor(fused))
+print(f"fuse_sum (orientation scale {scale}) logits shape: {logits.shape}")

@@ -104,11 +104,9 @@ def cmd_plotdata(args):
     arch = harness._head_arch(cfg, feats.shape[1:])
     head = harness.train_head(cfg, arch, feats[tr], labels[tr],
                               cfg["regime.name"], [])
-    pen = ev.l2_normalize_rows(harness.head_penultimate(head, feats[te]))
     sources = [records[i].source for i in te]
-    coords, _, _ = ev.pca_project(pen, 2, seed=cfg.seed)
-    harness.emit_csv(harness.embedding_csv_rows(coords, labels[te], sources),
-                     harness.EMBEDDING_HEADER, os.path.join(out, "pca.csv"))
+    pen, rows = harness.pca_embedding(head, feats[te], labels[te], sources, cfg.seed)
+    harness.emit_csv(rows, harness.EMBEDDING_HEADER, os.path.join(out, "pca.csv"))
     n = len(pen)
     cap = min(n, 500)
     if cap < 16:  # smallest test split with a feasible perplexity (>= 5)

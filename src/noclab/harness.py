@@ -68,7 +68,12 @@ _ENUMS = {
 }
 
 _OPEN_UNIT = ("regime.beta", "regime.gamma")  # must lie in (0,1)
-_AT_LEAST_ONE = ("regime.batch_size", "regime.iterations", "regime.partitions")
+_AT_LEAST = {  # key -> smallest allowed value
+    "regime.batch_size": 1, "regime.iterations": 1, "regime.partitions": 1,
+    "svm.epochs": 1, "backbone.channels": 1, "blur.length": 1,
+    "dataset.size": 16,  # the data generator and the backbone need 16x16 frames
+    "seed": 0, "blur.noise": 0, "fusion.orientation_scale": 0,
+}
 _POSITIVE = ("blur.sigma", "blur.sigma_min", "blur.sigma_max", "svm.c_reg",
              "regime.alpha", "regime.alpha_start", "regime.alpha_end",
              "regime.epsilon")
@@ -130,16 +135,14 @@ def _validate(key, value, lineno=None):
         raise ConfigError(f"{key}: {value!r} not one of {_ENUMS[key]}{where}")
     if key in _OPEN_UNIT and not (0 < value < 1):
         raise ConfigError(f"{key}: {value} outside (0, 1){where}")
-    if key in _AT_LEAST_ONE and value < 1:
-        raise ConfigError(f"{key} must be >= 1{where}")
+    if key in _AT_LEAST and value < _AT_LEAST[key]:
+        raise ConfigError(f"{key} must be >= {_AT_LEAST[key]}{where}")
+    if key == "dataset.classes" and not (2 <= value <= 16):
+        raise ConfigError(f"dataset.classes must be in [2, 16]{where}")
     if key == "arch.width_scale" and not (0 < value <= 1):
         raise ConfigError(f"arch.width_scale outside (0, 1]{where}")
     if key in _POSITIVE and value <= 0:
         raise ConfigError(f"{key} must be > 0{where}")
-    if key == "blur.noise" and value < 0:
-        raise ConfigError(f"blur.noise must be >= 0{where}")
-    if key == "fusion.orientation_scale" and value < 0:
-        raise ConfigError(f"fusion.orientation_scale must be >= 0{where}")
     return value
 
 
@@ -248,11 +251,10 @@ def extract_features(backbone, frames, batch=64):
     Each sample is standardized (zero mean, unit std) so the heads see
     patterns rather than global contrast or blur-induced scale shifts.
     """
-    frozen = backbone.frozen()
     out = []
     X = np.stack([f.pixels for f in frames])
     for i in range(0, len(X), batch):
-        out.append(nets.forward(frozen, ad.Tensor(X[i:i + batch])).data)
+        out.append(nets.forward(backbone, ad.Tensor(X[i:i + batch])).data)
     feats = np.concatenate(out)
     mean = feats.mean(axis=(1, 2, 3), keepdims=True)
     std = feats.std(axis=(1, 2, 3), keepdims=True)
@@ -276,17 +278,23 @@ def train_head(cfg, arch, X, labels, regime, loss_rows):
 
 
 def head_accuracy(head, X, labels):
-    frozen = head.frozen()
-    logits = nets.forward(frozen, ad.Tensor(X)).data
+    logits = nets.forward(head, ad.Tensor(X)).data
     return 100.0 * float((logits.argmax(axis=1) == np.asarray(labels)).mean())
 
 
 def head_penultimate(head, X, batch=256):
-    frozen = head.frozen()
     out = []
     for i in range(0, len(X), batch):
-        out.append(nets.penultimate_features(frozen, ad.Tensor(X[i:i + batch])).data)
+        out.append(nets.penultimate_features(head, ad.Tensor(X[i:i + batch])).data)
     return np.concatenate(out)
+
+
+def pca_embedding(head, X, labels, sources, seed):
+    """L2-normalized penultimate features of X through `head`, and the
+    CSV rows of their 2-D PCA projection."""
+    pen = ev.l2_normalize_rows(head_penultimate(head, X))
+    coords, _, _ = ev.pca_project(pen, 2, seed=seed)
+    return pen, embedding_csv_rows(coords, labels, sources)
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +460,9 @@ def _run_sweep(cfg, artifact, archs, regimes):
                                   [(arch_id, f"{arch_id}_{regime}", feats)],
                                   arch_id=arch_id)
     # embedding of test features through the last trained head
-    pen = ev.l2_normalize_rows(head_penultimate(head, feats[te]))
-    coords, _, _ = ev.pca_project(pen, 2, seed=cfg.seed)
     sources = [records[i].source for i in te]
-    artifact.emit("embedding.csv", embedding_csv_rows(coords, labels[te], sources),
-                  EMBEDDING_HEADER)
+    _, rows = pca_embedding(head, feats[te], labels[te], sources, cfg.seed)
+    artifact.emit("embedding.csv", rows, EMBEDDING_HEADER)
 
 
 def _blur_frames(cfg, frames):
@@ -510,10 +516,8 @@ def _run_fusion(cfg, artifact):
     f_rgb = extract_features(_backbone(cfg, 1), [r.image for r in records])
     # orientation maps are single-channel; replicate to the 3-channel input
     orient = [dp.Frame(np.repeat(r.orientation.pixels, 3, axis=0)) for r in records]
-    # the orientation stream is down-weighted before the sum so an
-    # uninformative stream degrades the fused features only mildly
-    f_fused = f_rgb + float(cfg["fusion.orientation_scale"]) * extract_features(
-        _backbone(cfg, 2), orient)
+    f_fused = nets.fuse_sum(f_rgb, extract_features(_backbone(cfg, 2), orient),
+                            float(cfg["fusion.orientation_scale"]))
     for method, feats in (("rgb_only", f_rgb), ("rgb_plus_orientation", f_fused)):
         _evaluate_head(cfg, artifact, cfg["regime.name"], feats, labels, tr, te,
                        [(method, method, feats)])

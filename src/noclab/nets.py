@@ -1,9 +1,14 @@
-"""Classifier-head architectures, a small conv backbone, and sum fusion.
+"""Classifier-head architectures, a small conv backbone, and scaled sum
+fusion.
 
 Three head layouts are supported, identified as C0F3 (fc-only), C1F3
 (one conv then the fc stack) and M1 (conv, maxpool, conv, fc stack).
 The historical 4096-wide hidden layers are scaled down by
 `width_scale`; the class count stays at its full value.
+
+Parameters are plain float64 arrays. `forward` wraps them as constant
+autodiff Tensors for the one pass it runs; training reads and replaces
+the arrays directly (`loss_and_grads`).
 """
 
 from __future__ import annotations
@@ -54,7 +59,8 @@ class NocArch:
 
 @dataclass
 class Model:
-    """Realized network: ordered layer descriptors plus named parameters.
+    """Realized network: ordered layer descriptors plus named parameters
+    (name -> float64 ndarray).
 
     Layer descriptors are tuples:
       ("conv", weight_name, bias_name, stride, pad)
@@ -66,30 +72,18 @@ class Model:
     arch_id: str
     input_shape: tuple
     layers: list
-    params: dict  # name -> ad.Tensor (requires_grad)
+    params: dict  # name -> float64 ndarray
     penultimate_index: int = -1
     meta: dict = field(default_factory=dict)
 
     def clone(self):
-        params = {
-            k: ad.Tensor(v.data.copy(), requires_grad=True) for k, v in self.params.items()
-        }
+        params = {k: v.copy() for k, v in self.params.items()}
         return Model(self.arch_id, self.input_shape, list(self.layers), params,
                      self.penultimate_index, dict(self.meta))
-
-    def frozen(self):
-        """Copy whose parameters record no gradients (cheap inference)."""
-        params = {k: ad.Tensor(v.data) for k, v in self.params.items()}
-        return Model(self.arch_id, self.input_shape, list(self.layers), params,
-                     self.penultimate_index, dict(self.meta))
-
-    def param_items(self):
-        return list(self.params.items())
 
 
 def _he_init(rng, shape, fan_in):
-    return ad.Tensor(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape),
-                     requires_grad=True)
+    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
 def _conv_out_hw(h, w, k, stride, pad):
@@ -110,7 +104,7 @@ def build_noc(arch: NocArch, seed: int) -> Model:
         if hh + 2 * pad < ksize or ww + 2 * pad < ksize:
             raise SizeMismatch(f"input {hh}x{ww} too small for conv")
         params[wn] = _he_init(rng, (c_out, c_in, ksize, ksize), c_in * ksize * ksize)
-        params[bn] = ad.Tensor(np.zeros(c_out), requires_grad=True)
+        params[bn] = np.zeros(c_out)
         layers.append(("conv", wn, bn, stride, pad))
         idx += 1
         return c_out, *_conv_out_hw(hh, ww, ksize, stride, pad)
@@ -119,7 +113,7 @@ def build_noc(arch: NocArch, seed: int) -> Model:
         nonlocal idx
         wn, bn = f"fc{idx}.w", f"fc{idx}.b"
         params[wn] = _he_init(rng, (n_in, n_out), n_in)
-        params[bn] = ad.Tensor(np.zeros(n_out), requires_grad=True)
+        params[bn] = np.zeros(n_out)
         layers.append(("fc", wn, bn))
         idx += 1
         return n_out
@@ -177,7 +171,7 @@ def build_backbone(input_shape, feature_channels: int, seed: int) -> Model:
     for i, c_out in enumerate(chans):
         wn, bn = f"conv{i}.w", f"conv{i}.b"
         params[wn] = _he_init(rng, (c_out, c_in, 3, 3), c_in * 9)
-        params[bn] = ad.Tensor(np.zeros(c_out), requires_grad=True)
+        params[bn] = np.zeros(c_out)
         layers.append(("conv", wn, bn, 1, 1))
         layers.append(("relu",))
         layers.append(("maxpool", 2, 2))
@@ -209,14 +203,17 @@ def _apply_layer(layer, x, params):
 def forward(model: Model, batch: ad.Tensor, cache=None):
     """Run a batch (leading batch dim) through the model; returns logits.
 
-    When `cache` is a list it receives every intermediate activation.
+    The parameters enter as constant Tensors, so a graph is built only
+    when the batch itself requires a gradient. When `cache` is a list it
+    receives every intermediate activation.
     """
     if tuple(batch.shape[1:]) != tuple(model.input_shape):
         raise SizeMismatch(
             f"batch shape {batch.shape[1:]} vs model input {model.input_shape}")
+    params = {k: ad.Tensor(v) for k, v in model.params.items()}
     x = batch
     for layer in model.layers:
-        x = _apply_layer(layer, x, model.params)
+        x = _apply_layer(layer, x, params)
         if cache is not None:
             cache.append(x)
     return x
@@ -238,12 +235,12 @@ def prepare_batch(model: Model, X, labels) -> Minibatch:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1:] != tuple(model.input_shape):
         raise SizeMismatch(f"batch shape {X.shape[1:]} vs model input {model.input_shape}")
-    classes = model.params[model.layers[-1][2]].data.shape[0]
+    classes = model.params[model.layers[-1][2]].shape[0]
     labels = ad._check_labels(labels, len(X), classes)
     first = model.layers[0]
     if first[0] == "conv":
         _, wn, _, stride, pad = first
-        _, _, kh, kw = model.params[wn].data.shape
+        _, _, kh, kw = model.params[wn].shape
         _, cols, oh, ow = ad._im2col(X, kh, kw, stride, pad)
         return Minibatch((cols, oh, ow), labels)
     return Minibatch(X, labels)
@@ -323,19 +320,13 @@ def penultimate_features(model: Model, batch: ad.Tensor) -> ad.Tensor:
     return cache[model.penultimate_index]
 
 
-def fuse_sum(f_rgb: ad.Tensor, f_orient: ad.Tensor) -> ad.Tensor:
-    """Elementwise sum of two equally shaped feature maps."""
+def fuse_sum(f_rgb: np.ndarray, f_orient: np.ndarray, scale: float) -> np.ndarray:
+    """Sum fusion of two equally shaped feature stacks, f_rgb + scale *
+    f_orient: the orientation stream is down-weighted so that an
+    uninformative one degrades the fused features only mildly."""
     if f_rgb.shape != f_orient.shape:
         raise SizeMismatch(f"fusion shapes {f_rgb.shape} vs {f_orient.shape}")
-    return ad.add(f_rgb, f_orient)
-
-
-def two_stream_forward(backbone_i: Model, backbone_o: Model, head: Model,
-                       rgb: ad.Tensor, orient: ad.Tensor) -> ad.Tensor:
-    """Head applied to the summed feature maps of the two streams."""
-    fi = forward(backbone_i, rgb)
-    fo = forward(backbone_o, orient)
-    return forward(head, fuse_sum(fi, fo))
+    return f_rgb + scale * f_orient
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +342,13 @@ def save_model(model: Model, path):
         fh.write(struct.pack("<BIII", len(model.input_shape), *(
             list(model.input_shape) + [0] * (3 - len(model.input_shape)))))
         fh.write(struct.pack("<I", len(model.params)))
-        for name, t in model.params.items():
+        for name, p in model.params.items():
             nb = name.encode()
             fh.write(struct.pack("<B", len(nb)))
             fh.write(nb)
-            fh.write(struct.pack("<B", t.data.ndim))
-            fh.write(struct.pack(f"<{t.data.ndim}I", *t.data.shape))
-            fh.write(t.data.astype("<f8").tobytes())
+            fh.write(struct.pack("<B", p.ndim))
+            fh.write(struct.pack(f"<{p.ndim}I", *p.shape))
+            fh.write(p.astype("<f8").tobytes())
 
 
 def _read_exact(fh, n, path):
@@ -408,11 +399,11 @@ def load_params(path, model: Model):
                 raise InvalidValue(f"{path}: duplicate parameter {name!r}")
             (nd,) = _unpack("<B", fh, path)
             pshape = _unpack(f"<{nd}I", fh, path)
-            if pshape != model.params[name].data.shape:
+            if pshape != model.params[name].shape:
                 raise ArchMismatch(f"{path}: shape mismatch for {name!r}")
             raw = _read_exact(fh, 8 * int(np.prod(pshape)), path)
             data = np.frombuffer(raw, dtype="<f8").reshape(pshape)
-            loaded[name] = ad.Tensor(data.copy(), requires_grad=True)
+            loaded[name] = data.astype(np.float64)
         if fh.read(1):
             raise InvalidValue(f"{path}: trailing bytes after the last parameter")
     model.params.update(loaded)

@@ -5,7 +5,9 @@ average (3LR).
 `train` is the one entry point from (features, labels, regime,
 partitions) to a trained model: it deals the samples into partitions
 and chains (1LR, 2LR) or averages (3LR) the per-partition runs of
-`train_epoch`.
+`train_epoch`. Parameters and gradients are plain float64 arrays (a
+model's `params`, and what `nets.loss_and_grads` returns); every step
+rule returns new arrays and never writes into the ones it is given.
 
 All preconditioning is elementwise (diagonal). The covariance
 accumulator uses the literal gamma*(1-gamma) variance factor; pass
@@ -18,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import nets
-from .errors import InvalidPlan, InvalidValue, SizeMismatch
+from .errors import ArchMismatch, InvalidPlan, InvalidValue, SizeMismatch
 
 DEFAULT_BETA = 0.9
 DEFAULT_GAMMA = 0.9
@@ -65,14 +66,13 @@ class PreconditionerState:
     @classmethod
     def zeros_like(cls, theta, beta=DEFAULT_BETA, gamma=DEFAULT_GAMMA,
                    epsilon=DEFAULT_EPSILON, standard_ewma=False):
-        arr = theta.data if isinstance(theta, ad.Tensor) else np.asarray(theta)
-        z = np.zeros_like(arr, dtype=np.float64)
+        z = np.zeros_like(theta, dtype=np.float64)
         return cls(psi=z.copy(), mu=z.copy(), c2=z.copy(), beta=beta,
                    gamma=gamma, epsilon=epsilon, standard_ewma=standard_ewma)
 
 
 def _check_shapes(theta, grad, *accs):
-    t = theta.data if isinstance(theta, ad.Tensor) else np.asarray(theta)
+    t = np.asarray(theta)
     g = np.asarray(grad)
     if t.shape != g.shape:
         raise SizeMismatch(f"theta {t.shape} vs grad {g.shape}")
@@ -87,8 +87,7 @@ def sgd_step(theta, grad, alpha):
     t, g = _check_shapes(theta, grad)
     if alpha <= 0:
         raise InvalidValue("alpha must be positive")
-    out = t - alpha * g
-    return ad.Tensor(out, requires_grad=True) if isinstance(theta, ad.Tensor) else out
+    return t - alpha * g
 
 
 def rmsprop_step(theta, grad, state: PreconditionerState, alpha):
@@ -98,8 +97,7 @@ def rmsprop_step(theta, grad, state: PreconditionerState, alpha):
     out = t - alpha * g / (np.sqrt(psi) + state.epsilon)
     state.psi = psi
     state.step += 1
-    new = ad.Tensor(out, requires_grad=True) if isinstance(theta, ad.Tensor) else out
-    return new, state
+    return out, state
 
 
 def covprecond_step(theta, grad, state: PreconditionerState, alpha):
@@ -117,14 +115,11 @@ def covprecond_step(theta, grad, state: PreconditionerState, alpha):
     state.c2 = c2
     state.mu = mu
     state.step += 1
-    new = ad.Tensor(out, requires_grad=True) if isinstance(theta, ad.Tensor) else out
-    return new, state
+    return out, state
 
 
 def average_params(models):
     """Parameter-wise arithmetic mean of structurally identical models."""
-    from .errors import ArchMismatch
-
     if not models:
         raise InvalidValue("no models to average")
     ref = models[0]
@@ -134,10 +129,10 @@ def average_params(models):
         for m in models:
             if m.arch_id != ref.arch_id or set(m.params) != set(ref.params):
                 raise ArchMismatch("models differ in architecture")
-            if m.params[name].data.shape != ref.params[name].data.shape:
+            if m.params[name].shape != ref.params[name].shape:
                 raise ArchMismatch(f"shape mismatch for {name!r}")
-            stack.append(m.params[name].data)
-        out.params[name] = ad.Tensor(np.mean(stack, axis=0), requires_grad=True)
+            stack.append(m.params[name])
+        out.params[name] = np.mean(stack, axis=0)
     return out
 
 
@@ -182,7 +177,7 @@ def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
     if regime == "1LR":
         sched = Schedule(hyper.alpha_start, hyper.alpha_end, steps)
     prepared = [nets.prepare_batch(model, X, labels) for X, labels in batches]
-    params = {n: p.data for n, p in model.param_items()}
+    params = dict(model.params)
     states = {n: PreconditionerState.zeros_like(p, beta=hyper.beta, gamma=hyper.gamma,
                                                 epsilon=hyper.epsilon,
                                                 standard_ewma=hyper.standard_ewma)
@@ -197,8 +192,7 @@ def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
             for name, g in grads.items():
                 params[name], states[name] = rule(params[name], g, states[name], alpha)
             trace.append((t, 0, alpha, value))
-    for name, p in params.items():
-        model.params[name] = ad.Tensor(p, requires_grad=True)
+    model.params.update(params)
     return model, trace
 
 
@@ -246,8 +240,8 @@ def train(init, X, labels, regime: str, hyper: Hyper, partitions, seed=0,
             raise InvalidValue(f"partition {j}: {exc}") from exc
         # the loss guard cannot see an update that turns a parameter
         # non-finite at the partition's last step
-        for name, p in model.param_items():
-            if not np.all(np.isfinite(p.data)):
+        for name, p in model.params.items():
+            if not np.all(np.isfinite(p)):
                 raise InvalidValue(f"partition {j}: {regime} left parameter "
                                    f"{name!r} non-finite")
         offset = 0 if averaged else j * hyper.iterations

@@ -135,11 +135,11 @@ def test_criterion_4_averaging_jensen():
             optim.train_epoch(clone, batches, "3LR", hyper)
             clones.append(clone)
         avg = optim.average_params(clones)
-        anchors = {k: rng.normal(size=v.data.shape)
+        anchors = {k: rng.normal(size=v.shape)
                    for k, v in init.params.items()}
 
         def f(model):  # convex quadratic surrogate
-            return sum(float(((model.params[k].data - anchors[k]) ** 2).sum())
+            return sum(float(((model.params[k] - anchors[k]) ** 2).sum())
                        for k in anchors)
 
         lhs = f(avg)

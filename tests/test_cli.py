@@ -69,6 +69,20 @@ def test_plotdata_emits_embeddings(tmp_path):
         assert len(lines) > 1
 
 
+def test_plotdata_pca_equals_regime_sweep_embedding(tmp_path):
+    # plotdata's head is regime.name's (3LR by default), the last head
+    # regime_sweep trains
+    small = ["--seed", "3", "--set", "dataset.classes=4",
+             "--set", "dataset.per_class=10", "--set", "regime.iterations=5"]
+    pd, grid = str(tmp_path / "pd"), str(tmp_path / "grid")
+    assert run(["plotdata", "--output-dir", pd] + small) == 0
+    assert run(["grid", "--output-dir", grid,
+                "--experiments", "regime_sweep"] + small) == 0
+    pca = open(os.path.join(pd, "pca.csv"), "rb").read()
+    assert pca == open(os.path.join(grid, "regime_sweep", "embedding.csv"), "rb").read()
+    assert pca.count(b"\n") == 1 + 4 * 2  # header + 2 test samples per class
+
+
 def test_grid_runs_selected_experiments(tmp_path):
     out = str(tmp_path / "grid")
     assert run(["grid", "--output-dir", out,
@@ -150,6 +164,26 @@ def test_seed_changes_data(tmp_path):
     assert fa != fb
 
 
+def run_cli_process(args, **env_vars):
+    """Run the CLI in a fresh interpreter on this checkout's sources."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "noclab.cli"] + args, env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_bad_integer_config_exits_cleanly(tmp_path):
+    # backbone.channels=0 used to end in a bare ValueError traceback
+    out = str(tmp_path / "grid")
+    proc = run_cli_process(["grid", "--experiments", "blur_combo", "--output-dir", out,
+                            "--set", "backbone.channels=0"])
+    assert proc.returncode == 1
+    assert proc.stderr == "error: backbone.channels must be >= 1\n"
+    assert not os.path.exists(out)
+
+
 def _digests(root):
     out = {}
     for dirpath, _, names in os.walk(root):
@@ -162,17 +196,12 @@ def _digests(root):
 
 
 def test_grid_identical_under_one_and_two_blas_threads(tmp_path):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     digests = {}
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         out = str(tmp_path / f"threads{threads}")
-        subprocess.run([sys.executable, "-m", "noclab.cli", "grid",
-                        "--output-dir", out, "--seed", "3"] + SMALL,
-                       env=env, check=True, capture_output=True, timeout=600)
+        run_cli_process(["grid", "--output-dir", out, "--seed", "3"] + SMALL,
+                        OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                        MKL_NUM_THREADS=threads).check_returncode()
         digests[threads] = _digests(out)
     names = set(digests["1"])
     assert any(n.endswith(".csv") for n in names)

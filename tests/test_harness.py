@@ -65,6 +65,16 @@ def test_parse_config_file(tmp_path):
     ("regime.partitions = 0", "must be >= 1"),
     ("regime.iterations = 0", "must be >= 1"),
     ("regime.iterations = -3", "must be >= 1"),
+    ("svm.epochs = 0", "svm.epochs must be >= 1"),
+    ("svm.epochs = -1", "svm.epochs must be >= 1"),
+    ("backbone.channels = 0", "backbone.channels must be >= 1"),
+    ("backbone.channels = -3", "backbone.channels must be >= 1"),
+    ("blur.length = 0", "blur.length must be >= 1"),
+    ("dataset.size = 8", "dataset.size must be >= 16"),
+    ("dataset.size = 15", "dataset.size must be >= 16"),
+    ("dataset.classes = 1", "dataset.classes must be in [2, 16]"),
+    ("dataset.classes = 17", "dataset.classes must be in [2, 16]"),
+    ("seed = -1", "seed must be >= 0"),
     ("dataset.per_class = 1", "training split of 0 samples is smaller than"),
     ("arch.width_scale = 0.001", "scaled fc width 4 is below dataset.classes"),
     ("svm.c_reg = nan", "svm.c_reg must be finite"),

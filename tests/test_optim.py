@@ -100,15 +100,15 @@ def test_average_params_mean():
     models = [nets.build_noc(arch(), seed=s) for s in range(3)]
     avg = optim.average_params(models)
     for k in avg.params:
-        ref = np.mean([m.params[k].data for m in models], axis=0)
-        assert np.allclose(avg.params[k].data, ref)
+        ref = np.mean([m.params[k] for m in models], axis=0)
+        assert np.allclose(avg.params[k], ref)
 
 
 def test_average_params_identity_fixed_point():
     m = nets.build_noc(arch(), seed=0)
     avg = optim.average_params([m, m.clone(), m.clone()])
     for k in m.params:
-        assert np.allclose(avg.params[k].data, m.params[k].data)
+        assert np.allclose(avg.params[k], m.params[k])
 
 
 def test_average_params_mismatch():
@@ -182,13 +182,13 @@ def test_train_3lr_is_average_of_partition_clones():
         clones.append(clone)
     ref = optim.average_params(clones)
     for k in ref.params:
-        assert np.array_equal(out.params[k].data, ref.params[k].data)
+        assert np.array_equal(out.params[k], ref.params[k])
     # one contiguous block per partition, each restarting at step 0
     assert [(t, p) for t, p, _, _ in trace] == [(t, j) for j in range(3)
                                                  for t in range(30)]
     # the init is left as it was
     fresh = nets.build_noc(arch(), seed=0)
-    assert all(np.array_equal(init.params[k].data, fresh.params[k].data)
+    assert all(np.array_equal(init.params[k], fresh.params[k])
                for k in init.params)
 
 
@@ -205,7 +205,7 @@ def test_train_chains_one_model_through_partitions(regime):
         optim.train_epoch(ref, optim.make_batches(X[idx], y[idx], hyper.batch_size,
                                                   seed=5 + j), regime, hyper)
     for k in ref.params:
-        assert np.array_equal(out.params[k].data, ref.params[k].data)
+        assert np.array_equal(out.params[k], ref.params[k])
     # steps number on across partitions
     assert [t for t, _, _, _ in trace] == list(range(30))
     assert [p for _, p, _, _ in trace] == [j for j in range(3) for _ in range(10)]
@@ -247,24 +247,36 @@ def test_train_rejects_non_finite_parameters(regime):
 # the graph-free training chain against the autodiff graph
 
 
+def graph_loss(model, X, labels):
+    """Softmax cross-entropy of one minibatch as an autodiff graph: the
+    model's parameters enter as leaf Tensors (name -> leaf, also
+    returned) and the batch runs through `nets._apply_layer`."""
+    leaves = {n: ad.Tensor(p, requires_grad=True) for n, p in model.params.items()}
+    x = ad.Tensor(X)
+    for layer in model.layers:
+        x = nets._apply_layer(layer, x, leaves)
+    return ad.softmax_cross_entropy(x, labels), leaves
+
+
 def reference_train_epoch(model, batches, regime, hyper, num_steps):
     """The graph-path training loop: every step builds an autodiff graph
-    through `nets.forward` and runs `ad.backward` on its loss."""
+    over leaf Tensors of the parameters and runs `ad.backward` on its
+    loss."""
     rule = {"1LR": optim._sgd_rule, "2LR": optim.rmsprop_step,
             "3LR": optim.covprecond_step}[regime]
     sched = optim.Schedule(hyper.alpha_start, hyper.alpha_end, num_steps)
     states = {n: optim.PreconditionerState.zeros_like(p, beta=hyper.beta,
                                                       gamma=hyper.gamma,
                                                       epsilon=hyper.epsilon)
-              for n, p in model.param_items()}
+              for n, p in model.params.items()}
     trace = []
     for t in range(num_steps):
         X, labels = batches[t % len(batches)]
-        loss = ad.softmax_cross_entropy(nets.forward(model, ad.Tensor(X)), labels)
+        loss, leaves = graph_loss(model, X, labels)
         ad.backward(loss)
         alpha = optim.schedule_alpha(sched, t) if regime == "1LR" else hyper.alpha
-        for name, p in model.param_items():
-            model.params[name], states[name] = rule(p, p.grad, states[name], alpha)
+        for name, p in leaves.items():
+            model.params[name], states[name] = rule(p.data, p.grad, states[name], alpha)
         trace.append((t, 0, alpha, loss.item()))
     return trace
 
@@ -288,14 +300,13 @@ def test_chain_gradients_equal_graph(arch_id, regime):
     model, batches = chain_case(arch_id)
     optim.train_epoch(model, batches, regime, optim.Hyper(iterations=4))
     for X, labels in batches:
-        loss, grads = nets.loss_and_grads(
-            model, {n: p.data for n, p in model.param_items()},
-            nets.prepare_batch(model, X, labels))
-        ref = ad.softmax_cross_entropy(nets.forward(model, ad.Tensor(X)), labels)
+        loss, grads = nets.loss_and_grads(model, model.params,
+                                          nets.prepare_batch(model, X, labels))
+        ref, leaves = graph_loss(model, X, labels)
         leaf = ad.backward(ref)
         assert loss == ref.item()
         assert set(grads) == set(model.params)
-        for name, p in model.param_items():
+        for name, p in leaves.items():
             assert np.array_equal(grads[name], leaf[p]), name
 
 
@@ -309,13 +320,13 @@ def test_train_epoch_equals_graph_reference(arch_id, regime):
     ref_trace = reference_train_epoch(ref, batches, regime, hyper, steps)
     assert trace == ref_trace
     for name in ref.params:
-        assert np.array_equal(model.params[name].data, ref.params[name].data), name
+        assert np.array_equal(model.params[name], ref.params[name]), name
 
 
 @pytest.mark.parametrize("arch_id", nets.ARCH_IDS)
 def test_train_epoch_checks_batches_before_training(arch_id):
     model, batches = chain_case(arch_id)
-    before = {n: p.data.copy() for n, p in model.param_items()}
+    before = {n: p.copy() for n, p in model.params.items()}
     X, y = batches[-1]
     with pytest.raises(SizeMismatch):
         optim.train_epoch(model, batches[:-1] + [(X[:, :, :5], y)], "2LR",
@@ -329,7 +340,7 @@ def test_train_epoch_checks_batches_before_training(arch_id):
         optim.train_epoch(model, batches[:-1] + [(X, bad)], "2LR",
                           optim.Hyper(iterations=3))
     # rejected before the first step: the model is untouched
-    assert all(np.array_equal(model.params[n].data, v) for n, v in before.items())
+    assert all(np.array_equal(model.params[n], v) for n, v in before.items())
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -342,6 +353,36 @@ def test_train_epoch_rejects_divergence(arch_id, regime, hyper):
     model, batches = chain_case(arch_id)
     with pytest.raises(InvalidValue, match=f"{regime} diverged at step"):
         optim.train_epoch(model, batches, regime, hyper)
+
+
+# ---------------------------------------------------------------------------
+# parameter representation
+
+
+def assert_plain_params(model):
+    for name, p in model.params.items():
+        assert type(p) is np.ndarray and p.dtype == np.float64, name
+
+
+@pytest.mark.parametrize("arch_id", nets.ARCH_IDS)
+def test_parameters_are_plain_float64_arrays(tmp_path, arch_id):
+    X, y = toy_data(n=24)
+    head_arch = nets.NocArch(arch_id, (3, 6, 6), 3, 1 / 128)
+    init = nets.build_noc(head_arch, seed=0)
+    assert_plain_params(init)
+    assert_plain_params(nets.build_backbone((3, 16, 16), 8, seed=0))
+    heads = [optim.train(init, X, y, regime, optim.Hyper(iterations=3), 2)
+             for regime in optim.REGIMES]
+    for head in heads:
+        assert_plain_params(head)
+    assert_plain_params(optim.average_params(heads))
+    path = tmp_path / "m.noc"
+    nets.save_model(heads[-1], path)
+    assert_plain_params(nets.load_params(path, nets.build_noc(head_arch, seed=1)))
+    # inference on a trained head builds no graph
+    for out in (nets.forward(heads[-1], ad.Tensor(X)),
+                nets.penultimate_features(heads[-1], ad.Tensor(X))):
+        assert out._backward_fn is None and not out.requires_grad
 
 
 def test_make_batches_covers_all_samples():
