@@ -27,7 +27,6 @@ __all__ = [
     "scale",
     "sqrt",
     "div",
-    "elementwise",
     "tensor_sum",
     "softmax_cross_entropy",
     "backward",
@@ -103,10 +102,11 @@ def _accum(tensor, grads, delta):
 # numpy kernels of the head ops
 #
 # Each op's math lives once, here. The Tensor ops below wrap these
-# kernels in graph nodes; `nets.loss_and_grads` calls them directly, in
-# the same order, to train a head without building a graph. Keep every
-# memory layout as it is: the bias gradients are reductions whose
-# summation order follows the layout of the incoming gradient.
+# kernels in graph nodes; `nets`' layer chain (`_chain_forward`,
+# `_chain_backward`) calls them directly, in the same order, for
+# training, inference and a head's input gradient. Keep every memory
+# layout as it is: the bias gradients are reductions whose summation
+# order follows the layout of the incoming gradient.
 
 
 def _matmul_bwd(g, a, b, need_a=True):
@@ -395,26 +395,6 @@ def div(a, b):
         _accum(b, grads, -g * a.data / (b.data * b.data))
 
     return _from_op(out, (a, b), bwd)
-
-
-_ELEMENTWISE = {
-    "relu": relu,
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "scale": scale,
-    "sqrt": sqrt,
-    "div": div,
-}
-
-
-def elementwise(kind, *operands):
-    """Dispatch an elementwise op by name."""
-    try:
-        fn = _ELEMENTWISE[kind]
-    except KeyError:
-        raise InvalidValue(f"unknown elementwise kind {kind!r}") from None
-    return fn(*operands)
 
 
 def tensor_sum(x):

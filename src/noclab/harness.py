@@ -46,7 +46,6 @@ DEFAULTS = {
     "regime.partitions": 3,
     "regime.standard_ewma": False,
     "blur.kind": "gaussian",
-    "blur.sigma": 2.0,
     "blur.sigma_min": 0.2,   # per-image sigma range for the blur combos;
     "blur.sigma_max": 3.0,   # set min == max to force a fixed sigma
     "blur.length": 9,
@@ -74,9 +73,8 @@ _AT_LEAST = {  # key -> smallest allowed value
     "dataset.size": 16,  # the data generator and the backbone need 16x16 frames
     "seed": 0, "blur.noise": 0, "fusion.orientation_scale": 0,
 }
-_POSITIVE = ("blur.sigma", "blur.sigma_min", "blur.sigma_max", "svm.c_reg",
-             "regime.alpha", "regime.alpha_start", "regime.alpha_end",
-             "regime.epsilon")
+_POSITIVE = ("blur.sigma_min", "blur.sigma_max", "svm.c_reg", "regime.alpha",
+             "regime.alpha_start", "regime.alpha_end", "regime.epsilon")
 
 
 @dataclass
@@ -187,6 +185,9 @@ def _check_cross_keys(cfg, lines):
     if cfg["blur.sigma_min"] > cfg["blur.sigma_max"]:
         raise ConfigError("blur.sigma_max below blur.sigma_min"
                           + where("blur.sigma_min", "blur.sigma_max"))
+    if cfg["regime.alpha_start"] < cfg["regime.alpha_end"]:
+        raise ConfigError("regime.alpha_end above regime.alpha_start"
+                          + where("regime.alpha_start", "regime.alpha_end"))
     per_class = cfg["dataset.per_class"]
     n_train = cfg["dataset.classes"] * max(0, per_class - _test_count(per_class))
     if n_train < cfg["regime.partitions"]:
@@ -368,6 +369,12 @@ def _echo_config(cfg, artifact):
 
 def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
     experiment = _validate("experiment", cfg["experiment"])
+    _check_cross_keys(cfg, {})
+    # checked here, not in parse_config: `grid` parses its base config
+    # before it sets each fusion run's motion, and only experiments read
+    # `experiment`
+    if experiment == "fusion" and cfg["dataset.motion"] == "none":
+        raise ConfigError("fusion experiment needs dataset.motion set")
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     artifact = RunArtifact(output_dir=out_dir, metrics_rows=[])
@@ -509,8 +516,6 @@ def _run_blur_combo(cfg, artifact):
 
 
 def _run_fusion(cfg, artifact):
-    if _motion_mode(cfg) is False:
-        raise ConfigError("fusion experiment needs dataset.motion set")
     records = build_dataset(cfg)
     labels, tr, te = _split(cfg, records)
     f_rgb = extract_features(_backbone(cfg, 1), [r.image for r in records])

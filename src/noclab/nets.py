@@ -6,9 +6,9 @@ Three head layouts are supported, identified as C0F3 (fc-only), C1F3
 The historical 4096-wide hidden layers are scaled down by
 `width_scale`; the class count stays at its full value.
 
-Parameters are plain float64 arrays. `forward` wraps them as constant
-autodiff Tensors for the one pass it runs; training reads and replaces
-the arrays directly (`loss_and_grads`).
+Parameters are plain float64 arrays. One interpreter runs the layer
+chain on ndarrays through the `autodiff` kernels (`_chain_forward`,
+`_chain_backward`): training, inference and the input gradient.
 """
 
 from __future__ import annotations
@@ -182,41 +182,108 @@ def build_backbone(input_shape, feature_channels: int, seed: int) -> Model:
     return model
 
 
-def _apply_layer(layer, x, params):
+def _check_input(model: Model, shape):
+    if tuple(shape[1:]) != tuple(model.input_shape):
+        raise SizeMismatch(f"batch shape {shape[1:]} vs model input {model.input_shape}")
+
+
+def _layer_forward(layer, params, x, tape):
+    """One layer of the chain on x; appends what its backward reads to
+    `tape` unless that is None. Nothing else outlives the call, so
+    inference holds only the current activation."""
     kind = layer[0]
     if kind == "conv":
         _, wn, bn, stride, pad = layer
-        return ad.conv2d(x, params[wn], params[bn], stride, pad)
-    if kind == "maxpool":
-        return ad.maxpool2d(x, layer[1], layer[2])
-    if kind == "fc":
-        _, wn, bn = layer
-        return ad.add(ad.matmul(x, params[wn]), params[bn])
-    if kind == "relu":
-        return ad.relu(x)
-    if kind == "flatten":
-        b = x.shape[0]
-        return ad.reshape(x, (b, x.size // b))
-    raise InvalidValue(f"unknown layer kind {kind!r}")
+        k = params[wn]
+        if isinstance(x, tuple):  # prepared by prepare_batch
+            xp, (cols, oh, ow) = None, x
+        else:
+            xp, cols, oh, ow = ad._im2col(x, k.shape[2], k.shape[3], stride, pad)
+        out, saved = ad._conv2d_fwd(cols, k, params[bn], oh, ow), (xp, cols, oh, ow)
+    elif kind == "maxpool":
+        out, arg = ad._maxpool2d_fwd(x, layer[1], layer[2])
+        saved = (x, arg)
+    elif kind == "fc":
+        out, saved = x @ params[layer[1]] + params[layer[2]], x
+    elif kind == "relu":
+        out, saved = ad._relu_fwd(x)
+    elif kind == "flatten":
+        out, saved = x.reshape(len(x), x.size // len(x)), x.shape
+    else:
+        raise InvalidValue(f"unknown layer kind {kind!r}")
+    if tape is not None:
+        tape.append(saved)
+    return out
 
 
-def forward(model: Model, batch: ad.Tensor, cache=None):
+def _chain_forward(model: Model, params, x, tape=None, stop=None):
+    """Run layers [0, stop) of the model's chain on the ndarray batch x,
+    with `params` (name -> ndarray); a first-layer conv reads a prepared
+    (cols, oh, ow) in place of x. When `tape` is a list, each layer
+    appends what `_chain_backward` reads for it."""
+    for layer in model.layers[:stop]:
+        x = _layer_forward(layer, params, x, tape)
+    return x
+
+
+def _chain_backward(model: Model, params, tape, g, to_input=False):
+    """Back-propagate g, the gradient of the chain's output, through the
+    taped layers in the order `ad.backward` would. Returns every
+    parameter's gradient and, when `to_input`, the batch's (else None);
+    without it the pass stops at the first parameterized layer. Each
+    layer feeds one consumer, so no gradient is accumulated."""
+    first_param = next(i for i, layer in enumerate(model.layers)
+                       if layer[0] in ("conv", "fc"))
+    grads = {}
+    for i in range(len(tape) - 1, -1 if to_input else first_param - 1, -1):
+        layer, saved = model.layers[i], tape[i]
+        kind = layer[0]
+        if kind == "conv":
+            _, wn, bn, stride, pad = layer
+            xp, cols, oh, ow = saved
+            # xp is None for a prepared first-layer conv: no gradient for the batch
+            grads[wn], grads[bn], g = ad._conv2d_bwd(g, cols, params[wn], oh, ow,
+                                                     xp, stride, pad)
+        elif kind == "maxpool":
+            g = ad._maxpool2d_bwd(g, *saved, layer[1], layer[2])
+        elif kind == "fc":
+            _, wn, bn = layer
+            grads[bn] = g.sum(axis=0)
+            g, grads[wn] = ad._matmul_bwd(g, saved, params[wn],
+                                          to_input or i > first_param)
+        elif kind == "relu":
+            g = ad._relu_bwd(g, saved)
+        else:  # flatten
+            g = g.reshape(saved)
+    return grads, (g if to_input else None)
+
+
+def forward(model: Model, batch: ad.Tensor) -> ad.Tensor:
     """Run a batch (leading batch dim) through the model; returns logits.
 
-    The parameters enter as constant Tensors, so a graph is built only
-    when the batch itself requires a gradient. When `cache` is a list it
-    receives every intermediate activation.
+    The output is a constant Tensor unless the batch itself requires a
+    gradient; then it is one graph node whose backward runs the chain
+    back to the batch.
     """
-    if tuple(batch.shape[1:]) != tuple(model.input_shape):
-        raise SizeMismatch(
-            f"batch shape {batch.shape[1:]} vs model input {model.input_shape}")
-    params = {k: ad.Tensor(v) for k, v in model.params.items()}
-    x = batch
-    for layer in model.layers:
-        x = _apply_layer(layer, x, params)
-        if cache is not None:
-            cache.append(x)
-    return x
+    _check_input(model, batch.shape)
+    if not batch._needs_graph():
+        return ad.Tensor(_chain_forward(model, model.params, batch.data))
+    params = dict(model.params)
+    tape = []
+    out = _chain_forward(model, params, batch.data, tape)
+
+    def bwd(g, grads):
+        _, dx = _chain_backward(model, params, tape, g, to_input=True)
+        ad._accum(batch, grads, dx)
+
+    return ad._from_op(out, (batch,), bwd)
+
+
+def penultimate_features(model: Model, batch: ad.Tensor) -> ad.Tensor:
+    """Activations of the last hidden fc layer (post-relu), one row per sample."""
+    _check_input(model, batch.shape)
+    return ad.Tensor(_chain_forward(model, model.params, batch.data,
+                                    stop=model.penultimate_index + 1))
 
 
 @dataclass(frozen=True)
@@ -233,8 +300,7 @@ def prepare_batch(model: Model, X, labels) -> Minibatch:
     """Check a minibatch's shape and labels against `model` and compute
     what its first layer reads, once for every step that reuses it."""
     X = np.asarray(X, dtype=np.float64)
-    if X.shape[1:] != tuple(model.input_shape):
-        raise SizeMismatch(f"batch shape {X.shape[1:]} vs model input {model.input_shape}")
+    _check_input(model, X.shape)
     classes = model.params[model.layers[-1][2]].shape[0]
     labels = ad._check_labels(labels, len(X), classes)
     first = model.layers[0]
@@ -249,75 +315,15 @@ def prepare_batch(model: Model, X, labels) -> Minibatch:
 def loss_and_grads(model: Model, params, batch: Minibatch):
     """Softmax cross-entropy of a prepared batch and its gradient for
     every parameter, with `params` (name -> ndarray) in place of the
-    model's own.
-
-    Runs the layer chain forward and back through the autodiff kernels,
-    in the order `ad.backward` would, without building a graph. Each
-    layer feeds exactly one consumer, so no gradient is accumulated and
-    the results equal the graph path's bit for bit. No gradient is
-    computed for the batch itself.
+    model's own: the chain forward, the loss, and the chain back to the
+    first parameterized layer. No gradient is computed for the batch.
     """
-    first_param = next(i for i, layer in enumerate(model.layers)
-                       if layer[0] in ("conv", "fc"))
-    x = batch.head_input
     tape = []
-    for i, layer in enumerate(model.layers):
-        kind = layer[0]
-        if kind == "conv":
-            _, wn, bn, stride, pad = layer
-            k = params[wn]
-            if i == 0:
-                xp, (cols, oh, ow) = None, x
-            else:
-                xp, cols, oh, ow = ad._im2col(x, k.shape[2], k.shape[3], stride, pad)
-            tape.append((xp, cols, oh, ow))
-            x = ad._conv2d_fwd(cols, k, params[bn], oh, ow)
-        elif kind == "maxpool":
-            out, arg = ad._maxpool2d_fwd(x, layer[1], layer[2])
-            tape.append((x, arg))
-            x = out
-        elif kind == "fc":
-            tape.append(x)
-            x = x @ params[layer[1]] + params[layer[2]]
-        elif kind == "relu":
-            x, mask = ad._relu_fwd(x)
-            tape.append(mask)
-        elif kind == "flatten":
-            tape.append(x.shape)
-            x = x.reshape(len(x), x.size // len(x))
-        else:
-            raise InvalidValue(f"unknown layer kind {kind!r}")
-    loss, softmax = ad._softmax_xent_fwd(x, batch.labels)
-
-    g = ad._softmax_xent_bwd(1.0, softmax, batch.labels)
-    grads = {}
-    for i in range(len(model.layers) - 1, first_param - 1, -1):
-        layer, saved = model.layers[i], tape[i]
-        kind = layer[0]
-        if kind == "conv":
-            _, wn, bn, stride, pad = layer
-            xp, cols, oh, ow = saved
-            # xp is None for a first-layer conv: no gradient for the batch
-            grads[wn], grads[bn], g = ad._conv2d_bwd(g, cols, params[wn], oh, ow,
-                                                     xp, stride, pad)
-        elif kind == "maxpool":
-            g = ad._maxpool2d_bwd(g, *saved, layer[1], layer[2])
-        elif kind == "fc":
-            _, wn, bn = layer
-            grads[bn] = g.sum(axis=0)
-            g, grads[wn] = ad._matmul_bwd(g, saved, params[wn], i > first_param)
-        elif kind == "relu":
-            g = ad._relu_bwd(g, saved)
-        else:  # flatten
-            g = g.reshape(saved)
+    logits = _chain_forward(model, params, batch.head_input, tape)
+    loss, softmax = ad._softmax_xent_fwd(logits, batch.labels)
+    grads, _ = _chain_backward(model, params, tape,
+                               ad._softmax_xent_bwd(1.0, softmax, batch.labels))
     return loss, grads
-
-
-def penultimate_features(model: Model, batch: ad.Tensor) -> ad.Tensor:
-    """Activations of the last hidden fc layer (post-relu), one row per sample."""
-    cache = []
-    forward(model, batch, cache=cache)
-    return cache[model.penultimate_index]
 
 
 def fuse_sum(f_rgb: np.ndarray, f_orient: np.ndarray, scale: float) -> np.ndarray:

@@ -57,7 +57,6 @@ class PreconditionerState:
     psi: np.ndarray  # running mean of squared gradients
     mu: np.ndarray  # running gradient mean
     c2: np.ndarray  # running gradient variance
-    step: int = 0
     beta: float = DEFAULT_BETA
     gamma: float = DEFAULT_GAMMA
     epsilon: float = DEFAULT_EPSILON
@@ -96,7 +95,6 @@ def rmsprop_step(theta, grad, state: PreconditionerState, alpha):
     psi = state.beta * state.psi + (1 - state.beta) * g * g
     out = t - alpha * g / (np.sqrt(psi) + state.epsilon)
     state.psi = psi
-    state.step += 1
     return out, state
 
 
@@ -114,7 +112,6 @@ def covprecond_step(theta, grad, state: PreconditionerState, alpha):
     out = t - alpha * g / (np.sqrt(c2) + state.epsilon)
     state.c2 = c2
     state.mu = mu
-    state.step += 1
     return out, state
 
 

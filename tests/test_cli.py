@@ -144,6 +144,18 @@ def test_non_finite_or_non_positive_config_returns_error_code(
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("args,message", [
+    (["grid", "--experiments", "regime_sweep", "--set", "regime.alpha_start=0.001",
+      "--set", "regime.alpha_end=0.01"], "regime.alpha_end above regime.alpha_start"),
+    (["eval", "--set", "experiment=fusion"], "fusion experiment needs dataset.motion set"),
+])
+def test_cross_key_config_error_before_any_output(tmp_path, capsys, args, message):
+    out = str(tmp_path / "out")
+    assert run(args + ["--output-dir", out] + SMALL) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(out)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_returns_error_code(tmp_path, capsys):
     out = str(tmp_path / "div")

@@ -59,7 +59,7 @@ def test_parse_config_file(tmp_path):
     ("experiment = tuning", "not one of"),
     ("just a line", "expected key = value"),
     ("regime.standard_ewma = maybe", "expected boolean"),
-    ("blur.sigma = -1", "must be > 0"),
+    ("blur.sigma = -1", "unknown key"),
     ("blur.noise = -0.1", "must be >= 0"),
     ("fusion.orientation_scale = -1", "must be >= 0"),
     ("regime.partitions = 0", "must be >= 1"),
@@ -76,6 +76,8 @@ def test_parse_config_file(tmp_path):
     ("dataset.classes = 17", "dataset.classes must be in [2, 16]"),
     ("seed = -1", "seed must be >= 0"),
     ("dataset.per_class = 1", "training split of 0 samples is smaller than"),
+    ("regime.alpha_start = 0.001", "regime.alpha_end above regime.alpha_start"),
+    ("regime.alpha_end = 0.02", "regime.alpha_end above regime.alpha_start"),
     ("arch.width_scale = 0.001", "scaled fc width 4 is below dataset.classes"),
     ("svm.c_reg = nan", "svm.c_reg must be finite"),
     ("svm.c_reg = 0", "svm.c_reg must be > 0"),
@@ -213,8 +215,9 @@ def test_blur_combo_all_matches_single_runs(tmp_path):
 
 def test_fusion_requires_motion(tmp_path):
     cfg = small_cfg(tmp_path, **{"experiment": "fusion"})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="fusion experiment needs dataset.motion"):
         harness.run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_fusion_run(tmp_path):

@@ -244,18 +244,45 @@ def test_train_rejects_non_finite_parameters(regime):
 
 
 # ---------------------------------------------------------------------------
-# the graph-free training chain against the autodiff graph
+# the layer chain against the autodiff graph
+
+
+def apply_layer(layer, x, params):
+    """One layer descriptor as autodiff Tensor ops: the reference
+    interpreter of a model's layer chain."""
+    kind = layer[0]
+    if kind == "conv":
+        _, wn, bn, stride, pad = layer
+        return ad.conv2d(x, params[wn], params[bn], stride, pad)
+    if kind == "maxpool":
+        return ad.maxpool2d(x, layer[1], layer[2])
+    if kind == "fc":
+        _, wn, bn = layer
+        return ad.add(ad.matmul(x, params[wn]), params[bn])
+    if kind == "relu":
+        return ad.relu(x)
+    assert kind == "flatten", kind
+    b = x.shape[0]
+    return ad.reshape(x, (b, x.size // b))
+
+
+def graph_activations(model, x, params):
+    """Every layer's output Tensor for the batch Tensor x, with
+    `params` (name -> Tensor)."""
+    acts = []
+    for layer in model.layers:
+        x = apply_layer(layer, x, params)
+        acts.append(x)
+    return acts
 
 
 def graph_loss(model, X, labels):
     """Softmax cross-entropy of one minibatch as an autodiff graph: the
     model's parameters enter as leaf Tensors (name -> leaf, also
-    returned) and the batch runs through `nets._apply_layer`."""
+    returned) and the batch runs through `apply_layer`."""
     leaves = {n: ad.Tensor(p, requires_grad=True) for n, p in model.params.items()}
-    x = ad.Tensor(X)
-    for layer in model.layers:
-        x = nets._apply_layer(layer, x, leaves)
-    return ad.softmax_cross_entropy(x, labels), leaves
+    logits = graph_activations(model, ad.Tensor(X), leaves)[-1]
+    return ad.softmax_cross_entropy(logits, labels), leaves
 
 
 def reference_train_epoch(model, batches, regime, hyper, num_steps):
@@ -321,6 +348,26 @@ def test_train_epoch_equals_graph_reference(arch_id, regime):
     assert trace == ref_trace
     for name in ref.params:
         assert np.array_equal(model.params[name], ref.params[name]), name
+
+
+@pytest.mark.parametrize("arch_id", nets.ARCH_IDS)
+def test_forward_equals_graph(arch_id):
+    # inference and the input gradient run the training chain
+    model, batches = chain_case(arch_id)
+    optim.train_epoch(model, batches, "3LR", optim.Hyper(iterations=4))
+    X, labels = batches[0]
+    ref_x = ad.Tensor(X, requires_grad=True)
+    acts = graph_activations(model, ref_x,
+                             {n: ad.Tensor(p) for n, p in model.params.items()})
+    ref = ad.softmax_cross_entropy(acts[-1], labels)
+    ad.backward(ref)
+    x = ad.Tensor(X, requires_grad=True)
+    loss = ad.softmax_cross_entropy(nets.forward(model, x), labels)
+    ad.backward(loss)
+    assert loss.item() == ref.item()
+    assert np.array_equal(x.grad, ref_x.grad)
+    pen = nets.penultimate_features(model, ad.Tensor(X))
+    assert np.array_equal(pen.data, acts[model.penultimate_index].data)
 
 
 @pytest.mark.parametrize("arch_id", nets.ARCH_IDS)
