@@ -45,47 +45,61 @@ def svm_train(features, labels, c_reg=1.0, epochs=20, seed=0,
     next sample of its own per-epoch permutation, drawn class by class,
     epoch by epoch, so the RNG stream is that of one class at a time.
 
-    With track_objective=True also returns the per-epoch objective
-    (summed over the one-vs-rest subproblems).
+    `features` is one (n, dim) feature set or a (fits, n, dim) stack of
+    sets that share `labels`. A stack's fits also advance in lock-step,
+    on the same permutations, and each comes out equal to the fit of its
+    set alone.
+
+    With track_objective=True a fit also returns its per-epoch objective
+    (summed over the one-vs-rest subproblems). A stack returns a list
+    with one such result per fit.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
+    if X.ndim not in (2, 3):
+        raise SizeMismatch(f"features must be (n, dim) or (fits, n, dim), "
+                           f"got shape {X.shape}")
+    stack = X if X.ndim == 3 else X[None]
+    fits, n, dim = stack.shape
+    if y.shape != (n,):
+        raise SizeMismatch(f"labels shape {y.shape} vs {n} feature rows")
+    if not np.isfinite(stack).all():
+        raise InvalidValue("features must be finite")
     classes = np.unique(y)
     if len(classes) < 2:
         raise InvalidValue("need at least two classes")
     if not (np.isfinite(c_reg) and c_reg > 0):
         raise InvalidValue(f"c_reg must be finite and positive, got {c_reg}")
-    n, dim = X.shape
     k = len(classes)
     rng = np.random.default_rng(seed)
     perms = np.array([rng.permutation(n) for _ in range(k * epochs)]).reshape(
         k, epochs, n)
     Y = np.where(y == classes[:, None], 1.0, -1.0)  # (classes, n)
-    rows = np.arange(k)
-    W = np.zeros((k, dim))
-    B = np.zeros(k)
-    epoch_obj = np.zeros(epochs)
+    Yp = np.take_along_axis(Y[:, None, :], perms, axis=2)  # signed labels, permuted
+    W = np.zeros((fits, k, dim))
+    B = np.zeros((fits, k))
+    epoch_obj = np.zeros((fits, epochs))
     t = 0
     for ep in range(epochs):
-        for idx in perms[:, ep].T:
+        for idx, yi in zip(perms[:, ep].T, Yp[:, ep].T):
             t += 1
             eta = 1.0 / (c_reg * t)
-            xi = X[idx]
-            yi = Y[rows, idx]
-            viol = yi * (np.einsum("ij,ij->i", xi, W) + B) < 1
-            gW = W.copy()
-            gB = np.zeros(k)
-            gW[viol] -= (c_reg * yi[viol])[:, None] * xi[viol]
-            gB[viol] -= c_reg * yi[viol]
-            W -= eta * gW
-            B -= eta * gB
+            xi = stack[:, idx]  # (fits, classes, dim)
+            viol = yi * (np.einsum("fkd,fkd->fk", xi, W) + B) < 1
+            # subgradient: (W, 0) minus c_reg*y*(x, 1) where the margin is violated
+            m = np.where(viol, c_reg * yi, 0.0)
+            W -= eta * (W - m[..., None] * xi)
+            B += eta * m
         if track_objective:
-            for ci in range(k):
-                epoch_obj[ep] += svm_objective(W[ci], B[ci], X, Y[ci], c_reg)
-    model = SvmModel(weights=W, biases=B, classes=classes)
+            for f in range(fits):
+                for ci in range(k):
+                    epoch_obj[f, ep] += svm_objective(W[f, ci], B[f, ci], stack[f],
+                                                      Y[ci], c_reg)
+    results = [SvmModel(weights=W[f], biases=B[f], classes=classes)
+               for f in range(fits)]
     if track_objective:
-        return model, list(epoch_obj)
-    return model
+        results = [(model, list(obj)) for model, obj in zip(results, epoch_obj)]
+    return results if X.ndim == 3 else results[0]
 
 
 def svm_predict(model: SvmModel, features):

@@ -421,54 +421,59 @@ def _prepare_features(cfg, records):
     return feats, labels, train_idx, test_idx
 
 
-def _evaluate_head(cfg, artifact, regime, X, labels, tr, te, scored, arch_id=None):
-    """Train one head under `regime` and one SVM on its penultimate
-    features, both on the training split of X, then score them on the
-    test split of each (method, tag, X_eval) in `scored`.
+def _evaluate_heads(cfg, artifact, labels, tr, te, jobs):
+    """Train one head per job on the training split of its features,
+    then fit every head's SVM on its penultimate training features in
+    one stacked `svm_train` call, then score and write each head.
 
-    Each scored entry writes loss_<tag>.csv, confusion_<tag>.csv and
-    model_<tag>.noc and adds the `net` and `svm` metric rows of
-    `method`. Returns the trained head.
+    A job is (regime, arch_id, X, scored); arch_id None means the
+    configured arch. Each (method, tag, X_eval) in `scored` is scored on
+    the test split of X_eval, writes loss_<tag>.csv, confusion_<tag>.csv
+    and model_<tag>.noc, and adds the `net` and `svm` metric rows of
+    `method`. Every head trains before any file is written. Returns the
+    trained heads in job order.
     """
-    loss_rows = []
-    arch = _head_arch(cfg, X.shape[1:], arch_id=arch_id)
-    head = train_head(cfg, arch, X[tr], labels[tr], regime, loss_rows)
-    loss_csv = loss_csv_rows(loss_rows)
-    ftr = ev.l2_normalize_rows(head_penultimate(head, X[tr]))
-    svm = ev.svm_train(ftr, labels[tr], c_reg=float(cfg["svm.c_reg"]),
-                       epochs=int(cfg["svm.epochs"]), seed=cfg.seed)
+    heads, loss_csvs = [], []
+    for regime, arch_id, X, _ in jobs:
+        loss_rows = []
+        arch = _head_arch(cfg, X.shape[1:], arch_id=arch_id)
+        heads.append(train_head(cfg, arch, X[tr], labels[tr], regime, loss_rows))
+        loss_csvs.append(loss_csv_rows(loss_rows))
+    ftr = np.stack([ev.l2_normalize_rows(head_penultimate(head, X[tr]))
+                    for head, (_, _, X, _) in zip(heads, jobs)])
+    svms = ev.svm_train(ftr, labels[tr], c_reg=float(cfg["svm.c_reg"]),
+                        epochs=int(cfg["svm.epochs"]), seed=cfg.seed)
     k = int(cfg["dataset.classes"])
-    for method, tag, X_eval in scored:
-        artifact.emit(f"loss_{tag}.csv", loss_csv, LOSS_HEADER)
-        fte = ev.l2_normalize_rows(head_penultimate(head, X_eval[te]))
-        pred = ev.svm_predict(svm, fte)
-        metrics = ev.compute_metrics(pred, labels[te], background_class=k - 1,
-                                     num_classes=k)
-        artifact.metrics_rows.append((method, regime, "net",
-                                      head_accuracy(head, X_eval[te], labels[te]), 0))
-        artifact.metrics_rows.append((method, regime, "svm", metrics.accuracy,
-                                      metrics.false_alarms))
-        confusion = metrics.confusion
-        artifact.emit(f"confusion_{tag}.csv",
-                      ([r, *(int(x) for x in row)] for r, row in enumerate(confusion)),
-                      ["truth\\pred", *(str(c) for c in range(len(confusion)))])
-        mname = f"model_{tag}.noc"
-        nets.save_model(head, artifact.path(mname))
-        artifact.files[mname] = artifact.path(mname)
-    return head
+    for head, svm, loss_csv, (regime, _, _, scored) in zip(heads, svms, loss_csvs, jobs):
+        for method, tag, X_eval in scored:
+            artifact.emit(f"loss_{tag}.csv", loss_csv, LOSS_HEADER)
+            fte = ev.l2_normalize_rows(head_penultimate(head, X_eval[te]))
+            pred = ev.svm_predict(svm, fte)
+            metrics = ev.compute_metrics(pred, labels[te], background_class=k - 1,
+                                         num_classes=k)
+            artifact.metrics_rows.append((method, regime, "net",
+                                          head_accuracy(head, X_eval[te], labels[te]), 0))
+            artifact.metrics_rows.append((method, regime, "svm", metrics.accuracy,
+                                          metrics.false_alarms))
+            confusion = metrics.confusion
+            artifact.emit(f"confusion_{tag}.csv",
+                          ([r, *(int(x) for x in row)] for r, row in enumerate(confusion)),
+                          ["truth\\pred", *(str(c) for c in range(len(confusion)))])
+            mname = f"model_{tag}.noc"
+            nets.save_model(head, artifact.path(mname))
+            artifact.files[mname] = artifact.path(mname)
+    return heads
 
 
 def _run_sweep(cfg, artifact, archs, regimes):
     records = build_dataset(cfg)
     feats, labels, tr, te = _prepare_features(cfg, records)
-    for arch_id in archs:
-        for regime in regimes:
-            head = _evaluate_head(cfg, artifact, regime, feats, labels, tr, te,
-                                  [(arch_id, f"{arch_id}_{regime}", feats)],
-                                  arch_id=arch_id)
+    heads = _evaluate_heads(cfg, artifact, labels, tr, te, [
+        (regime, arch_id, feats, [(arch_id, f"{arch_id}_{regime}", feats)])
+        for arch_id in archs for regime in regimes])
     # embedding of test features through the last trained head
     sources = [records[i].source for i in te]
-    _, rows = pca_embedding(head, feats[te], labels[te], sources, cfg.seed)
+    _, rows = pca_embedding(heads[-1], feats[te], labels[te], sources, cfg.seed)
     artifact.emit("embedding.csv", rows, EMBEDDING_HEADER)
 
 
@@ -510,9 +515,9 @@ def _run_blur_combo(cfg, artifact):
     for combo in combos:
         data_v, net_v, _ = combo.split("-")
         by_net.setdefault(net_v, []).append((combo, combo, feats[data_v]))
-    for net_v, scored in by_net.items():
-        _evaluate_head(cfg, artifact, cfg["regime.name"], feats[net_v], labels,
-                       tr, te, scored)
+    _evaluate_heads(cfg, artifact, labels, tr, te,
+                    [(cfg["regime.name"], None, feats[net_v], scored)
+                     for net_v, scored in by_net.items()])
 
 
 def _run_fusion(cfg, artifact):
@@ -523,6 +528,7 @@ def _run_fusion(cfg, artifact):
     orient = [dp.Frame(np.repeat(r.orientation.pixels, 3, axis=0)) for r in records]
     f_fused = nets.fuse_sum(f_rgb, extract_features(_backbone(cfg, 2), orient),
                             float(cfg["fusion.orientation_scale"]))
-    for method, feats in (("rgb_only", f_rgb), ("rgb_plus_orientation", f_fused)):
-        _evaluate_head(cfg, artifact, cfg["regime.name"], feats, labels, tr, te,
-                       [(method, method, feats)])
+    _evaluate_heads(cfg, artifact, labels, tr, te,
+                    [(cfg["regime.name"], None, feats, [(method, method, feats)])
+                     for method, feats in (("rgb_only", f_rgb),
+                                           ("rgb_plus_orientation", f_fused))])

@@ -329,10 +329,16 @@ def loss_and_grads(model: Model, params, batch: Minibatch):
 def fuse_sum(f_rgb: np.ndarray, f_orient: np.ndarray, scale: float) -> np.ndarray:
     """Sum fusion of two equally shaped feature stacks, f_rgb + scale *
     f_orient: the orientation stream is down-weighted so that an
-    uninformative one degrades the fused features only mildly."""
+    uninformative one degrades the fused features only mildly.
+    Non-finite fused features, say from a huge scale, raise
+    InvalidValue."""
     if f_rgb.shape != f_orient.shape:
         raise SizeMismatch(f"fusion shapes {f_rgb.shape} vs {f_orient.shape}")
-    return f_rgb + scale * f_orient
+    with np.errstate(over="ignore", invalid="ignore"):
+        fused = f_rgb + scale * f_orient
+    if not np.isfinite(fused).all():
+        raise InvalidValue(f"fused features non-finite (orientation scale {scale})")
+    return fused
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,24 @@ def test_cross_key_config_error_before_any_output(tmp_path, capsys, args, messag
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("experiment,setting,message", [
+    # fused features overflow to inf before any head trains
+    ("fusion", "fusion.orientation_scale=1e308", "fused features non-finite"),
+    # the first head (1LR) trains; the second (2LR) diverges
+    ("regime_sweep", "regime.alpha=1e200", "2LR diverged"),
+])
+def test_failed_experiment_writes_no_artifacts(tmp_path, capsys, recwarn,
+                                               experiment, setting, message):
+    out = str(tmp_path / "grid")
+    assert run(["grid", "--experiments", experiment, "--output-dir", out,
+                "--set", setting] + SMALL) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    written = os.listdir(os.path.join(out, experiment))
+    assert written == ["config.txt"]
+    assert len(recwarn) == 0
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_returns_error_code(tmp_path, capsys):
     out = str(tmp_path / "div")

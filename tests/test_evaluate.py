@@ -47,6 +47,23 @@ def test_svm_validation():
         ev.svm_predict(model, np.zeros((3, 5)))
 
 
+@pytest.mark.parametrize("features,labels,error", [
+    (np.zeros((60, 2)), np.arange(61) % 3, SizeMismatch),  # labels longer
+    (np.zeros((60, 2)), np.arange(59) % 3, SizeMismatch),  # labels shorter
+    (np.zeros((60, 2)), (np.arange(60) % 3)[:, None], SizeMismatch),
+    (np.zeros(60), np.arange(60) % 3, SizeMismatch),  # 1-D features
+    (np.zeros((1, 2, 60, 2)), np.arange(60) % 3, SizeMismatch),  # 4-D features
+    (np.zeros((2, 60, 2)), np.arange(61) % 3, SizeMismatch),  # stack, labels longer
+    (np.full((60, 2), np.nan), np.arange(60) % 3, InvalidValue),
+    (np.full((60, 2), np.inf), np.arange(60) % 3, InvalidValue),
+    (np.stack([np.zeros((60, 2)), np.full((60, 2), np.nan)]), np.arange(60) % 3,
+     InvalidValue),
+])
+def test_svm_train_rejects_bad_input(features, labels, error):
+    with pytest.raises(error):
+        ev.svm_train(features, labels, epochs=1)
+
+
 def test_svm_predict_tie_goes_to_lowest_class():
     model = ev.SvmModel(weights=np.zeros((3, 2)), biases=np.zeros(3),
                         classes=np.array([4, 7, 9]))
@@ -116,6 +133,29 @@ def test_svm_matches_per_class_reference(seed, n, label_set, dim, epochs, c_reg)
     assert obj == ref_obj
     plain = ev.svm_train(X, y, c_reg=c_reg, epochs=epochs, seed=seed)
     assert np.array_equal(plain.weights, ref.weights)
+
+
+@pytest.mark.parametrize("fits", [1, 2, 3])
+@pytest.mark.parametrize("track_objective", [False, True])
+def test_svm_stack_equals_separate_fits(fits, track_objective):
+    rng = np.random.default_rng(fits)
+    n, k = 90, 5
+    X = rng.normal(size=(fits, n, 6))
+    y = np.arange(n) % k + 2
+    stacked = ev.svm_train(X, y, c_reg=0.7, epochs=3, seed=4,
+                           track_objective=track_objective)
+    assert len(stacked) == fits
+    for f in range(fits):
+        solo = ev.svm_train(X[f], y, c_reg=0.7, epochs=3, seed=4,
+                            track_objective=track_objective)
+        if track_objective:
+            (model, obj), (solo, solo_obj) = stacked[f], solo
+            assert len(obj) == 3 and obj == solo_obj
+        else:
+            model = stacked[f]
+        assert np.array_equal(model.weights, solo.weights)
+        assert np.array_equal(model.biases, solo.biases)
+        assert np.array_equal(model.classes, solo.classes)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 experiment drivers (smoke-scale runs)."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +187,30 @@ def test_arch_sweep_covers_all_heads(tmp_path):
     art = harness.run_experiment(cfg)
     methods = {m for m, *_ in art.metrics_rows}
     assert methods == {"C0F3", "C1F3", "M1"}
+
+
+def test_svm_fit_independent_of_stack_companions(tmp_path, monkeypatch):
+    """C1F3 under 3LR is the last of regime_sweep's three stacked SVM fits
+    and the middle one of arch_sweep's; neither its SVM nor its files may
+    differ."""
+    fits = []
+    svm_train = harness.ev.svm_train
+
+    def recording_svm_train(*args, **kwargs):
+        fits.append(svm_train(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(harness.ev, "svm_train", recording_svm_train)
+    sweeps = [harness.run_experiment(small_cfg(tmp_path / exp, experiment=exp,
+                                               **{"regime.name": "3LR"}))
+              for exp in ("regime_sweep", "arch_sweep")]
+    assert [len(stack) for stack in fits] == [3, 3]  # one stacked call each
+    regime_svm, arch_svm = fits[0][2], fits[1][1]
+    assert np.array_equal(regime_svm.weights, arch_svm.weights)
+    assert np.array_equal(regime_svm.biases, arch_svm.biases)
+    for name in ("loss_C1F3_3LR.csv", "confusion_C1F3_3LR.csv", "model_C1F3_3LR.noc"):
+        regime_file, arch_file = (Path(art.path(name)).read_bytes() for art in sweeps)
+        assert regime_file == arch_file, name
 
 
 def test_blur_combo_run(tmp_path):

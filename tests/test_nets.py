@@ -81,6 +81,8 @@ def test_fuse_sum():
     assert np.array_equal(nets.fuse_sum(a, b, 0.0), a)
     with pytest.raises(SizeMismatch):
         nets.fuse_sum(a, np.ones((2, 5)), 0.3)
+    with pytest.raises(InvalidValue, match="non-finite"):
+        nets.fuse_sum(a, b, 1e308)
 
 
 def test_save_load_roundtrip(tmp_path):
