@@ -473,8 +473,8 @@ def gen_synthetic_dataset(num_classes=16, per_class=100, size=32, motion=False,
     """Procedural image/video dataset.
 
     motion=False: one still frame per record, all visual families distinct.
-    motion="correlated" (or True): classes share visual families in pairs
-    and are distinguished by motion direction; each record carries the
+    motion="correlated": classes share visual families in pairs and are
+    distinguished by motion direction; each record carries the
     flow-orientation frame.
     motion="uncorrelated": distinct visuals, random motion direction.
 
@@ -484,9 +484,7 @@ def gen_synthetic_dataset(num_classes=16, per_class=100, size=32, motion=False,
         raise InvalidValue("num_classes must be in [1,16]")
     if size < 16:
         raise InvalidValue("size must be >= 16")
-    if motion is True:
-        motion = "correlated"
-    if motion not in (False, None, "correlated", "uncorrelated"):
+    if motion not in (False, "correlated", "uncorrelated"):
         raise InvalidValue(f"bad motion mode {motion!r}")
     rng = np.random.default_rng(seed)
     records = []

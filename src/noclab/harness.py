@@ -86,30 +86,39 @@ class ExperimentConfig:
 
     @property
     def seed(self):
-        return int(self.values["seed"])
+        return self.values["seed"]
 
     def hyper(self):
         v = self.values
         return optim.Hyper(
-            alpha=float(v["regime.alpha"]),
-            alpha_start=float(v["regime.alpha_start"]),
-            alpha_end=float(v["regime.alpha_end"]),
-            beta=float(v["regime.beta"]),
-            gamma=float(v["regime.gamma"]),
-            epsilon=float(v["regime.epsilon"]),
-            iterations=int(v["regime.iterations"]),
-            batch_size=int(v["regime.batch_size"]),
-            standard_ewma=bool(v["regime.standard_ewma"]),
+            alpha=v["regime.alpha"],
+            alpha_start=v["regime.alpha_start"],
+            alpha_end=v["regime.alpha_end"],
+            beta=v["regime.beta"],
+            gamma=v["regime.gamma"],
+            epsilon=v["regime.epsilon"],
+            iterations=v["regime.iterations"],
+            batch_size=v["regime.batch_size"],
+            standard_ewma=v["regime.standard_ewma"],
         )
 
 
 def _coerce(key, raw, lineno=None):
+    """The value of `key` as the type of its default. A string is parsed;
+    any other value must already have that type, except that an int
+    stands for a float."""
     where = f" (line {lineno})" if lineno is not None else ""
     default = DEFAULTS[key]
+    if not isinstance(raw, str):
+        kinds = (int, float) if isinstance(default, float) else type(default)
+        if (not isinstance(raw, kinds)
+                or isinstance(raw, bool) != isinstance(default, bool)):
+            raise ConfigError(f"{key}: expected {type(default).__name__}, got {raw!r}")
+        return type(default)(raw)
     if isinstance(default, bool):
-        if str(raw).lower() in ("true", "1", "yes"):
+        if raw.lower() in ("true", "1", "yes"):
             return True
-        if str(raw).lower() in ("false", "0", "no"):
+        if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"{key}: expected boolean, got {raw!r}{where}")
     if isinstance(default, int):
@@ -122,7 +131,7 @@ def _coerce(key, raw, lineno=None):
             return float(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected number, got {raw!r}{where}") from None
-    return str(raw)
+    return raw
 
 
 def _validate(key, value, lineno=None):
@@ -167,8 +176,7 @@ def parse_config(path=None, overrides=None):
     for key, raw in (overrides or {}).items():
         if key not in DEFAULTS:
             raise ConfigError(f"unknown override key {key!r}")
-        value = _coerce(key, raw) if isinstance(raw, str) else raw
-        cfg.values[key] = _validate(key, value)
+        cfg.values[key] = _validate(key, _coerce(key, raw))
         lines.pop(key, None)
     _check_cross_keys(cfg, lines)
     return cfg
@@ -214,9 +222,9 @@ def _motion_mode(cfg):
 
 def build_dataset(cfg):
     return dp.gen_synthetic_dataset(
-        num_classes=int(cfg["dataset.classes"]),
-        per_class=int(cfg["dataset.per_class"]),
-        size=int(cfg["dataset.size"]),
+        num_classes=cfg["dataset.classes"],
+        per_class=cfg["dataset.per_class"],
+        size=cfg["dataset.size"],
         motion=_motion_mode(cfg),
         seed=cfg.seed,
     )
@@ -266,15 +274,15 @@ def _head_arch(cfg, input_shape, arch_id=None):
     return nets.NocArch(
         arch_id=arch_id or cfg["arch.arch_id"],
         input_shape=tuple(input_shape),
-        num_classes=int(cfg["dataset.classes"]),
-        width_scale=float(cfg["arch.width_scale"]),
+        num_classes=cfg["dataset.classes"],
+        width_scale=cfg["arch.width_scale"],
     )
 
 
 def train_head(cfg, arch, X, labels, regime, loss_rows):
     """Train one head on precomputed features under a named regime."""
     return optim.train(nets.build_noc(arch, seed=cfg.seed), X, labels, regime,
-                       cfg.hyper(), int(cfg["regime.partitions"]), seed=cfg.seed,
+                       cfg.hyper(), cfg["regime.partitions"], seed=cfg.seed,
                        loss_trace=loss_rows)
 
 
@@ -409,8 +417,8 @@ def _split(cfg, records):
 
 
 def _backbone(cfg, seed_offset=1):
-    size = int(cfg["dataset.size"])
-    return nets.build_backbone((3, size, size), int(cfg["backbone.channels"]),
+    size = cfg["dataset.size"]
+    return nets.build_backbone((3, size, size), cfg["backbone.channels"],
                                seed=cfg.seed + seed_offset)
 
 
@@ -441,9 +449,9 @@ def _evaluate_heads(cfg, artifact, labels, tr, te, jobs):
         loss_csvs.append(loss_csv_rows(loss_rows))
     ftr = np.stack([ev.l2_normalize_rows(head_penultimate(head, X[tr]))
                     for head, (_, _, X, _) in zip(heads, jobs)])
-    svms = ev.svm_train(ftr, labels[tr], c_reg=float(cfg["svm.c_reg"]),
-                        epochs=int(cfg["svm.epochs"]), seed=cfg.seed)
-    k = int(cfg["dataset.classes"])
+    svms = ev.svm_train(ftr, labels[tr], c_reg=cfg["svm.c_reg"],
+                        epochs=cfg["svm.epochs"], seed=cfg.seed)
+    k = cfg["dataset.classes"]
     for head, svm, loss_csv, (regime, _, _, scored) in zip(heads, svms, loss_csvs, jobs):
         for method, tag, X_eval in scored:
             artifact.emit(f"loss_{tag}.csv", loss_csv, LOSS_HEADER)
@@ -485,15 +493,15 @@ def _blur_frames(cfg, frames):
     variant sees a span from near-sharp to heavily smoothed.
     """
     rng = np.random.default_rng(cfg.seed + 17)
-    lo = float(cfg["blur.sigma_min"])
-    hi = float(cfg["blur.sigma_max"])
-    noise = float(cfg["blur.noise"])
+    lo = cfg["blur.sigma_min"]
+    hi = cfg["blur.sigma_max"]
+    noise = cfg["blur.noise"]
     out = []
     for f in frames:
         sigma = rng.uniform(lo, hi) if hi > lo else lo
         out.append(dp.synth_blur(f, kind=cfg["blur.kind"], sigma=sigma,
-                                 length=int(cfg["blur.length"]),
-                                 angle=float(cfg["blur.angle"]),
+                                 length=cfg["blur.length"],
+                                 angle=cfg["blur.angle"],
                                  noise=noise, seed=int(rng.integers(1 << 31))))
     return out
 
@@ -527,7 +535,7 @@ def _run_fusion(cfg, artifact):
     # orientation maps are single-channel; replicate to the 3-channel input
     orient = [dp.Frame(np.repeat(r.orientation.pixels, 3, axis=0)) for r in records]
     f_fused = nets.fuse_sum(f_rgb, extract_features(_backbone(cfg, 2), orient),
-                            float(cfg["fusion.orientation_scale"]))
+                            cfg["fusion.orientation_scale"])
     _evaluate_heads(cfg, artifact, labels, tr, te,
                     [(cfg["regime.name"], None, feats, [(method, method, feats)])
                      for method, feats in (("rgb_only", f_rgb),

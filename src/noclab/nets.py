@@ -4,7 +4,8 @@ fusion.
 Three head layouts are supported, identified as C0F3 (fc-only), C1F3
 (one conv then the fc stack) and M1 (conv, maxpool, conv, fc stack).
 The historical 4096-wide hidden layers are scaled down by
-`width_scale`; the class count stays at its full value.
+`width_scale`; the class count stays at its full value. The heads and
+the backbone are all written as layer specs that `_build` realizes.
 
 Parameters are plain float64 arrays. One interpreter runs the layer
 chain on ndarrays through the `autodiff` kernels (`_chain_forward`,
@@ -14,7 +15,7 @@ chain on ndarrays through the `autodiff` kernels (`_chain_forward`,
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,113 +74,88 @@ class Model:
     input_shape: tuple
     layers: list
     params: dict  # name -> float64 ndarray
-    penultimate_index: int = -1
-    meta: dict = field(default_factory=dict)
+    penultimate_index: int
 
     def clone(self):
         params = {k: v.copy() for k, v in self.params.items()}
         return Model(self.arch_id, self.input_shape, list(self.layers), params,
-                     self.penultimate_index, dict(self.meta))
+                     self.penultimate_index)
 
 
 def _he_init(rng, shape, fan_in):
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def _conv_out_hw(h, w, k, stride, pad):
-    return (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+def _build(arch_id, input_shape, spec, seed, penultimate_index) -> Model:
+    """Realize a layer spec as a Model.
+
+    A spec entry is ("conv", c_out, stride, pad) with a 3x3 kernel,
+    ("maxpool", window, stride), ("fc", n_out), ("relu",) or
+    ("flatten",). Shapes are inferred from `input_shape`; a conv or pool
+    that does not fit its input raises SizeMismatch. Weights are drawn
+    He-style in layer order from `seed`, biases are zero, and the i-th
+    parameterized layer is named conv<i> or fc<i>.
+    """
+    rng = np.random.default_rng(seed)
+    shape = tuple(input_shape)
+    layers, params = [], {}
+    for entry in spec:
+        kind = entry[0]
+        if kind in ("conv", "fc"):
+            name = f"{kind}{len(params) // 2}"
+            wn, bn = name + ".w", name + ".b"
+        if kind == "conv":
+            _, c_out, stride, pad = entry
+            c, h, w = shape
+            if h + 2 * pad < 3 or w + 2 * pad < 3:
+                raise SizeMismatch(f"input {h}x{w} too small for conv")
+            params[wn] = _he_init(rng, (c_out, c, 3, 3), c * 9)
+            params[bn] = np.zeros(c_out)
+            layers.append(("conv", wn, bn, stride, pad))
+            shape = (c_out, (h + 2 * pad - 3) // stride + 1,
+                     (w + 2 * pad - 3) // stride + 1)
+        elif kind == "fc":
+            (n_in,), n_out = shape, entry[1]  # an fc layer reads a flat input
+            params[wn] = _he_init(rng, (n_in, n_out), n_in)
+            params[bn] = np.zeros(n_out)
+            layers.append(("fc", wn, bn))
+            shape = (n_out,)
+        else:
+            if kind == "maxpool":
+                _, k, stride = entry
+                c, h, w = shape
+                if h < k or w < k:
+                    raise SizeMismatch(f"input {h}x{w} too small for {k}x{k} pool")
+                shape = (c, (h - k) // stride + 1, (w - k) // stride + 1)
+            elif kind == "flatten":
+                shape = (int(np.prod(shape)),)
+            layers.append(entry)
+    return Model(arch_id, tuple(input_shape), layers, params, penultimate_index)
 
 
 def build_noc(arch: NocArch, seed: int) -> Model:
-    """Construct a head network with He-style seeded initialization."""
-    rng = np.random.default_rng(seed)
-    c, h, w = arch.input_shape
-    layers = []
-    params = {}
-    idx = 0
-
-    def add_conv(c_in, c_out, hh, ww, ksize=3, stride=1, pad=1):
-        nonlocal idx
-        wn, bn = f"conv{idx}.w", f"conv{idx}.b"
-        if hh + 2 * pad < ksize or ww + 2 * pad < ksize:
-            raise SizeMismatch(f"input {hh}x{ww} too small for conv")
-        params[wn] = _he_init(rng, (c_out, c_in, ksize, ksize), c_in * ksize * ksize)
-        params[bn] = np.zeros(c_out)
-        layers.append(("conv", wn, bn, stride, pad))
-        idx += 1
-        return c_out, *_conv_out_hw(hh, ww, ksize, stride, pad)
-
-    def add_fc(n_in, n_out):
-        nonlocal idx
-        wn, bn = f"fc{idx}.w", f"fc{idx}.b"
-        params[wn] = _he_init(rng, (n_in, n_out), n_in)
-        params[bn] = np.zeros(n_out)
-        layers.append(("fc", wn, bn))
-        idx += 1
-        return n_out
-
-    fcw = arch.fc_width
-    if arch.arch_id == "C0F3":
-        layers.append(("flatten",))
-        n = add_fc(c * h * w, fcw)
-        layers.append(("relu",))
-        n = add_fc(n, fcw)
-        layers.append(("relu",))
-        add_fc(n, arch.num_classes)
-    elif arch.arch_id == "C1F3":
-        c2, h2, w2 = add_conv(c, arch.conv_maps, h, w)
-        layers.append(("relu",))
-        layers.append(("flatten",))
-        n = add_fc(c2 * h2 * w2, fcw)
-        layers.append(("relu",))
-        n = add_fc(n, fcw)
-        layers.append(("relu",))
-        add_fc(n, arch.num_classes)
-    else:  # M1
-        c2, h2, w2 = add_conv(c, arch.conv_maps, h, w)
-        layers.append(("relu",))
-        if h2 < 2 or w2 < 2:
-            raise SizeMismatch("input too small for M1 pooling")
-        layers.append(("maxpool", 2, 2))
-        h2, w2 = (h2 - 2) // 2 + 1, (w2 - 2) // 2 + 1
-        c2, h2, w2 = add_conv(c2, arch.conv_maps, h2, w2)
-        layers.append(("relu",))
-        layers.append(("flatten",))
-        n = add_fc(c2 * h2 * w2, fcw)
-        layers.append(("relu",))
-        n = add_fc(n, fcw)
-        layers.append(("relu",))
-        add_fc(n, arch.num_classes)
-
+    """Construct a head network with He-style seeded initialization:
+    the arch's conv prefix, then flatten and three fc layers."""
+    conv = ("conv", arch.conv_maps, 1, 1)
+    prefix = {"C0F3": [],
+              "C1F3": [conv, ("relu",)],
+              "M1": [conv, ("relu",), ("maxpool", 2, 2), conv, ("relu",)],
+              }[arch.arch_id]
+    spec = prefix + [("flatten",), ("fc", arch.fc_width), ("relu",),
+                     ("fc", arch.fc_width), ("relu",), ("fc", arch.num_classes)]
     # every layout ends (relu, fc): the penultimate feature is that relu's output
-    model = Model(arch.arch_id, tuple(arch.input_shape), layers, params, len(layers) - 2)
-    model.meta["num_classes"] = arch.num_classes
-    model.meta["width_scale"] = arch.width_scale
-    return model
+    return _build(arch.arch_id, arch.input_shape, spec, seed, len(spec) - 2)
 
 
 def build_backbone(input_shape, feature_channels: int, seed: int) -> Model:
     """Small 3-block conv feature extractor with total downsampling 8."""
-    c, h, w = input_shape
+    _, h, w = input_shape
     if h < 16 or w < 16:
         raise SizeMismatch("backbone needs input at least 16x16")
-    rng = np.random.default_rng(seed)
-    layers = []
-    params = {}
     chans = [max(4, feature_channels // 4), max(8, feature_channels // 2), feature_channels]
-    c_in, hh, ww = c, h, w
-    for i, c_out in enumerate(chans):
-        wn, bn = f"conv{i}.w", f"conv{i}.b"
-        params[wn] = _he_init(rng, (c_out, c_in, 3, 3), c_in * 9)
-        params[bn] = np.zeros(c_out)
-        layers.append(("conv", wn, bn, 1, 1))
-        layers.append(("relu",))
-        layers.append(("maxpool", 2, 2))
-        c_in = c_out
-        hh, ww = hh // 2, ww // 2
-    model = Model("backbone", tuple(input_shape), layers, params, len(layers) - 1)
-    model.meta["feature_shape"] = (feature_channels, hh, ww)
-    return model
+    spec = [layer for c_out in chans
+            for layer in (("conv", c_out, 1, 1), ("relu",), ("maxpool", 2, 2))]
+    return _build("backbone", input_shape, spec, seed, len(spec) - 1)
 
 
 def _check_input(model: Model, shape):

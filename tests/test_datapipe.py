@@ -384,6 +384,10 @@ def test_gen_dataset_validation():
         dp.gen_synthetic_dataset(4, 1, 8)
     with pytest.raises(InvalidValue):
         dp.gen_synthetic_dataset(4, 1, 16, motion="sideways")
+    # motion modes are False, "correlated" or "uncorrelated" only
+    for alias in (True, None):
+        with pytest.raises(InvalidValue, match="bad motion mode"):
+            dp.gen_synthetic_dataset(4, 1, 16, motion=alias)
 
 
 # ---------------------------------------------------------------------------

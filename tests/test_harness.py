@@ -117,6 +117,27 @@ def test_parse_config_override_beats_file(tmp_path):
         harness.parse_config(str(p), {"blur.sigma_max": "2"})
 
 
+@pytest.mark.parametrize("key,value,fragment", [
+    ("regime.iterations", 2.5, "regime.iterations: expected int, got 2.5"),
+    ("dataset.per_class", 10.7, "dataset.per_class: expected int, got 10.7"),
+    ("seed", True, "seed: expected int, got True"),
+    ("regime.alpha", None, "regime.alpha: expected float, got None"),
+])
+def test_parse_config_rejects_mistyped_override(key, value, fragment):
+    with pytest.raises(ConfigError) as err:
+        harness.parse_config(None, {key: value})
+    assert fragment in str(err.value)
+
+
+def test_parse_config_typed_overrides():
+    cfg = harness.parse_config(None, {"regime.alpha": 1, "seed": 3,
+                                      "regime.standard_ewma": True,
+                                      "regime.name": "2LR"})
+    assert type(cfg["regime.alpha"]) is float and cfg["regime.alpha"] == 1.0
+    assert cfg.seed == 3 and cfg["regime.standard_ewma"] is True
+    assert cfg["regime.name"] == "2LR"
+
+
 # ---------------------------------------------------------------------------
 # splits and features
 

@@ -66,11 +66,61 @@ def test_clone_is_independent():
 
 def test_backbone_feature_shape():
     bb = nets.build_backbone((3, 32, 32), 16, seed=0)
-    assert bb.meta["feature_shape"] == (16, 4, 4)
     out = nets.forward(bb, ad.Tensor(np.zeros((2, 3, 32, 32))))
     assert out.shape == (2, 16, 4, 4)
     with pytest.raises(SizeMismatch):
         nets.build_backbone((3, 8, 8), 16, seed=0)
+
+
+# layer descriptors and (parameter name, shape) pairs in order; heads at
+# (3, 8, 8) with 4 classes and width scale 1/64 (fc width 64, 1 conv map)
+LAYOUTS = {
+    "C0F3": (
+        [("flatten",), ("fc", "fc0.w", "fc0.b"), ("relu",),
+         ("fc", "fc1.w", "fc1.b"), ("relu",), ("fc", "fc2.w", "fc2.b")],
+        [("fc0.w", (192, 64)), ("fc0.b", (64,)), ("fc1.w", (64, 64)),
+         ("fc1.b", (64,)), ("fc2.w", (64, 4)), ("fc2.b", (4,))]),
+    "C1F3": (
+        [("conv", "conv0.w", "conv0.b", 1, 1), ("relu",), ("flatten",),
+         ("fc", "fc1.w", "fc1.b"), ("relu",), ("fc", "fc2.w", "fc2.b"), ("relu",),
+         ("fc", "fc3.w", "fc3.b")],
+        [("conv0.w", (1, 3, 3, 3)), ("conv0.b", (1,)), ("fc1.w", (64, 64)),
+         ("fc1.b", (64,)), ("fc2.w", (64, 64)), ("fc2.b", (64,)),
+         ("fc3.w", (64, 4)), ("fc3.b", (4,))]),
+    "M1": (
+        [("conv", "conv0.w", "conv0.b", 1, 1), ("relu",), ("maxpool", 2, 2),
+         ("conv", "conv1.w", "conv1.b", 1, 1), ("relu",), ("flatten",),
+         ("fc", "fc2.w", "fc2.b"), ("relu",), ("fc", "fc3.w", "fc3.b"), ("relu",),
+         ("fc", "fc4.w", "fc4.b")],
+        [("conv0.w", (1, 3, 3, 3)), ("conv0.b", (1,)), ("conv1.w", (1, 1, 3, 3)),
+         ("conv1.b", (1,)), ("fc2.w", (16, 64)), ("fc2.b", (64,)),
+         ("fc3.w", (64, 64)), ("fc3.b", (64,)), ("fc4.w", (64, 4)), ("fc4.b", (4,))]),
+    # backbone at (3, 32, 32) with 16 feature channels
+    "backbone": (
+        [("conv", "conv0.w", "conv0.b", 1, 1), ("relu",), ("maxpool", 2, 2),
+         ("conv", "conv1.w", "conv1.b", 1, 1), ("relu",), ("maxpool", 2, 2),
+         ("conv", "conv2.w", "conv2.b", 1, 1), ("relu",), ("maxpool", 2, 2)],
+        [("conv0.w", (4, 3, 3, 3)), ("conv0.b", (4,)), ("conv1.w", (8, 4, 3, 3)),
+         ("conv1.b", (8,)), ("conv2.w", (16, 8, 3, 3)), ("conv2.b", (16,))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_network_layouts(name):
+    if name == "backbone":
+        model = nets.build_backbone((3, 32, 32), 16, seed=0)
+    else:
+        model = nets.build_noc(small_arch(name), seed=0)
+    layers, params = LAYOUTS[name]
+    assert model.layers == layers
+    assert [(k, v.shape) for k, v in model.params.items()] == params
+
+
+def test_m1_too_small_to_pool():
+    # the first conv keeps a 1x1 input at 1x1; the 2x2 pool does not fit it
+    with pytest.raises(SizeMismatch):
+        nets.build_noc(small_arch("M1", shape=(3, 1, 1)), seed=0)
+    nets.build_noc(small_arch("C1F3", shape=(3, 1, 1)), seed=0)
 
 
 def test_fuse_sum():
