@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import InvalidValue, SizeMismatch
 
@@ -271,6 +270,10 @@ def synth_blur(image: Frame, kind="gaussian", sigma=2.0, length=9, angle=0.0,
     """
     if not (np.isfinite(noise) and noise >= 0):
         raise InvalidValue(f"noise must be finite and >= 0, got {noise}")
+    # imported here, not at module load, so that runs which never blur
+    # never pay for scipy's import time and memory
+    from scipy import ndimage
+
     if kind == "gaussian":
         if not (np.isfinite(sigma) and sigma > 0):
             raise InvalidValue(f"sigma must be finite and positive, got {sigma}")
@@ -418,13 +421,44 @@ def _hsv_to_rgb(h, s, v):
     return [(v, t, p), (q, v, p), (p, v, t), (p, q, v), (t, p, v), (v, p, q)][i]
 
 
+# Taps of ndimage.gaussian_filter at sigma 1: radius int(4 * sigma + 0.5).
+_SMOOTH_TAPS = np.exp(-0.5 / 1.0 * np.arange(-4, 5) ** 2)
+_SMOOTH_TAPS /= _SMOOTH_TAPS.sum()
+
+
+def _smooth(plane):
+    """Gaussian smoothing at sigma 1, bit-identical to
+    ndimage.gaussian_filter(plane, 1.0) for planes at least 4 wide: the
+    taps run along axis 0, then axis 1, over edge-repeating mirror
+    padding, and each output sums center * w[r] plus
+    (left_j + right_j) * w[r - j], farthest j first, the order of
+    ndimage's symmetric-kernel loop."""
+    w = _SMOOTH_TAPS
+    r = len(w) // 2
+    out = plane
+    for _ in range(2):  # axis 0, then axis 0 of the transpose
+        n = len(out)
+        padded = np.empty((n + 2 * r,) + out.shape[1:])
+        padded[:r] = out[:r][::-1]
+        padded[r:n + r] = out
+        padded[n + r:] = out[n - r:][::-1]
+        out = padded[r:n + r] * w[r]
+        pair = np.empty_like(out)
+        for j in range(r, 0, -1):
+            np.add(padded[r - j:n + r - j], padded[r + j:n + r + j], out=pair)
+            pair *= w[r - j]
+            out += pair
+        out = out.T
+    return out
+
+
 def _render_class_image(family, size, rng):
     """One visual family per class: polygons, stripes, blob fields and
     checkers, each with a family-specific color tint."""
     img = np.zeros((3, size, size))
     # smooth textured background
     noise = rng.normal(0.25, 0.05, size=(size, size))
-    base = ndimage.gaussian_filter(noise, 1.0)
+    base = _smooth(noise)
     img[:] = base
     color = np.array(_hsv_to_rgb((family * 0.61803) % 1.0, 0.9, 1.0))
 

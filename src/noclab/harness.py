@@ -193,6 +193,13 @@ def _check_cross_keys(cfg, lines):
     if cfg["blur.sigma_min"] > cfg["blur.sigma_max"]:
         raise ConfigError("blur.sigma_max below blur.sigma_min"
                           + where("blur.sigma_min", "blur.sigma_max"))
+    # a blur wider than the frame only flattens it, and a huge one fails
+    # (or tries a vast allocation) deep inside the kernel builders
+    for key in ("blur.sigma_max", "blur.length"):
+        if cfg[key] > cfg["dataset.size"]:
+            raise ConfigError(f"{key} {cfg[key]} is above "
+                              f"dataset.size = {cfg['dataset.size']}"
+                              + where(key, "dataset.size"))
     if cfg["regime.alpha_start"] < cfg["regime.alpha_end"]:
         raise ConfigError("regime.alpha_end above regime.alpha_start"
                           + where("regime.alpha_start", "regime.alpha_end"))

@@ -177,8 +177,22 @@ def _layer_forward(layer, params, x, tape):
             xp, cols, oh, ow = ad._im2col(x, k.shape[2], k.shape[3], stride, pad)
         out, saved = ad._conv2d_fwd(cols, k, params[bn], oh, ow), (xp, cols, oh, ow)
     elif kind == "maxpool":
-        out, arg = ad._maxpool2d_fwd(x, layer[1], layer[2])
-        saved = (x, arg)
+        _, window, stride = layer
+        if tape is None:
+            # a running max over the window's strided slices; it equals the
+            # argmax pool's values, and only the backward reads the argmax
+            oh = (x.shape[2] - window) // stride + 1
+            ow = (x.shape[3] - window) // stride + 1
+            views = [x[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride]
+                     for i in range(window) for j in range(window)]
+            # C order like the argmax pool's output, whatever x's layout:
+            # later reductions over the features sum in memory order
+            out = views[0].copy(order="C")
+            for view in views[1:]:
+                np.maximum(out, view, out=out)
+        else:
+            out, arg = ad._maxpool2d_fwd(x, window, stride)
+            saved = (x, arg)
     elif kind == "fc":
         out, saved = x @ params[layer[1]] + params[layer[2]], x
     elif kind == "relu":

@@ -148,6 +148,10 @@ def test_non_finite_or_non_positive_config_returns_error_code(
     (["grid", "--experiments", "regime_sweep", "--set", "regime.alpha_start=0.001",
       "--set", "regime.alpha_end=0.01"], "regime.alpha_end above regime.alpha_start"),
     (["eval", "--set", "experiment=fusion"], "fusion experiment needs dataset.motion set"),
+    (["grid", "--experiments", "blur_combo", "--set", "blur.sigma_min=1e300",
+      "--set", "blur.sigma_max=1e300"], "blur.sigma_max 1e+300 is above dataset.size = 16"),
+    (["grid", "--experiments", "blur_combo", "--set", "blur.kind=motion",
+      "--set", "blur.length=100000"], "blur.length 100000 is above dataset.size = 16"),
 ])
 def test_cross_key_config_error_before_any_output(tmp_path, capsys, args, message):
     out = str(tmp_path / "out")
@@ -194,14 +198,20 @@ def test_seed_changes_data(tmp_path):
     assert fa != fb
 
 
-def run_cli_process(args, **env_vars):
-    """Run the CLI in a fresh interpreter on this checkout's sources."""
+def run_python_process(argv, **env_vars):
+    """Run the interpreter with `argv` in a fresh process on this
+    checkout's sources."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-m", "noclab.cli"] + args, env=env,
+    return subprocess.run([sys.executable] + argv, env=env,
                           capture_output=True, text=True, timeout=600)
+
+
+def run_cli_process(args, **env_vars):
+    """Run the CLI in a fresh interpreter on this checkout's sources."""
+    return run_python_process(["-m", "noclab.cli"] + args, **env_vars)
 
 
 def test_bad_integer_config_exits_cleanly(tmp_path):
@@ -238,3 +248,33 @@ def test_grid_identical_under_one_and_two_blas_threads(tmp_path):
     assert any(n.endswith(".noc") for n in names)
     assert {n.split(os.sep)[0] for n in names} == set(harness.EXPERIMENTS)
     assert digests["1"] == digests["2"]
+
+
+# Prints the scipy modules loaded after importing noclab and parsing a
+# config, then those loaded after running the CLI on sys.argv[1:].
+SCIPY_PROBE = (
+    "import sys\n"
+    "from noclab import cli, harness\n"
+    "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+    "harness.parse_config(None, {})\n"
+    "print('scipy:', scipy())\n"
+    "assert cli.main(sys.argv[1:]) == 0\n"
+    "print('scipy:', scipy())\n"
+)
+
+
+@pytest.mark.parametrize("experiments,loaded", [
+    (["--experiments", "regime_sweep,fusion"], False),
+    # the blur imports scipy.ndimage on its first call
+    (["--experiments", "blur_combo", "--set", "combo=B-B-B"], True),
+])
+def test_scipy_loaded_only_by_the_blur(tmp_path, experiments, loaded):
+    proc = run_python_process(["-c", SCIPY_PROBE, "grid", "--output-dir",
+                               str(tmp_path / "grid")] + experiments + SMALL)
+    proc.check_returncode()
+    at_import, after_run = (line for line in proc.stdout.splitlines()
+                            if line.startswith("scipy: "))
+    assert at_import == "scipy: []"
+    assert ("'scipy.ndimage'" in after_run) == loaded
+    if not loaded:
+        assert after_run == "scipy: []"

@@ -329,6 +329,15 @@ def test_orientation_map_quadrants():
 # synthetic dataset
 
 
+@pytest.mark.parametrize("size", [16, 17, 32, 64])
+def test_render_smoothing_matches_ndimage(size):
+    # scipy is the oracle here; the renderer itself does not import it
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        noise = rng.normal(0.25, 0.05, size=(size, size))
+        assert np.array_equal(dp._smooth(noise), ndimage.gaussian_filter(noise, 1.0))
+
+
 def test_gen_dataset_shapes_and_labels():
     records = dp.gen_synthetic_dataset(4, 3, 16, motion=False, seed=0)
     assert len(records) == 12

@@ -80,6 +80,10 @@ def test_parse_config_file(tmp_path):
     ("regime.alpha_start = 0.001", "regime.alpha_end above regime.alpha_start"),
     ("regime.alpha_end = 0.02", "regime.alpha_end above regime.alpha_start"),
     ("arch.width_scale = 0.001", "scaled fc width 4 is below dataset.classes"),
+    ("blur.sigma_max = 1e300", "blur.sigma_max 1e+300 is above dataset.size = 32"),
+    ("blur.sigma_max = 32.5", "blur.sigma_max 32.5 is above dataset.size = 32"),
+    ("blur.length = 100000", "blur.length 100000 is above dataset.size = 32"),
+    ("blur.length = 33", "blur.length 33 is above dataset.size = 32"),
     ("svm.c_reg = nan", "svm.c_reg must be finite"),
     ("svm.c_reg = 0", "svm.c_reg must be > 0"),
     ("blur.sigma_min = nan", "blur.sigma_min must be finite"),

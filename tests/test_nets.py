@@ -123,6 +123,25 @@ def test_m1_too_small_to_pool():
     nets.build_noc(small_arch("C1F3", shape=(3, 1, 1)), seed=0)
 
 
+@pytest.mark.parametrize("shape,window,stride", [
+    ((2, 3, 7, 9), 2, 2),  # odd sizes drop the last row and column
+    ((2, 2, 8, 8), 3, 2),  # overlapping windows
+    ((1, 2, 9, 7), 2, 3),  # windows with gaps between them
+    ((3, 4, 16, 16), 2, 2),
+])
+def test_inference_maxpool_matches_argmax_pool(shape, window, stride):
+    rng = np.random.default_rng(sum(shape) + window + stride)
+    # few distinct values, so most windows hold ties; relu-like, no -0.0
+    ties = rng.integers(0, 3, size=shape).astype(float)
+    relu = np.maximum(rng.normal(size=shape), 0.0)
+    # the channels-last layout of a conv output
+    strided = relu.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
+    for x in (ties, relu, strided):
+        out = nets._layer_forward(("maxpool", window, stride), {}, x, None)
+        assert np.array_equal(out, ad._maxpool2d_fwd(x, window, stride)[0])
+        assert out.flags["C_CONTIGUOUS"]
+
+
 def test_fuse_sum():
     a = np.ones((2, 4))
     b = np.full((2, 4), 2.0)
