@@ -167,6 +167,8 @@ def kmeans(points, k, max_iters=100, seed=0):
     """
     X = np.asarray(points, dtype=np.float64)
     n = X.shape[0]
+    if k < 1:
+        raise InvalidValue(f"k must be >= 1, got {k}")
     if k > len(np.unique(X, axis=0)):
         raise InvalidValue(f"k={k} exceeds distinct point count")
     if max_iters < 1:
@@ -326,18 +328,37 @@ def _jacobi_block(a, b, lam, iters):
     """Horn-Schunck Jacobi sweeps over a block (n, h, w) of frame pairs;
     returns the flow as one array (2, n, h, w) holding u and v."""
     Ix, Iy, It = _brightness_gradients(a, b)
-    denom = lam ** 2 + Ix ** 2 + Iy ** 2
     n, h, w = a.shape
     # u and v share one buffer with a one-pixel ghost border. Copying the
     # edge rows, then the full edge columns, into the border equals
     # np.pad(mode="edge"): the Neumann boundary that keeps the iteration
     # consistent with the interior-difference smoothness energy.
     grid = np.zeros((2, n, h + 2, w + 2))
-    flow = grid[..., 1:-1, 1:-1]
-    bar = np.empty((2, n, h, w))
-    ubar, vbar = bar
-    t = np.empty_like(a)
-    tmp = np.empty_like(a)
+    # Every other op runs on the flat band [W+1, N-W-1) of that layout:
+    # it starts at plane 0's first interior pixel and ends after the last
+    # plane's last one, so a pixel's neighbours sit at -W, +W, -1 and +1
+    # and stay inside the buffer. The band also holds ghost pixels; there
+    # Ix, Iy and It are 0 and the denominator 1, so the update writes a
+    # finite ubar/vbar that the next edge copy overwrites.
+    W = w + 2
+    N = n * (h + 2) * W
+    lo, hi = W + 1, N - W - 1
+    flat = grid.reshape(2, N)
+    flow = flat[:, lo:hi]
+    up, down = flat[:, lo - W:hi - W], flat[:, lo + W:hi + W]
+    left, right = flat[:, lo - 1:hi - 1], flat[:, lo + 1:hi + 1]
+
+    def banded(planes, ghost):
+        out = np.full(planes.shape[:-2] + (h + 2, W), ghost)
+        out[..., 1:-1, 1:-1] = planes
+        return out.reshape(planes.shape[:-3] + (N,))[..., lo:hi]
+
+    grads = banded(np.stack([Ix, Iy]), 0.0)
+    It = banded(It, 0.0)
+    denom = banded(lam ** 2 + Ix ** 2 + Iy ** 2, 1.0)
+    bar = np.empty_like(flow)
+    prod = np.empty_like(flow)
+    t = np.empty_like(It)
     for _ in range(iters):
         grid[..., 0, :] = grid[..., 1, :]
         grid[..., -1, :] = grid[..., -2, :]
@@ -345,21 +366,19 @@ def _jacobi_block(a, b, lam, iters):
         grid[..., -1] = grid[..., -2]
         # every sum keeps the order of the per-plane expressions
         # ((up + down) + left + right) / 4 and ((Ix*ubar + Iy*vbar) + It),
-        # so the flow is bit-identical to one plane at a time
-        np.add(grid[..., :-2, 1:-1], grid[..., 2:, 1:-1], out=bar)
-        bar += grid[..., 1:-1, :-2]
-        bar += grid[..., 1:-1, 2:]
-        bar /= 4.0
-        np.multiply(Ix, ubar, out=t)
-        np.multiply(Iy, vbar, out=tmp)
-        t += tmp
+        # so the flow is bit-identical to one plane at a time; * 0.25 is
+        # the same IEEE result as / 4
+        np.add(up, down, out=bar)
+        bar += left
+        bar += right
+        bar *= 0.25
+        np.multiply(grads, bar, out=prod)
+        np.add(prod[0], prod[1], out=t)
         t += It
         t /= denom
-        np.multiply(Ix, t, out=tmp)
-        np.subtract(ubar, tmp, out=flow[0])
-        np.multiply(Iy, t, out=tmp)
-        np.subtract(vbar, tmp, out=flow[1])
-    return flow
+        np.multiply(grads, t, out=prod)
+        np.subtract(bar, prod, out=flow)
+    return grid[..., 1:-1, 1:-1]
 
 
 def horn_schunck(f1, f2, lam=0.5, iters=100):
@@ -400,14 +419,19 @@ def flow_energy(flow: FlowField, f1, f2, lam=0.5):
     return float(data + lam ** 2 * (gu.sum() + gu2.sum() + gv.sum() + gv2.sum()))
 
 
-def orientation_map(flow: FlowField):
-    """Flow angle atan2(v,u) mapped from (-pi, pi] to [0,1]; negligible
-    magnitude maps to the neutral value 0.5."""
-    mag = np.hypot(flow.u, flow.v)
-    ang = np.arctan2(flow.v, flow.u)
+def _orientation(u, v):
+    """Flow angle atan2(v,u) mapped from (-pi, pi] to [0,1], elementwise
+    over planes or stacks; negligible magnitude maps to the neutral
+    value 0.5."""
+    mag = np.hypot(u, v)
+    ang = np.arctan2(v, u)
     vals = 0.5 + ang / (2 * np.pi)
-    vals = np.where(mag < 1e-6, 0.5, vals)
-    return Frame(vals[None])
+    return np.where(mag < 1e-6, 0.5, vals)
+
+
+def orientation_map(flow: FlowField):
+    """The orientation frame of one flow field (see _orientation)."""
+    return Frame(_orientation(flow.u, flow.v)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -426,51 +450,74 @@ _SMOOTH_TAPS = np.exp(-0.5 / 1.0 * np.arange(-4, 5) ** 2)
 _SMOOTH_TAPS /= _SMOOTH_TAPS.sum()
 
 
-def _smooth(plane):
-    """Gaussian smoothing at sigma 1, bit-identical to
-    ndimage.gaussian_filter(plane, 1.0) for planes at least 4 wide: the
-    taps run along axis 0, then axis 1, over edge-repeating mirror
-    padding, and each output sums center * w[r] plus
-    (left_j + right_j) * w[r - j], farthest j first, the order of
-    ndimage's symmetric-kernel loop."""
+def _smooth(planes):
+    """Gaussian smoothing at sigma 1 of a plane or of each plane of a
+    stack (..., h, w), bit-identical to ndimage.gaussian_filter(plane,
+    1.0) for planes at least 4 wide: the taps run along axis -2, then
+    axis -1, over edge-repeating mirror padding, and each output sums
+    center * w[r] plus (left_j + right_j) * w[r - j], farthest j first,
+    the order of ndimage's symmetric-kernel loop."""
     w = _SMOOTH_TAPS
     r = len(w) // 2
-    out = plane
-    for _ in range(2):  # axis 0, then axis 0 of the transpose
-        n = len(out)
-        padded = np.empty((n + 2 * r,) + out.shape[1:])
-        padded[:r] = out[:r][::-1]
-        padded[r:n + r] = out
-        padded[n + r:] = out[n - r:][::-1]
-        out = padded[r:n + r] * w[r]
+    out = planes
+    for _ in range(2):  # axis -2, then axis -2 of the swapped planes
+        n = out.shape[-2]
+        padded = np.empty(out.shape[:-2] + (n + 2 * r, out.shape[-1]))
+        padded[..., :r, :] = out[..., :r, :][..., ::-1, :]
+        padded[..., r:n + r, :] = out
+        padded[..., n + r:, :] = out[..., n - r:, :][..., ::-1, :]
+        out = padded[..., r:n + r, :] * w[r]
         pair = np.empty_like(out)
         for j in range(r, 0, -1):
-            np.add(padded[r - j:n + r - j], padded[r + j:n + r + j], out=pair)
+            np.add(padded[..., r - j:n + r - j, :], padded[..., r + j:n + r + j, :],
+                   out=pair)
             pair *= w[r - j]
             out += pair
-        out = out.T
+        out = out.swapaxes(-1, -2)
     return out
 
 
-def _render_class_image(family, size, rng):
-    """One visual family per class: polygons, stripes, blob fields and
-    checkers, each with a family-specific color tint."""
-    img = np.zeros((3, size, size))
-    # smooth textured background
-    noise = rng.normal(0.25, 0.05, size=(size, size))
-    base = _smooth(noise)
-    img[:] = base
-    color = np.array(_hsv_to_rgb((family * 0.61803) % 1.0, 0.9, 1.0))
+def _render_family(family, count, size, rng, draw_angles=False):
+    """`count` images of one visual family: polygons, stripes, blob
+    fields and checkers, each with a family-specific color tint.
 
-    yy, xx = np.mgrid[0:size, 0:size]
-    cx = size / 2 + rng.uniform(-size / 8, size / 8)
-    cy = size / 2 + rng.uniform(-size / 8, size / 8)
+    Each image takes its random numbers from `rng` in turn: background
+    noise, center, the family's draws, sensor noise and, with
+    `draw_angles`, a motion angle in [0, 2*pi). The stack is then built
+    with the same elementwise expressions an image at a time would use.
+    Returns the pixels (count, 3, size, size), clamped to [0,1], and the
+    angles (None without `draw_angles`).
+    """
     kind = family % 4
     variant = family // 4
+    blobs = 1 + 2 * variant if kind == 2 else 0
+    r = size * (0.3 if kind == 0 else 0.12)
+    noise = np.empty((count, size, size))
+    sensor = np.empty((count, 3, size, size))
+    cx, cy, turn = np.empty(count), np.empty(count), np.empty(count)
+    bx, by = np.empty((count, blobs)), np.empty((count, blobs))
+    angles = np.empty(count) if draw_angles else None
+    for i in range(count):
+        noise[i] = rng.normal(0.25, 0.05, size=(size, size))
+        cx[i] = size / 2 + rng.uniform(-size / 8, size / 8)
+        cy[i] = size / 2 + rng.uniform(-size / 8, size / 8)
+        if kind in (0, 1):  # polygon rotation or stripe phase
+            turn[i] = rng.uniform(0, 2 * np.pi)
+        for j in range(blobs):
+            bx[i, j] = rng.uniform(r, size - r)
+            by[i, j] = rng.uniform(r, size - r)
+        sensor[i] = rng.normal(0, 0.005, size=(3, size, size))
+        if draw_angles:
+            angles[i] = rng.uniform(0, 2 * np.pi)
+
+    # smooth textured background
+    base = _smooth(noise)
+    color = np.array(_hsv_to_rgb((family * 0.61803) % 1.0, 0.9, 1.0))
+    yy, xx = np.mgrid[0:size, 0:size]
+    cx, cy, turn = cx[:, None, None], cy[:, None, None], turn[:, None, None]
     if kind == 0:  # filled regular polygon
         sides = 3 + variant
-        r = size * 0.3
-        ang = np.arctan2(yy - cy, xx - cx) + rng.uniform(0, 2 * np.pi)
+        ang = np.arctan2(yy - cy, xx - cx) + turn
         rad = np.hypot(yy - cy, xx - cx)
         # polygon boundary radius as a function of angle
         half = np.pi / sides
@@ -478,28 +525,23 @@ def _render_class_image(family, size, rng):
         mask = rad <= rb
     elif kind == 1:  # stripes of family-specific frequency
         freq = 2 + 2 * variant
-        phase = rng.uniform(0, 2 * np.pi)
-        mask = np.sin(2 * np.pi * freq * xx / size + phase) > 0.3
+        mask = np.sin(2 * np.pi * freq * xx / size + turn) > 0.3
     elif kind == 2:  # blob field
-        count = 1 + 2 * variant
-        mask = np.zeros((size, size), dtype=bool)
-        r = size * 0.12
-        for _ in range(count):
-            bx = rng.uniform(r, size - r)
-            by = rng.uniform(r, size - r)
-            mask |= np.hypot(yy - by, xx - bx) <= r
+        mask = np.zeros((count, size, size), dtype=bool)
+        for j in range(blobs):
+            mask |= np.hypot(yy - by[:, j, None, None], xx - bx[:, j, None, None]) <= r
     else:  # checker
         cell = max(2, size // (4 + 2 * variant))
-        mask = ((yy // cell + xx // cell) % 2).astype(bool)
-    for c in range(3):
-        img[c] = np.where(mask, 0.25 + 0.75 * color[c], img[c])
-    img += rng.normal(0, 0.005, size=img.shape)
-    return Frame(img)
+        mask = ((yy // cell + xx // cell) % 2).astype(bool)[None]
+    img = np.where(mask[:, None], (0.25 + 0.75 * color)[:, None, None], base[:, None])
+    img += sensor
+    return np.clip(img, 0.0, 1.0, out=img), angles
 
 
-def _shift_plane(plane, dx, dy):
-    """Integer wrap-around shift (dx rightward, dy downward)."""
-    return np.roll(plane, (int(round(dy)), int(round(dx))), axis=(0, 1))
+def _shift_plane(planes, dx, dy):
+    """Integer wrap-around shift (dx rightward, dy downward) of a plane
+    or of each plane of a stack."""
+    return np.roll(planes, (int(round(dy)), int(round(dx))), axis=(-2, -1))
 
 
 def gen_synthetic_dataset(num_classes=16, per_class=100, size=32, motion=False,
@@ -520,35 +562,39 @@ def gen_synthetic_dataset(num_classes=16, per_class=100, size=32, motion=False,
         raise InvalidValue("size must be >= 16")
     if motion not in (False, "correlated", "uncorrelated"):
         raise InvalidValue(f"bad motion mode {motion!r}")
+    if per_class < 1:
+        raise InvalidValue(f"per_class must be >= 1, got {per_class}")
     rng = np.random.default_rng(seed)
     records = []
     if motion:
         # gray planes of each frame and of its shifted copy, flowed in one call
         first = np.empty((num_classes * per_class, size, size))
         second = np.empty_like(first)
+    step = 2.0
     for c in range(num_classes):
         if motion == "correlated":
             family = c % max(1, (num_classes + 1) // 2)
         else:
             family = c
-        for _ in range(per_class):
-            frame = _render_class_image(family, size, rng)
-            if motion:
-                if motion == "correlated":
-                    angle = 2 * np.pi * c / num_classes
-                else:
-                    angle = rng.uniform(0, 2 * np.pi)
-                step = 2.0
-                dx = step * np.cos(angle)
-                dy = step * np.sin(angle)
-                i = len(records)
-                first[i] = frame.gray()
-                second[i] = _shift_plane(first[i], dx, dy)
-            records.append(SampleRecord(frame, c))
+        pixels, angles = _render_family(family, per_class, size, rng,
+                                        draw_angles=motion == "uncorrelated")
+        records.extend(SampleRecord(Frame(p), c) for p in pixels)
+        if not motion:
+            continue
+        rows = slice(c * per_class, (c + 1) * per_class)
+        first[rows] = pixels.mean(axis=1)
+        if motion == "correlated":
+            angle = 2 * np.pi * c / num_classes
+            second[rows] = _shift_plane(first[rows], step * np.cos(angle),
+                                        step * np.sin(angle))
+        else:
+            for i, angle in enumerate(angles, rows.start):
+                second[i] = _shift_plane(first[i], step * np.cos(angle),
+                                         step * np.sin(angle))
     if motion:
         flow = horn_schunck(first, second, lam=0.5, iters=60)
-        for rec, u, v in zip(records, flow.u, flow.v):
-            rec.orientation = orientation_map(FlowField(u=u, v=v))
+        for rec, vals in zip(records, _orientation(flow.u, flow.v)):
+            rec.orientation = Frame(vals[None])
     return records
 
 

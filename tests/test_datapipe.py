@@ -116,6 +116,13 @@ def test_kmeans_recovers_separated_centers():
         dp.kmeans(np.zeros((5, 2)), 2)  # k exceeds distinct points
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_kmeans_rejects_nonpositive_k(k):
+    pts = np.arange(10.0).reshape(5, 2)
+    with pytest.raises(InvalidValue, match="k must be >= 1"):
+        dp.kmeans(pts, k)
+
+
 def test_sample_dataset_deterministic():
     clips = [dp.VideoClip([rand_frame(seed=i) for i in range(6)], label=0)]
     feat = lambda f: f.pixels.ravel()
@@ -315,6 +322,19 @@ def test_horn_schunck_stack_matches_per_frame(n):
         assert np.array_equal(flow.u[i], u) and np.array_equal(flow.v[i], v)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (1, 5), (17, 23)])
+def test_horn_schunck_small_and_odd_planes_match_reference(shape):
+    # the flat-band sweep's ghost pixels must neither leak into the flow
+    # nor warn, down to a single pixel and one-row planes
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    a, b = rng.random(shape), rng.random(shape)
+    for lam, iters in ((0.5, 1), (0.7, 13), (2.0, 60)):
+        flow = dp.horn_schunck(a, b, lam=lam, iters=iters)
+        u, v = reference_horn_schunck(a, b, lam=lam, iters=iters)
+        assert np.array_equal(flow.u, u) and np.array_equal(flow.v, v)
+
+
 def test_orientation_map_quadrants():
     flow = dp.FlowField(np.array([[1.0, -1.0]]), np.array([[0.0, 0.0]]))
     om = dp.orientation_map(flow)
@@ -325,8 +345,95 @@ def test_orientation_map_quadrants():
     assert np.all(still.pixels == 0.5)
 
 
+def test_stacked_orientation_matches_per_field_map():
+    rng = np.random.default_rng(4)
+    u, v = rng.normal(size=(2, 6, 5, 7))
+    u[0, :2] = 0.0
+    v[0, :2] = 1e-7  # below the neutral-value threshold
+    vals = dp._orientation(u, v)
+    assert vals.shape == u.shape
+    for i in range(len(u)):
+        want = dp.orientation_map(dp.FlowField(u[i], v[i])).pixels[0]
+        assert np.array_equal(vals[i], want)
+
+
 # ---------------------------------------------------------------------------
 # synthetic dataset
+
+
+def reference_render_class_image(family, size, rng):
+    """One visual family per class: polygons, stripes, blob fields and
+    checkers, each with a family-specific color tint."""
+    img = np.zeros((3, size, size))
+    # smooth textured background
+    noise = rng.normal(0.25, 0.05, size=(size, size))
+    base = dp._smooth(noise)
+    img[:] = base
+    color = np.array(dp._hsv_to_rgb((family * 0.61803) % 1.0, 0.9, 1.0))
+
+    yy, xx = np.mgrid[0:size, 0:size]
+    cx = size / 2 + rng.uniform(-size / 8, size / 8)
+    cy = size / 2 + rng.uniform(-size / 8, size / 8)
+    kind = family % 4
+    variant = family // 4
+    if kind == 0:  # filled regular polygon
+        sides = 3 + variant
+        r = size * 0.3
+        ang = np.arctan2(yy - cy, xx - cx) + rng.uniform(0, 2 * np.pi)
+        rad = np.hypot(yy - cy, xx - cx)
+        # polygon boundary radius as a function of angle
+        half = np.pi / sides
+        rb = r * np.cos(half) / np.cos(((ang + half) % (2 * half)) - half)
+        mask = rad <= rb
+    elif kind == 1:  # stripes of family-specific frequency
+        freq = 2 + 2 * variant
+        phase = rng.uniform(0, 2 * np.pi)
+        mask = np.sin(2 * np.pi * freq * xx / size + phase) > 0.3
+    elif kind == 2:  # blob field
+        count = 1 + 2 * variant
+        mask = np.zeros((size, size), dtype=bool)
+        r = size * 0.12
+        for _ in range(count):
+            bx = rng.uniform(r, size - r)
+            by = rng.uniform(r, size - r)
+            mask |= np.hypot(yy - by, xx - bx) <= r
+    else:  # checker
+        cell = max(2, size // (4 + 2 * variant))
+        mask = ((yy // cell + xx // cell) % 2).astype(bool)
+    for c in range(3):
+        img[c] = np.where(mask, 0.25 + 0.75 * color[c], img[c])
+    img += rng.normal(0, 0.005, size=img.shape)
+    return dp.Frame(img)
+
+
+@pytest.mark.parametrize("size", [16, 17, 32])
+@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("draw_angles", [False, True])
+def test_render_family_matches_per_image_oracle(size, count, draw_angles):
+    for family in range(16):
+        seed = 1000 * size + 10 * count + family
+        rng = np.random.default_rng(seed)
+        pixels, angles = dp._render_family(family, count, size, rng,
+                                           draw_angles=draw_angles)
+        assert pixels.shape == (count, 3, size, size)
+        assert (angles is not None) == draw_angles
+        ref = np.random.default_rng(seed)
+        for i in range(count):
+            assert np.array_equal(pixels[i], reference_render_class_image(family, size, ref).pixels)
+            if draw_angles:
+                assert angles[i] == ref.uniform(0, 2 * np.pi)
+        # same draws in the same order: both generators end in one state
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("size", [16, 17, 32])
+def test_stacked_smoothing_matches_ndimage_per_plane(size):
+    stack = np.random.default_rng(size).normal(0.25, 0.05, size=(2, 3, size, size))
+    out = dp._smooth(stack)
+    assert out.shape == stack.shape
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(out[i, j], ndimage.gaussian_filter(stack[i, j], 1.0))
 
 
 @pytest.mark.parametrize("size", [16, 17, 32, 64])
@@ -365,7 +472,7 @@ def test_gen_dataset_orientation_matches_per_record_flow(motion):
     for c in range(num_classes):
         family = c % ((num_classes + 1) // 2) if motion == "correlated" else c
         for _ in range(per_class):
-            frame = dp._render_class_image(family, size, rng)
+            frame = reference_render_class_image(family, size, rng)
             if motion == "correlated":
                 angle = 2 * np.pi * c / num_classes
             else:
@@ -397,6 +504,13 @@ def test_gen_dataset_validation():
     for alias in (True, None):
         with pytest.raises(InvalidValue, match="bad motion mode"):
             dp.gen_synthetic_dataset(4, 1, 16, motion=alias)
+
+
+@pytest.mark.parametrize("per_class", [0, -1])
+@pytest.mark.parametrize("motion", [False, "correlated", "uncorrelated"])
+def test_gen_dataset_rejects_empty_classes(per_class, motion):
+    with pytest.raises(InvalidValue, match="per_class must be >= 1"):
+        dp.gen_synthetic_dataset(4, per_class, 16, motion=motion)
 
 
 # ---------------------------------------------------------------------------
