@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,58 +23,64 @@ from .errors import ConfigError
 EXPERIMENTS = ("arch_sweep", "regime_sweep", "blur_combo", "fusion")
 COMBOS = ("N-N-N", "N-B-B", "B-N-N", "B-B-B")
 
-DEFAULTS = {
-    "experiment": "regime_sweep",
-    "seed": 0,
-    "output_dir": "runs/out",
-    "dataset.classes": 16,
-    "dataset.per_class": 100,
-    "dataset.size": 32,
-    "dataset.motion": "none",  # none | correlated | uncorrelated
-    "arch.arch_id": "C1F3",
-    "arch.width_scale": 1.0 / 32.0,
-    "backbone.channels": 16,
-    "regime.name": "3LR",
-    "regime.alpha": 0.001,
-    "regime.alpha_start": 0.01,
-    "regime.alpha_end": 0.005,
-    "regime.beta": 0.9,
-    "regime.gamma": 0.9,
-    "regime.epsilon": 1e-8,
-    "regime.iterations": 150,
-    "regime.batch_size": 32,
-    "regime.partitions": 3,
-    "regime.standard_ewma": False,
-    "blur.kind": "gaussian",
-    "blur.sigma_min": 0.2,   # per-image sigma range for the blur combos;
-    "blur.sigma_max": 3.0,   # set min == max to force a fixed sigma
-    "blur.length": 9,
-    "blur.angle": 0.0,
-    "blur.noise": 0.02,      # post-blur sensor noise std
-    "combo": "all",  # one of COMBOS, or all four
-    "fusion.orientation_scale": 0.3,  # orientation-stream weight in sum fusion
-    "svm.c_reg": 1.0,
-    "svm.epochs": 10,
-}
 
-_ENUMS = {
-    "experiment": EXPERIMENTS,
-    "dataset.motion": ("none", "correlated", "uncorrelated"),
-    "arch.arch_id": nets.ARCH_IDS,
-    "regime.name": optim.REGIMES,
-    "blur.kind": ("gaussian", "motion"),
-    "combo": COMBOS + ("all",),
-}
+def _one_of(choices):
+    return lambda key, v: None if v in choices else f"{key}: {v!r} not one of {choices}"
 
-_OPEN_UNIT = ("regime.beta", "regime.gamma")  # must lie in (0,1)
-_AT_LEAST = {  # key -> smallest allowed value
-    "regime.batch_size": 1, "regime.iterations": 1, "regime.partitions": 1,
-    "svm.epochs": 1, "backbone.channels": 1, "blur.length": 1,
-    "dataset.size": 16,  # the data generator and the backbone need 16x16 frames
-    "seed": 0, "blur.noise": 0, "fusion.orientation_scale": 0,
+
+def _at_least(low):
+    return lambda key, v: None if v >= low else f"{key} must be >= {low}"
+
+
+def _positive(key, v):
+    return None if v > 0 else f"{key} must be > 0"
+
+
+def _open_unit(key, v):
+    return None if 0 < v < 1 else f"{key}: {v} outside (0, 1)"
+
+
+# key -> (default, check). A value has its default's type (an int stands
+# for a float) and a float must be finite; the check, if any, returns the
+# error text of a bad value or None.
+SCHEMA = {
+    "experiment": ("regime_sweep", _one_of(EXPERIMENTS)),
+    "seed": (0, _at_least(0)),
+    "output_dir": ("runs/out", lambda key, v: None if v else f"{key} must not be empty"),
+    "dataset.classes": (16, lambda key, v: None if 2 <= v <= 16
+                        else f"{key} must be in [2, 16]"),
+    "dataset.per_class": (100, None),
+    # the data generator and the backbone need 16x16 frames
+    "dataset.size": (32, _at_least(16)),
+    "dataset.motion": ("none", _one_of(("none", "correlated", "uncorrelated"))),
+    "arch.arch_id": ("C1F3", _one_of(nets.ARCH_IDS)),
+    "arch.width_scale": (1.0 / 32.0, lambda key, v: None if 0 < v <= 1
+                         else f"{key} outside (0, 1]"),
+    "backbone.channels": (16, _at_least(1)),
+    "regime.name": ("3LR", _one_of(optim.REGIMES)),
+    "regime.alpha": (0.001, _positive),
+    "regime.alpha_start": (0.01, _positive),
+    "regime.alpha_end": (0.005, _positive),
+    "regime.beta": (0.9, _open_unit),
+    "regime.gamma": (0.9, _open_unit),
+    "regime.epsilon": (1e-8, _positive),
+    "regime.iterations": (150, _at_least(1)),
+    "regime.batch_size": (32, _at_least(1)),
+    "regime.partitions": (3, _at_least(1)),
+    "regime.standard_ewma": (False, None),
+    "blur.kind": ("gaussian", _one_of(("gaussian", "motion"))),
+    "blur.sigma_min": (0.2, _positive),  # per-image sigma range for the blur combos;
+    "blur.sigma_max": (3.0, _positive),  # set min == max to force a fixed sigma
+    "blur.length": (9, _at_least(1)),
+    "blur.angle": (0.0, None),
+    "blur.noise": (0.02, _at_least(0)),  # post-blur sensor noise std
+    "combo": ("all", _one_of(COMBOS + ("all",))),  # one of COMBOS, or all four
+    # orientation-stream weight in sum fusion
+    "fusion.orientation_scale": (0.3, _at_least(0)),
+    "svm.c_reg": (1.0, _positive),
+    "svm.epochs": (10, _at_least(1)),
 }
-_POSITIVE = ("blur.sigma_min", "blur.sigma_max", "svm.c_reg", "regime.alpha",
-             "regime.alpha_start", "regime.alpha_end", "regime.epsilon")
+DEFAULTS = {key: default for key, (default, _) in SCHEMA.items()}
 
 
 @dataclass
@@ -89,18 +95,8 @@ class ExperimentConfig:
         return self.values["seed"]
 
     def hyper(self):
-        v = self.values
-        return optim.Hyper(
-            alpha=v["regime.alpha"],
-            alpha_start=v["regime.alpha_start"],
-            alpha_end=v["regime.alpha_end"],
-            beta=v["regime.beta"],
-            gamma=v["regime.gamma"],
-            epsilon=v["regime.epsilon"],
-            iterations=v["regime.iterations"],
-            batch_size=v["regime.batch_size"],
-            standard_ewma=v["regime.standard_ewma"],
-        )
+        return optim.Hyper(**{f.name: self.values[f"regime.{f.name}"]
+                              for f in fields(optim.Hyper)})
 
 
 def _coerce(key, raw, lineno=None):
@@ -135,21 +131,13 @@ def _coerce(key, raw, lineno=None):
 
 
 def _validate(key, value, lineno=None):
-    where = f" (line {lineno})" if lineno is not None else ""
-    if isinstance(DEFAULTS[key], float) and not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {value}{where}")
-    if key in _ENUMS and value not in _ENUMS[key]:
-        raise ConfigError(f"{key}: {value!r} not one of {_ENUMS[key]}{where}")
-    if key in _OPEN_UNIT and not (0 < value < 1):
-        raise ConfigError(f"{key}: {value} outside (0, 1){where}")
-    if key in _AT_LEAST and value < _AT_LEAST[key]:
-        raise ConfigError(f"{key} must be >= {_AT_LEAST[key]}{where}")
-    if key == "dataset.classes" and not (2 <= value <= 16):
-        raise ConfigError(f"dataset.classes must be in [2, 16]{where}")
-    if key == "arch.width_scale" and not (0 < value <= 1):
-        raise ConfigError(f"arch.width_scale outside (0, 1]{where}")
-    if key in _POSITIVE and value <= 0:
-        raise ConfigError(f"{key} must be > 0{where}")
+    default, check = SCHEMA[key]
+    if isinstance(default, float) and not math.isfinite(value):
+        error = f"{key} must be finite, got {value}"
+    else:
+        error = check and check(key, value)
+    if error:
+        raise ConfigError(error + (f" (line {lineno})" if lineno is not None else ""))
     return value
 
 
@@ -159,20 +147,27 @@ def parse_config(path=None, overrides=None):
     cfg = ExperimentConfig()
     lines = {}  # key -> file line that set it, unless an override beat it
     if path is not None:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                body = line.split("#", 1)[0].strip()
-                if not body:
-                    continue
-                if "=" not in body:
-                    raise ConfigError(f"line {lineno}: expected key = value")
-                key, _, raw = body.partition("=")
-                key = key.strip()
-                raw = raw.strip()
-                if key not in DEFAULTS:
-                    raise ConfigError(f"unknown key {key!r} (line {lineno})")
-                cfg.values[key] = _validate(key, _coerce(key, raw, lineno), lineno)
-                lines[key] = lineno
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"cannot read config {path}: {reason}") from None
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            if "=" not in body:
+                raise ConfigError(f"line {lineno}: expected key = value")
+            key, _, raw = body.partition("=")
+            key = key.strip()
+            raw = raw.strip()
+            if key not in DEFAULTS:
+                raise ConfigError(f"unknown key {key!r} (line {lineno})")
+            if key in lines:
+                raise ConfigError(f"{key} set twice (line {lines[key]}, {lineno})")
+            cfg.values[key] = _validate(key, _coerce(key, raw, lineno), lineno)
+            lines[key] = lineno
     for key, raw in (overrides or {}).items():
         if key not in DEFAULTS:
             raise ConfigError(f"unknown override key {key!r}")
@@ -383,8 +378,10 @@ def _echo_config(cfg, artifact):
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
-    experiment = _validate("experiment", cfg["experiment"])
+    for key, value in cfg.values.items():
+        _validate(key, value)
     _check_cross_keys(cfg, {})
+    experiment = cfg["experiment"]
     # checked here, not in parse_config: `grid` parses its base config
     # before it sets each fusion run's motion, and only experiments read
     # `experiment`

@@ -160,6 +160,25 @@ def test_cross_key_config_error_before_any_output(tmp_path, capsys, args, messag
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("kind,reason", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("latin-1", "'utf-8' codec can't decode byte 0xe9"),
+])
+def test_unreadable_config_file_exits_cleanly(tmp_path, capsys, kind, reason):
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin-1":
+        path.write_bytes("# café\nseed = 1\n".encode("latin-1"))
+    out = str(tmp_path / "out")
+    assert run(["eval", "--config", str(path), "--output-dir", out] + SMALL) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot read config {path}: {reason}")
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("experiment,setting,message", [
     # fused features overflow to inf before any head trains
     ("fusion", "fusion.orientation_scale=1e308", "fused features non-finite"),

@@ -97,6 +97,8 @@ def test_parse_config_file(tmp_path):
     ("regime.epsilon = nan", "regime.epsilon must be finite"),
     ("regime.epsilon = -1e-8", "regime.epsilon must be > 0"),
     ("regime.beta = nan", "regime.beta must be finite"),
+    ("seed = 1\nseed = 2", "seed set twice (line 1, 2)"),
+    ("output_dir =", "output_dir must not be empty"),
 ])
 def test_parse_config_rejects(tmp_path, line, fragment):
     p = tmp_path / "bad.cfg"
@@ -119,6 +121,58 @@ def test_parse_config_override_beats_file(tmp_path):
     assert harness.parse_config(str(p))["blur.sigma_min"] == 2.5
     with pytest.raises(ConfigError, match="blur.sigma_max below blur.sigma_min"):
         harness.parse_config(str(p), {"blur.sigma_max": "2"})
+
+
+def test_every_default_passes_its_check():
+    # parse_config validates only the keys a file or override sets
+    for key, default in harness.DEFAULTS.items():
+        assert harness._validate(key, default) == default
+
+
+DEFAULT_CONFIG_TXT = """\
+arch.arch_id = C1F3
+arch.width_scale = 0.03125
+backbone.channels = 16
+blur.angle = 0.0
+blur.kind = gaussian
+blur.length = 9
+blur.noise = 0.02
+blur.sigma_max = 3.0
+blur.sigma_min = 0.2
+combo = all
+dataset.classes = 16
+dataset.motion = none
+dataset.per_class = 100
+dataset.size = 32
+experiment = regime_sweep
+fusion.orientation_scale = 0.3
+output_dir = runs/out
+regime.alpha = 0.001
+regime.alpha_end = 0.005
+regime.alpha_start = 0.01
+regime.batch_size = 32
+regime.beta = 0.9
+regime.epsilon = 1e-08
+regime.gamma = 0.9
+regime.iterations = 150
+regime.name = 3LR
+regime.partitions = 3
+regime.standard_ewma = False
+seed = 0
+svm.c_reg = 1.0
+svm.epochs = 10
+"""
+
+
+def test_default_config_echo(tmp_path):
+    cfg = harness.parse_config()
+    artifact = harness.RunArtifact(output_dir=str(tmp_path), metrics_rows=[])
+    harness._echo_config(cfg, artifact)
+    assert (tmp_path / "config.txt").read_text() == DEFAULT_CONFIG_TXT
+    assert repr(cfg.hyper()) == (
+        "Hyper(alpha=0.001, alpha_start=0.01, alpha_end=0.005, beta=0.9, "
+        "gamma=0.9, epsilon=1e-08, iterations=150, batch_size=32, "
+        "standard_ewma=False)")
 
 
 @pytest.mark.parametrize("key,value,fragment", [
@@ -266,6 +320,14 @@ def test_blur_combo_all_matches_single_runs(tmp_path):
 def test_fusion_requires_motion(tmp_path):
     cfg = small_cfg(tmp_path, **{"experiment": "fusion"})
     with pytest.raises(ConfigError, match="fusion experiment needs dataset.motion"):
+        harness.run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_experiment_checks_every_key(tmp_path):
+    cfg = small_cfg(tmp_path)
+    cfg.values["svm.epochs"] = 0  # set after parse_config, so not yet checked
+    with pytest.raises(ConfigError, match=r"^svm.epochs must be >= 1$"):
         harness.run_experiment(cfg)
     assert not (tmp_path / "out").exists()
 
