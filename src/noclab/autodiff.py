@@ -104,9 +104,14 @@ def _accum(tensor, grads, delta):
 # Each op's math lives once, here. The Tensor ops below wrap these
 # kernels in graph nodes; `nets`' layer chain (`_chain_forward`,
 # `_chain_backward`) calls them directly, in the same order, for
-# training, inference and a head's input gradient. Keep every memory
-# layout as it is: the bias gradients are reductions whose summation
-# order follows the layout of the incoming gradient.
+# training, inference and a head's input gradient. The bias gradients
+# are reductions whose summation order follows the layout of the
+# incoming gradient, so keep every memory layout as it is.
+#
+# Convolution columns are channel-major, (b, c_in*kh*kw, oh*ow): the
+# forward is one gemm per sample that writes (b, c_out, oh*ow), already
+# the output's layout, and each sample's result is independent of the
+# other samples in the batch.
 
 
 def _matmul_bwd(g, a, b, need_a=True):
@@ -115,45 +120,41 @@ def _matmul_bwd(g, a, b, need_a=True):
 
 
 def _im2col(x, kh, kw, stride, pad):
-    """Zero-padded input (b, c_in, h+2p, w+2p) and its columns
-    (b, oh*ow, c_in*kh*kw), plus the output size oh, ow."""
+    """Zero-padded input (b, c_in, h+2p, w+2p) and its channel-major
+    columns (b, c_in*kh*kw, oh*ow), plus the output size oh, ow. The
+    columns are filled by kh*kw strided slice copies of whole rows."""
     b_, c_in, h, w = x.shape
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # (b, c_in, oh, ow, kh, kw) -> (b, oh*ow, c_in*kh*kw)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b_, oh * ow, c_in * kh * kw)
-    return xp, cols, oh, ow
+    xp = np.zeros((b_, c_in, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    cols = np.empty((b_, c_in, kh, kw, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride]
+    return xp, cols.reshape(b_, c_in * kh * kw, oh * ow), oh, ow
 
 
 def _conv2d_fwd(cols, k, bias, oh, ow):
-    c_out = k.shape[0]
-    wmat = k.reshape(c_out, -1)
-    return (cols @ wmat.T + bias).transpose(0, 2, 1).reshape(len(cols), c_out, oh, ow)
+    out = k.reshape(len(k), -1) @ cols + bias[:, None]
+    return out.reshape(len(cols), len(k), oh, ow)
 
 
 def _conv2d_bwd(g, cols, k, oh, ow, xp=None, stride=1, pad=0):
     """Gradients (kernels, bias, input) of `_conv2d_fwd`; the input's is
     None unless the padded input xp is given."""
-    b_ = len(cols)
-    c_out, c_in, kh, kw = k.shape
-    g4 = g.reshape(b_, c_out, oh, ow)
-    gcols = g4.reshape(b_, c_out, oh * ow).transpose(0, 2, 1)  # (b, oh*ow, c_out)
-    db = g4.sum(axis=(0, 2, 3))
-    dk = np.einsum("bpo,bpk->ok", gcols, cols).reshape(c_out, c_in, kh, kw)
+    g3 = g.reshape(len(cols), len(k), oh * ow)
+    db = g3.sum(axis=(0, 2))
+    dk = (g3 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(k.shape)
     if xp is None:
         return dk, db, None
-    dcols = gcols @ k.reshape(c_out, -1)  # (b, oh*ow, c_in*kh*kw)
+    dwin = (k.reshape(len(k), -1).T @ g3).reshape(len(cols), *k.shape[1:], oh, ow)
     dxp = np.zeros_like(xp)
-    dwin = dcols.reshape(b_, oh, ow, c_in, kh, kw)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += (
-                dwin[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            )
+    for i in range(k.shape[2]):
+        for j in range(k.shape[3]):
+            dxp[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += dwin[:, :, i, j]
     h, w = xp.shape[2] - 2 * pad, xp.shape[3] - 2 * pad
-    return dk, db, dxp[:, :, pad : pad + h, pad : pad + w]
+    return dk, db, dxp[:, :, pad:pad + h, pad:pad + w]
 
 
 def _maxpool2d_fwd(x, window, stride):

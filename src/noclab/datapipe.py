@@ -28,8 +28,7 @@ class Frame:
         p = np.asarray(self.pixels, dtype=np.float64)
         if p.ndim == 2:
             p = p[None]
-        if p.ndim != 3 or p.shape[0] not in (1, 3):
-            raise InvalidValue(f"frame must be (1|3, h, w), got {p.shape}")
+        _check_frame_shape(p)
         self.pixels = np.clip(p, 0.0, 1.0)
 
     @property
@@ -47,6 +46,21 @@ class Frame:
     def gray(self):
         """Channel-mean luminance plane (h, w)."""
         return self.pixels.mean(axis=0)
+
+
+def _check_frame_shape(p):
+    if p.ndim != 3 or p.shape[0] not in (1, 3):
+        raise InvalidValue(f"frame must be (1|3, h, w), got {p.shape}")
+
+
+def _clamped_frame(pixels):
+    """A Frame around float64 (1|3, h, w) pixels that the caller has
+    already clamped to [0,1]: the shape is checked, but nothing is
+    copied or clipped again."""
+    _check_frame_shape(pixels)
+    frame = object.__new__(Frame)
+    frame.pixels = pixels
+    return frame
 
 
 @dataclass
@@ -578,7 +592,7 @@ def gen_synthetic_dataset(num_classes=16, per_class=100, size=32, motion=False,
             family = c
         pixels, angles = _render_family(family, per_class, size, rng,
                                         draw_angles=motion == "uncorrelated")
-        records.extend(SampleRecord(Frame(p), c) for p in pixels)
+        records.extend(SampleRecord(_clamped_frame(p), c) for p in pixels)
         if not motion:
             continue
         rows = slice(c * per_class, (c + 1) * per_class)
@@ -594,7 +608,7 @@ def gen_synthetic_dataset(num_classes=16, per_class=100, size=32, motion=False,
     if motion:
         flow = horn_schunck(first, second, lam=0.5, iters=60)
         for rec, vals in zip(records, _orientation(flow.u, flow.v)):
-            rec.orientation = Frame(vals[None])
+            rec.orientation = _clamped_frame(vals[None])  # in [0,1] by construction
     return records
 
 

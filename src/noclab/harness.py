@@ -99,17 +99,23 @@ class ExperimentConfig:
                               for f in fields(optim.Hyper)})
 
 
+def _check_type(key, value):
+    """Reject a value that does not have its default's type; an int
+    stands for a float, but a bool is no int."""
+    default = DEFAULTS[key]
+    kinds = (int, float) if isinstance(default, float) else type(default)
+    if (not isinstance(value, kinds)
+            or isinstance(value, bool) != isinstance(default, bool)):
+        raise ConfigError(f"{key}: expected {type(default).__name__}, got {value!r}")
+
+
 def _coerce(key, raw, lineno=None):
     """The value of `key` as the type of its default. A string is parsed;
-    any other value must already have that type, except that an int
-    stands for a float."""
+    any other value must already have that type (see `_check_type`)."""
     where = f" (line {lineno})" if lineno is not None else ""
     default = DEFAULTS[key]
     if not isinstance(raw, str):
-        kinds = (int, float) if isinstance(default, float) else type(default)
-        if (not isinstance(raw, kinds)
-                or isinstance(raw, bool) != isinstance(default, bool)):
-            raise ConfigError(f"{key}: expected {type(default).__name__}, got {raw!r}")
+        _check_type(key, raw)
         return type(default)(raw)
     if isinstance(default, bool):
         if raw.lower() in ("true", "1", "yes"):
@@ -256,10 +262,13 @@ def stratified_split(labels, test_frac=TEST_FRAC, seed=0):
     return train, test
 
 
-def extract_features(backbone, frames, batch=64):
+def extract_features(backbone, frames, batch=16):
     """Frozen-backbone feature maps, stacked (n, c, h, w).
 
-    Each sample is standardized (zero mean, unit std) so the heads see
+    The backbone runs `batch` frames at a time, few enough that a
+    block's conv columns stay in cache; every sample's convolutions are
+    its own gemms, so the features do not depend on `batch`. Each
+    sample is standardized (zero mean, unit std) so the heads see
     patterns rather than global contrast or blur-induced scale shifts.
     """
     out = []
@@ -378,7 +387,11 @@ def _echo_config(cfg, artifact):
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
+    # cfg.values may have been edited by hand since parse_config
     for key, value in cfg.values.items():
+        if key not in SCHEMA:
+            raise ConfigError(f"unknown key {key!r}")
+        _check_type(key, value)
         _validate(key, value)
     _check_cross_keys(cfg, {})
     experiment = cfg["experiment"]
@@ -537,7 +550,8 @@ def _run_fusion(cfg, artifact):
     labels, tr, te = _split(cfg, records)
     f_rgb = extract_features(_backbone(cfg, 1), [r.image for r in records])
     # orientation maps are single-channel; replicate to the 3-channel input
-    orient = [dp.Frame(np.repeat(r.orientation.pixels, 3, axis=0)) for r in records]
+    orient = [dp._clamped_frame(np.repeat(r.orientation.pixels, 3, axis=0))
+              for r in records]
     f_fused = nets.fuse_sum(f_rgb, extract_features(_backbone(cfg, 2), orient),
                             cfg["fusion.orientation_scale"])
     _evaluate_heads(cfg, artifact, labels, tr, te,

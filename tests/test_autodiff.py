@@ -185,6 +185,92 @@ def test_backward_returns_leaf_dict():
 
 
 # ---------------------------------------------------------------------------
+# conv kernels against a loop convolution
+
+# (batch, c_in, h, w, c_out, kh, kw): non-square kernels, odd and tiny inputs
+CONV_SHAPES = [
+    (2, 3, 7, 5, 4, 2, 3),
+    (1, 2, 5, 6, 3, 3, 1),
+    (3, 1, 4, 4, 2, 1, 2),
+    (2, 2, 1, 1, 2, 3, 3),
+    (1, 1, 3, 2, 1, 2, 2),
+    (2, 4, 9, 7, 3, 3, 2),
+]
+
+
+def _conv_cases():
+    for stride in (1, 2, 3):
+        for pad in (0, 1, 2):
+            for shape in CONV_SHAPES:
+                b, c_in, h, w, c_out, kh, kw = shape
+                if h + 2 * pad >= kh and w + 2 * pad >= kw:
+                    yield shape, stride, pad
+
+
+def loop_conv(x, k, bias, stride, pad, g):
+    """Output of a cross-correlation, one dot product per output pixel,
+    and the kernel, bias and input gradients of sum(out * g)."""
+    b, _, h, w = x.shape
+    c_out, _, kh, kw = k.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out = np.empty((b, c_out, oh, ow))
+    dk, dxp = np.zeros_like(k), np.zeros_like(xp)
+    for n in range(b):
+        for o in range(c_out):
+            for i in range(oh):
+                for j in range(ow):
+                    rows = slice(i * stride, i * stride + kh)
+                    cols = slice(j * stride, j * stride + kw)
+                    out[n, o, i, j] = (xp[n, :, rows, cols] * k[o]).sum() + bias[o]
+                    dk[o] += g[n, o, i, j] * xp[n, :, rows, cols]
+                    dxp[n, :, rows, cols] += g[n, o, i, j] * k[o]
+    return out, dk, g.sum(axis=(0, 2, 3)), dxp[:, :, pad:pad + h, pad:pad + w]
+
+
+def test_conv_kernels_match_loop_convolution():
+    rng = np.random.default_rng(3)
+    cases = 0
+    for (b, c_in, h, w, c_out, kh, kw), stride, pad in _conv_cases():
+        x = rng.normal(size=(b, c_in, h, w))
+        k = rng.normal(size=(c_out, c_in, kh, kw))
+        bias = rng.normal(size=c_out)
+        xp, cols, oh, ow = ad._im2col(x, kh, kw, stride, pad)
+        assert cols.shape == (b, c_in * kh * kw, oh * ow)
+        out = ad._conv2d_fwd(cols, k, bias, oh, ow)
+        g = rng.normal(size=out.shape)
+        want = loop_conv(x, k, bias, stride, pad, g)
+        got = (out, *ad._conv2d_bwd(g, cols, k, oh, ow, xp, stride, pad))
+        for name, a, e in zip(("out", "dk", "db", "dx"), got, want):
+            assert a.shape == e.shape, name
+            assert np.allclose(a, e, rtol=1e-12, atol=1e-12), name
+        dk, db, dx = ad._conv2d_bwd(g, cols, k, oh, ow)
+        assert dx is None and np.array_equal(dk, got[1]) and np.array_equal(db, got[2])
+        cases += 1
+    assert cases >= 45
+
+
+def test_conv_gradients_match_finite_differences():
+    rng = np.random.default_rng(4)
+    for (b, c_in, h, w, c_out, kh, kw), stride, pad in _conv_cases():
+        x = ad.Tensor(rng.normal(size=(b, c_in, h, w)))
+        k = ad.Tensor(rng.normal(size=(c_out, c_in, kh, kw)))
+        bias = ad.Tensor(rng.normal(size=c_out))
+        oh = (h + 2 * pad - kh) // stride + 1
+        ow = (w + 2 * pad - kw) // stride + 1
+        # a weighted sum, so that each output pixel's gradient differs
+        weight = ad.Tensor(rng.normal(size=(b, c_out, oh, ow)))
+
+        def loss(x, k, bias):
+            return ad.tensor_sum(ad.mul(ad.conv2d(x, k, bias, stride, pad), weight))
+
+        assert ad.grad_check(lambda t: loss(t, k, bias), x) < 1e-6
+        assert ad.grad_check(lambda t: loss(x, t, bias), k) < 1e-6
+        assert ad.grad_check(lambda t: loss(x, k, t), bias) < 1e-6
+
+
+# ---------------------------------------------------------------------------
 # properties
 
 

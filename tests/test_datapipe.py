@@ -34,6 +34,15 @@ def test_frame_rejects_bad_channel_count():
         dp.Frame(np.zeros((2, 4, 4)))
 
 
+def test_clamped_frame_checks_shape_without_copying():
+    pixels = np.random.default_rng(0).random((3, 4, 5))
+    assert dp._clamped_frame(pixels).pixels is pixels
+    assert dp.Frame(pixels).pixels is not pixels
+    for bad in (np.zeros((2, 4, 4)), np.zeros((4, 4))):
+        with pytest.raises(InvalidValue):
+            dp._clamped_frame(bad)
+
+
 def test_clip_rejects_mixed_geometry():
     with pytest.raises(SizeMismatch):
         dp.VideoClip([rand_frame(h=8), rand_frame(h=9)])

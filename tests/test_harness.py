@@ -220,6 +220,16 @@ def test_extract_features_standardized(tmp_path):
     assert np.allclose(feats.std(axis=(1, 2, 3)), 1.0, atol=1e-6)
 
 
+def test_extract_features_independent_of_block_size():
+    from noclab import datapipe as dp, nets
+    rng = np.random.default_rng(9)
+    frames = [dp.Frame(rng.random((3, 16, 16))) for _ in range(23)]
+    bb = nets.build_backbone((3, 16, 16), 8, seed=3)
+    feats = harness.extract_features(bb, frames)
+    for batch in (1, 7, 16, 64):
+        assert np.array_equal(harness.extract_features(bb, frames, batch=batch), feats)
+
+
 # ---------------------------------------------------------------------------
 # table / csv emission
 
@@ -325,11 +335,21 @@ def test_fusion_requires_motion(tmp_path):
 
 
 def test_run_experiment_checks_every_key(tmp_path):
-    cfg = small_cfg(tmp_path)
-    cfg.values["svm.epochs"] = 0  # set after parse_config, so not yet checked
-    with pytest.raises(ConfigError, match=r"^svm.epochs must be >= 1$"):
-        harness.run_experiment(cfg)
-    assert not (tmp_path / "out").exists()
+    # each value is set after parse_config, so not yet checked
+    for key, value, message in [
+        ("svm.epochs", 0, r"^svm.epochs must be >= 1$"),
+        ("regime.itrations", 5, r"^unknown key 'regime.itrations'$"),
+        ("seed", "3", r"^seed: expected int, got '3'$"),
+        ("regime.alpha", "0.1", r"^regime.alpha: expected float, got '0.1'$"),
+        ("regime.standard_ewma", 1, r"^regime.standard_ewma: expected bool, got 1$"),
+        ("dataset.size", 32.0, r"^dataset.size: expected int, got 32.0$"),
+        ("combo", None, r"^combo: expected str, got None$"),
+    ]:
+        cfg = small_cfg(tmp_path)
+        cfg.values[key] = value
+        with pytest.raises(ConfigError, match=message):
+            harness.run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
 
 
 def test_fusion_run(tmp_path):

@@ -134,12 +134,37 @@ def test_inference_maxpool_matches_argmax_pool(shape, window, stride):
     # few distinct values, so most windows hold ties; relu-like, no -0.0
     ties = rng.integers(0, 3, size=shape).astype(float)
     relu = np.maximum(rng.normal(size=shape), 0.0)
-    # the channels-last layout of a conv output
+    # a channels-last layout
     strided = relu.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
     for x in (ties, relu, strided):
         out = nets._layer_forward(("maxpool", window, stride), {}, x, None)
         assert np.array_equal(out, ad._maxpool2d_fwd(x, window, stride)[0])
         assert out.flags["C_CONTIGUOUS"]
+
+
+@pytest.mark.parametrize("arch_id", ["C1F3", "M1"])
+def test_prepared_first_conv_equals_unprepared(arch_id):
+    model = nets.build_noc(small_arch(arch_id, classes=4, scale=1 / 16), seed=2)
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(6, 3, 8, 8))
+    batch = nets.prepare_batch(model, X, rng.integers(0, 4, size=6))
+    taped, prepared_tape = [], []
+    out = nets._chain_forward(model, model.params, X, taped)
+    prepared = nets._chain_forward(model, model.params, batch.head_input, prepared_tape)
+    assert np.array_equal(prepared, out)
+    g = rng.normal(size=out.shape)
+    grads, _ = nets._chain_backward(model, model.params, taped, g)
+    prepared_grads, _ = nets._chain_backward(model, model.params, prepared_tape, g)
+    assert grads.keys() == prepared_grads.keys() == model.params.keys()
+    for name in grads:
+        assert np.array_equal(prepared_grads[name], grads[name]), name
+
+
+def test_inference_relu_matches_masked_relu():
+    x = np.random.default_rng(8).normal(size=(3, 4, 5, 6))
+    x[0, 0, 0, :3] = 0.0
+    out = nets._layer_forward(("relu",), {}, x, None)
+    assert np.array_equal(out, ad._relu_fwd(x)[0])
 
 
 def test_fuse_sum():
