@@ -179,8 +179,9 @@ def _maxpool2d_bwd(g, x, arg, window, stride):
 
 
 def _relu_fwd(x):
-    mask = x > 0
-    return np.where(mask, x, 0.0), mask
+    # np.maximum passes -0.0 and NaN through; np.where on the mask would
+    # zero them, but branches on a random sign mask and is ~10x slower
+    return np.maximum(x, 0.0), x > 0
 
 
 def _relu_bwd(g, mask):

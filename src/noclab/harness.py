@@ -550,8 +550,7 @@ def _run_fusion(cfg, artifact):
     labels, tr, te = _split(cfg, records)
     f_rgb = extract_features(_backbone(cfg, 1), [r.image for r in records])
     # orientation maps are single-channel; replicate to the 3-channel input
-    orient = [dp._clamped_frame(np.repeat(r.orientation.pixels, 3, axis=0))
-              for r in records]
+    orient = [dp.Frame(np.repeat(r.orientation.pixels, 3, axis=0)) for r in records]
     f_fused = nets.fuse_sum(f_rgb, extract_features(_backbone(cfg, 2), orient),
                             cfg["fusion.orientation_scale"])
     _evaluate_heads(cfg, artifact, labels, tr, te,

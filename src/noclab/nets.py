@@ -196,13 +196,7 @@ def _layer_forward(layer, params, x, tape):
     elif kind == "fc":
         out, saved = x @ params[layer[1]] + params[layer[2]], x
     elif kind == "relu":
-        if tape is None:
-            # the masked relu's values, except that -0.0 and NaN pass
-            # through; about ten times faster, as np.where branches on a
-            # random sign mask
-            out = np.maximum(x, 0.0)
-        else:
-            out, saved = ad._relu_fwd(x)
+        out, saved = ad._relu_fwd(x)
     elif kind == "flatten":
         out, saved = x.reshape(len(x), x.size // len(x)), x.shape
     else:

@@ -94,6 +94,12 @@ def test_relu_and_elementwise_values():
     assert np.allclose(ad.scale(y, -0.5).data, -0.5 * y.data)
 
 
+def test_relu_passes_nan_through():
+    out, mask = ad._relu_fwd(np.array([np.nan, -1.0, 0.0, 3.0]))
+    assert np.isnan(out[0]) and np.array_equal(out[1:], [0.0, 0.0, 3.0])
+    assert mask.tolist() == [False, False, False, True]
+
+
 # ---------------------------------------------------------------------------
 # gradient checks per op
 

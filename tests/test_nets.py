@@ -160,13 +160,6 @@ def test_prepared_first_conv_equals_unprepared(arch_id):
         assert np.array_equal(prepared_grads[name], grads[name]), name
 
 
-def test_inference_relu_matches_masked_relu():
-    x = np.random.default_rng(8).normal(size=(3, 4, 5, 6))
-    x[0, 0, 0, :3] = 0.0
-    out = nets._layer_forward(("relu",), {}, x, None)
-    assert np.array_equal(out, ad._relu_fwd(x)[0])
-
-
 def test_fuse_sum():
     a = np.ones((2, 4))
     b = np.full((2, 4), 2.0)
