@@ -29,6 +29,9 @@ class Frame:
         if p.ndim == 2:
             p = p[None]
         _check_frame_shape(p)
+        # clipping would pass NaN through to the features
+        if not np.isfinite(p).all():
+            raise InvalidValue("frame pixels must be finite")
         self.pixels = np.clip(p, 0.0, 1.0)
 
     @property
@@ -275,43 +278,126 @@ def _motion_kernel(length, angle_deg):
     return k / k.sum()
 
 
-def synth_blur(image: Frame, kind="gaussian", sigma=2.0, length=9, angle=0.0,
-               noise=0.0, seed=None):
-    """Blur a frame with a gaussian or a 1-px-wide motion-line kernel,
-    reflect-padded. The gaussian is separable: one 1-D pass down the
-    rows and one along the columns of every channel at once.
+# Frames per blur block. Each block builds its own (m, h, h) and (m, w, w)
+# operators and intermediate products, so the memory they take does not
+# grow with the stack: one block of all 1600 frames raised the peak RSS of
+# a default blur_combo run from 181 to 208 MB (one BLAS thread).
+_BLUR_BLOCK = 64
 
-    `noise` adds i.i.d. post-blur pixel noise (re-capture noise); it is
-    what makes blur destructive rather than a reversible linear map.
+
+def _per_frame(value, n, name):
+    """`value` for each of `n` frames: a scalar (or None) applies to every
+    frame, a sequence must hold one value per frame."""
+    if value is None or np.ndim(value) == 0:
+        return [value] * n
+    values = list(value)
+    if len(values) != n:
+        raise SizeMismatch(f"{len(values)} values of {name} for {n} frames")
+    return values
+
+
+def _reflect(idx, n):
+    """Index into an axis of length n after ndimage's "reflect" padding
+    (d c b a | a b c d | d c b a), repeated for offsets beyond n."""
+    m = np.mod(idx, 2 * n)
+    return np.where(m < n, m, 2 * n - 1 - m)
+
+
+def _blur_operators(sigmas, n):
+    """(len(sigmas), n, n) matrices: operator i times a column of n pixels
+    is that column blurred by _gaussian_kernel(sigmas[i]) with "reflect"
+    padding. Each frame's taps are zero-padded to the widest radius, and
+    the operators are built by one fancy-index add per tap offset; rows
+    are distinct within an offset, so no update is lost. Taps that the
+    padding folds onto one pixel add up in tap order, and a zero tap
+    leaves an entry as it is, so an operator does not depend on the
+    other frames of the call."""
+    kernels = [_gaussian_kernel(s) for s in sigmas]
+    r = max(len(k) for k in kernels) // 2
+    taps = np.zeros((len(sigmas), 2 * r + 1))
+    for row, k in zip(taps, kernels):
+        row[r - len(k) // 2:r + len(k) // 2 + 1] = k
+    ops = np.zeros((len(sigmas), n, n))
+    rows = np.arange(n)
+    for t in range(-r, r + 1):
+        ops[:, rows, _reflect(rows + t, n)] += taps[:, t + r, None]
+    return ops
+
+
+def _gaussian_blur(stack, sigmas):
+    """Gaussian blur of a stack (n, c, h, w), frame i at sigmas[i]: one
+    batched product down the rows, then one along the columns, a block
+    of frames at a time. Each frame's products are its own gemms, so a
+    frame's result does not depend on the rest of the stack."""
+    n, c, h, w = stack.shape
+    out = np.empty_like(stack)
+    for s in range(0, n, _BLUR_BLOCK):
+        block = slice(s, s + _BLUR_BLOCK)
+        m = len(stack[block])
+        ops_h = _blur_operators(sigmas[block], h)
+        ops_w = ops_h if w == h else _blur_operators(sigmas[block], w)
+        down = np.matmul(ops_h[:, None], stack[block]).reshape(m, c * h, w)
+        np.matmul(down, ops_w.transpose(0, 2, 1), out=out[block].reshape(m, c * h, w))
+    return out
+
+
+def synth_blur(image, kind="gaussian", sigma=2.0, length=9, angle=0.0,
+               noise=0.0, seed=None):
+    """Blur a Frame, or a stack (n, c, h, w) of frame pixels, with a
+    gaussian or a 1-px-wide motion-line kernel, reflect-padded.
+
+    `sigma` and `seed` are scalars or one value per frame. The gaussian
+    is separable and runs as two batched matrix products (see
+    _gaussian_blur); it agrees with two ndimage.convolve1d passes to
+    rounding, and a frame's result is the same in any stack. The motion
+    blur is the only user of `scipy.ndimage`, imported on its first call.
+
+    `noise` adds i.i.d. post-blur pixel noise (re-capture noise), drawn
+    for frame i from default_rng(seed[i]); it is what makes blur
+    destructive rather than a reversible linear map. Returns a Frame for
+    a Frame and a stack, clamped to [0,1], for a stack. Every argument
+    is checked before any kernel is built.
     """
+    if isinstance(image, Frame):
+        stack = image.pixels[None]
+    else:
+        stack = np.asarray(image, dtype=np.float64)
+        if stack.ndim != 4 or stack.shape[1] not in (1, 3):
+            raise InvalidValue(f"need a Frame or a stack (n, 1|3, h, w), got {stack.shape}")
+        if not np.isfinite(stack).all():
+            raise InvalidValue("frame pixels must be finite")
+    n, _, h, w = stack.shape
     if not (np.isfinite(noise) and noise >= 0):
         raise InvalidValue(f"noise must be finite and >= 0, got {noise}")
-    # imported here, not at module load, so that runs which never blur
-    # never pay for scipy's import time and memory
-    from scipy import ndimage
-
+    seeds = _per_frame(seed, n, "seed")
     if kind == "gaussian":
-        if not (np.isfinite(sigma) and sigma > 0):
-            raise InvalidValue(f"sigma must be finite and positive, got {sigma}")
-        k = _gaussian_kernel(sigma)
-        out = ndimage.convolve1d(image.pixels, k, axis=1, mode="reflect")
-        out = ndimage.convolve1d(out, k, axis=2, mode="reflect")
+        sigmas = np.array(_per_frame(sigma, n, "sigma"), dtype=np.float64)
+        for s in sigmas:
+            if not (np.isfinite(s) and s > 0):
+                raise InvalidValue(f"sigma must be finite and positive, got {s}")
+            # a wider blur only flattens the frame, and a huge one would
+            # build a vast kernel
+            if s > max(h, w):
+                raise InvalidValue(f"sigma {s} is above the frame's larger side {max(h, w)}")
+        out = _gaussian_blur(stack, sigmas)
     elif kind == "motion":
-        if length < 1:
-            raise InvalidValue("motion length must be >= 1")
+        if not 1 <= length <= max(h, w):
+            raise InvalidValue(f"motion length must be in [1, {max(h, w)}], got {length}")
         if not np.isfinite(angle):
             raise InvalidValue(f"motion angle must be finite, got {angle}")
-        kernel = _motion_kernel(length, angle)
-        out = np.stack([
-            ndimage.convolve(image.pixels[c], kernel, mode="reflect")
-            for c in range(image.channels)
-        ])
+        # imported here, not at module load, so that runs which never
+        # motion-blur never pay for scipy's import time and memory
+        from scipy import ndimage
+
+        out = ndimage.convolve(stack, _motion_kernel(length, angle)[None, None],
+                               mode="reflect")
     else:
         raise InvalidValue(f"unknown blur kind {kind!r}")
     if noise > 0:
-        rng = np.random.default_rng(seed)
-        out = out + rng.normal(0.0, noise, size=out.shape)
-    return Frame(out)
+        for frame, frame_seed in zip(out, seeds):
+            frame += np.random.default_rng(frame_seed).normal(0.0, noise, size=frame.shape)
+    np.clip(out, 0.0, 1.0, out=out)
+    return _clamped_frame(out[0]) if isinstance(image, Frame) else out
 
 
 # ---------------------------------------------------------------------------

@@ -262,8 +262,9 @@ def stratified_split(labels, test_frac=TEST_FRAC, seed=0):
     return train, test
 
 
-def extract_features(backbone, frames, batch=16):
-    """Frozen-backbone feature maps, stacked (n, c, h, w).
+def extract_features(backbone, pixels, batch=16):
+    """Frozen-backbone feature maps (n, c', h', w') of a stack of frame
+    pixels (n, c, h, w).
 
     The backbone runs `batch` frames at a time, few enough that a
     block's conv columns stay in cache; every sample's convolutions are
@@ -272,7 +273,7 @@ def extract_features(backbone, frames, batch=16):
     patterns rather than global contrast or blur-induced scale shifts.
     """
     out = []
-    X = np.stack([f.pixels for f in frames])
+    X = np.asarray(pixels, dtype=np.float64)
     for i in range(0, len(X), batch):
         out.append(nets.forward(backbone, ad.Tensor(X[i:i + batch])).data)
     feats = np.concatenate(out)
@@ -433,6 +434,11 @@ def _split(cfg, records):
     return labels, train_idx, test_idx
 
 
+def _image_stack(records):
+    """The records' image pixels as one stack (n, 3, h, w)."""
+    return np.stack([r.image.pixels for r in records])
+
+
 def _backbone(cfg, seed_offset=1):
     size = cfg["dataset.size"]
     return nets.build_backbone((3, size, size), cfg["backbone.channels"],
@@ -442,7 +448,7 @@ def _backbone(cfg, seed_offset=1):
 def _prepare_features(cfg, records):
     """Backbone features of the records' images, their labels and the split."""
     labels, train_idx, test_idx = _split(cfg, records)
-    feats = extract_features(_backbone(cfg), [r.image for r in records])
+    feats = extract_features(_backbone(cfg), _image_stack(records))
     return feats, labels, train_idx, test_idx
 
 
@@ -502,25 +508,25 @@ def _run_sweep(cfg, artifact, archs, regimes):
     artifact.emit("embedding.csv", rows, EMBEDDING_HEADER)
 
 
-def _blur_frames(cfg, frames):
-    """Blurred variant of a frame list.
+def _blur_frames(cfg, pixels):
+    """Blurred copy of a stack of frame pixels (n, c, h, w).
 
     Each frame draws its own blur strength from [sigma_min, sigma_max]
-    and gains a little post-blur sensor noise, so a net trained on the
-    variant sees a span from near-sharp to heavily smoothed.
+    and the seed of a little post-blur sensor noise, frame after frame
+    from one generator, so a net trained on the variant sees a span
+    from near-sharp to heavily smoothed. The whole stack is blurred in
+    one synth_blur call.
     """
     rng = np.random.default_rng(cfg.seed + 17)
     lo = cfg["blur.sigma_min"]
     hi = cfg["blur.sigma_max"]
-    noise = cfg["blur.noise"]
-    out = []
-    for f in frames:
-        sigma = rng.uniform(lo, hi) if hi > lo else lo
-        out.append(dp.synth_blur(f, kind=cfg["blur.kind"], sigma=sigma,
-                                 length=cfg["blur.length"],
-                                 angle=cfg["blur.angle"],
-                                 noise=noise, seed=int(rng.integers(1 << 31))))
-    return out
+    sigmas, seeds = [], []
+    for _ in range(len(pixels)):
+        sigmas.append(rng.uniform(lo, hi) if hi > lo else lo)
+        seeds.append(int(rng.integers(1 << 31)))
+    return dp.synth_blur(pixels, kind=cfg["blur.kind"], sigma=sigmas,
+                         length=cfg["blur.length"], angle=cfg["blur.angle"],
+                         noise=cfg["blur.noise"], seed=seeds)
 
 
 def _run_blur_combo(cfg, artifact):
@@ -530,12 +536,12 @@ def _run_blur_combo(cfg, artifact):
     combos = COMBOS if cfg["combo"] == "all" else (cfg["combo"],)
     records = build_dataset(cfg)
     labels, tr, te = _split(cfg, records)
-    frames = {"N": [r.image for r in records]}
+    pixels = {"N": _image_stack(records)}
     used = sorted({v for combo in combos for v in combo.split("-")})
     if "B" in used:
-        frames["B"] = _blur_frames(cfg, frames["N"])
+        pixels["B"] = _blur_frames(cfg, pixels["N"])
     backbone = _backbone(cfg)
-    feats = {v: extract_features(backbone, frames[v]) for v in used}
+    feats = {v: extract_features(backbone, pixels[v]) for v in used}
     by_net = {}
     for combo in combos:
         data_v, net_v, _ = combo.split("-")
@@ -548,9 +554,13 @@ def _run_blur_combo(cfg, artifact):
 def _run_fusion(cfg, artifact):
     records = build_dataset(cfg)
     labels, tr, te = _split(cfg, records)
-    f_rgb = extract_features(_backbone(cfg, 1), [r.image for r in records])
-    # orientation maps are single-channel; replicate to the 3-channel input
-    orient = [dp.Frame(np.repeat(r.orientation.pixels, 3, axis=0)) for r in records]
+    f_rgb = extract_features(_backbone(cfg, 1), _image_stack(records))
+    # orientation maps are single-channel; the backbone reads them through
+    # a 3-channel view, because a replicated copy made each fusion run
+    # fault in fresh pages (1900 more minor faults at 160 records) and
+    # run slower
+    orient = np.stack([r.orientation.pixels for r in records])
+    orient = np.broadcast_to(orient, (len(orient), 3) + orient.shape[2:])
     f_fused = nets.fuse_sum(f_rgb, extract_features(_backbone(cfg, 2), orient),
                             cfg["fusion.orientation_scale"])
     _evaluate_heads(cfg, artifact, labels, tr, te,

@@ -1,12 +1,13 @@
 """Margins of acceptance criteria 6, 7 and 8, per seed, as JSON.
 
-    PYTHONPATH=src python tests/margins.py [--out margins.json]
+    PYTHONPATH=src python tests/margins.py [--criterion N ...] [--out margins.json]
 
 The criteria in test_acceptance.py pass or fail; this script runs the
 same configs and reports how far each seed's result is from its
 threshold, so that a change which moves floats can show what it did to
 the results. A margin is positive when the seed meets its threshold.
-pytest does not collect this file.
+`--criterion N` (repeatable) runs only criterion N, so that a change can
+re-run just the criteria it touches. pytest does not collect this file.
 
 - criterion 6: 2LR + 0.05 - 3LR, on the mean loss of the last 500 steps
 - criterion 7: (N-N-N - 10) - B-N-N, B-B-B - (B-N-N + 5) and
@@ -76,20 +77,26 @@ def criterion_8(seed, out_dir):
     return result
 
 
-def margins():
+CRITERIA = {6: criterion_6, 7: criterion_7, 8: criterion_8}
+
+
+def margins(criteria=tuple(CRITERIA)):
     report = {}
     with tempfile.TemporaryDirectory() as out_dir:
-        for name, run in (("criterion_6", criterion_6), ("criterion_7", criterion_7),
-                          ("criterion_8", criterion_8)):
-            report[name] = {f"seed_{seed}": run(seed, out_dir) for seed in SEEDS3}
+        for n in criteria:
+            report[f"criterion_{n}"] = {f"seed_{seed}": CRITERIA[n](seed, out_dir)
+                                        for seed in SEEDS3}
     return report
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--criterion", type=int, action="append", choices=sorted(CRITERIA),
+                        help="run only this criterion (repeatable; default: all)")
     parser.add_argument("--out", help="also write the JSON to this file")
     args = parser.parse_args(argv)
-    text = json.dumps(margins(), indent=2, sort_keys=True)
+    criteria = sorted(set(args.criterion)) if args.criterion else tuple(CRITERIA)
+    text = json.dumps(margins(criteria), indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

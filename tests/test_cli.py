@@ -284,8 +284,11 @@ SCIPY_PROBE = (
 
 @pytest.mark.parametrize("experiments,loaded", [
     (["--experiments", "regime_sweep,fusion"], False),
-    # the blur imports scipy.ndimage on its first call
-    (["--experiments", "blur_combo", "--set", "combo=B-B-B"], True),
+    # the motion blur imports scipy.ndimage on its first call
+    (["--experiments", "blur_combo", "--set", "combo=B-B-B", "--set",
+      "blur.kind=motion"], True),
+    # the gaussian blur is numpy matrix products
+    (["--experiments", "blur_combo", "--set", "combo=B-B-B"], False),
 ])
 def test_scipy_loaded_only_by_the_blur(tmp_path, experiments, loaded):
     proc = run_python_process(["-c", SCIPY_PROBE, "grid", "--output-dir",

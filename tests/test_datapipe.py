@@ -34,6 +34,16 @@ def test_frame_rejects_bad_channel_count():
         dp.Frame(np.zeros((2, 4, 4)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_frame_rejects_non_finite_pixels(bad):
+    pixels = np.full((3, 4, 4), 0.5)
+    pixels[1, 2, 3] = bad
+    with pytest.raises(InvalidValue, match="finite"):
+        dp.Frame(pixels)
+    with pytest.raises(InvalidValue, match="finite"):
+        dp.Frame(pixels[1])
+
+
 def test_clamped_frame_checks_shape_without_copying():
     pixels = np.random.default_rng(0).random((3, 4, 5))
     assert dp._clamped_frame(pixels).pixels is pixels
@@ -231,6 +241,74 @@ def test_gaussian_blur_matches_2d_reference(size, channels):
         noisy = dp.synth_blur(f, sigma=sigma, noise=0.05, seed=7).pixels
         draw = np.random.default_rng(7).normal(0.0, 0.05, size=ref.shape)
         assert np.max(np.abs(noisy - np.clip(ref + draw, 0.0, 1.0))) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (3, 5, 5), (3, 16, 16), (3, 32, 32),
+                                   (3, 48, 48), (1, 7, 12)])
+def test_gaussian_blur_matches_separable_ndimage(shape):
+    rng = np.random.default_rng(shape[1] * shape[2])
+    side = max(shape[1:])
+    sigmas = (0.2, 0.5, 1.0, 2.9, side / 3, side / 2, side)
+    stack = rng.random((len(sigmas),) + shape)
+    out = dp.synth_blur(stack, sigma=sigmas)
+    for frame, blurred, sigma in zip(stack, out, sigmas):
+        k = dp._gaussian_kernel(sigma)
+        ref = ndimage.convolve1d(frame, k, axis=1, mode="reflect")
+        ref = ndimage.convolve1d(ref, k, axis=2, mode="reflect")
+        assert np.max(np.abs(blurred - ref)) < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, dp._BLUR_BLOCK - 1, dp._BLUR_BLOCK, dp._BLUR_BLOCK + 1])
+def test_blur_stack_matches_per_frame(n):
+    rng = np.random.default_rng(n)
+    stack = rng.random((n, 3, 16, 16))
+    # radii 1 to 9 mixed within every block
+    sigmas = rng.uniform(0.2, 3.0, n)
+    seeds = rng.integers(1 << 31, size=n).tolist()
+    out = dp.synth_blur(stack, sigma=sigmas, noise=0.02, seed=seeds)
+    assert out.shape == stack.shape
+    for frame, blurred, sigma, seed in zip(stack, out, sigmas, seeds):
+        one = dp.synth_blur(dp.Frame(frame), sigma=sigma, noise=0.02, seed=seed)
+        assert np.array_equal(one.pixels, blurred)
+
+
+def test_motion_blur_stack_matches_per_plane():
+    stack = np.random.default_rng(5).random((4, 3, 16, 16))
+    kernel = dp._motion_kernel(9, 30.0)
+    out = dp.synth_blur(stack, kind="motion", length=9, angle=30.0)
+    for frame, blurred in zip(stack, out):
+        ref = [ndimage.convolve(plane, kernel, mode="reflect") for plane in frame]
+        assert np.array_equal(blurred, np.clip(ref, 0.0, 1.0))
+        assert np.array_equal(dp.synth_blur(dp.Frame(frame), kind="motion", length=9,
+                                            angle=30.0).pixels, blurred)
+
+
+def test_blur_stack_validation():
+    stack = np.random.default_rng(0).random((3, 3, 8, 8))
+    with pytest.raises(SizeMismatch):
+        dp.synth_blur(stack, sigma=[1.0, 2.0])
+    with pytest.raises(SizeMismatch):
+        dp.synth_blur(stack, sigma=1.0, noise=0.1, seed=[1, 2, 3, 4])
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidValue):
+            dp.synth_blur(stack, sigma=[1.0, bad, 2.0])
+    # above the larger side, a blur only flattens the frame; a huge one
+    # would build a vast kernel
+    assert dp.synth_blur(stack, sigma=8.0).shape == stack.shape
+    for sigma in (8.5, 1e9):
+        with pytest.raises(InvalidValue, match="larger side"):
+            dp.synth_blur(stack, sigma=[1.0, 1.0, sigma])
+        with pytest.raises(InvalidValue, match="larger side"):
+            dp.synth_blur(dp.Frame(stack[0]), sigma=sigma)
+    with pytest.raises(InvalidValue):
+        dp.synth_blur(stack, kind="motion", length=9)
+    for shape in ((3, 8, 8), (2, 2, 8, 8)):
+        with pytest.raises(InvalidValue):
+            dp.synth_blur(np.zeros(shape))
+    bad = stack.copy()
+    bad[2, 0, 0, 0] = np.nan
+    with pytest.raises(InvalidValue, match="finite"):
+        dp.synth_blur(bad)
 
 
 # ---------------------------------------------------------------------------

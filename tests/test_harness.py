@@ -210,9 +210,8 @@ def test_stratified_split_disjoint_and_stratified():
 
 
 def test_extract_features_standardized(tmp_path):
-    from noclab import datapipe as dp, nets
-    frames = [dp.Frame(np.random.default_rng(i).random((3, 16, 16)))
-              for i in range(4)]
+    from noclab import nets
+    frames = np.stack([np.random.default_rng(i).random((3, 16, 16)) for i in range(4)])
     bb = nets.build_backbone((3, 16, 16), 8, seed=0)
     feats = harness.extract_features(bb, frames)
     assert feats.shape[0] == 4
@@ -221,9 +220,8 @@ def test_extract_features_standardized(tmp_path):
 
 
 def test_extract_features_independent_of_block_size():
-    from noclab import datapipe as dp, nets
-    rng = np.random.default_rng(9)
-    frames = [dp.Frame(rng.random((3, 16, 16))) for _ in range(23)]
+    from noclab import nets
+    frames = np.random.default_rng(9).random((23, 3, 16, 16))
     bb = nets.build_backbone((3, 16, 16), 8, seed=3)
     feats = harness.extract_features(bb, frames)
     for batch in (1, 7, 16, 64):
@@ -309,6 +307,23 @@ def test_blur_combo_run(tmp_path):
     combos = {m for m, *_ in art.metrics_rows}
     assert combos == {"B-N-N"}
     assert os.path.exists(art.path("loss_B-N-N.csv"))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "motion"])
+def test_blur_frames_draws_each_frame_in_turn(tmp_path, kind):
+    """One stacked blur equals a synth_blur call per frame, with sigma and
+    noise seed drawn frame after frame from the seed + 17 generator."""
+    from noclab import datapipe as dp
+    cfg = small_cfg(tmp_path, **{"blur.kind": kind, "blur.length": 5})
+    pixels = harness._image_stack(harness.build_dataset(cfg))
+    out = harness._blur_frames(cfg, pixels)
+    rng = np.random.default_rng(cfg.seed + 17)
+    for frame, blurred in zip(pixels, out):
+        sigma = rng.uniform(cfg["blur.sigma_min"], cfg["blur.sigma_max"])
+        one = dp.synth_blur(dp.Frame(frame), kind=kind, sigma=sigma, length=5,
+                            angle=cfg["blur.angle"], noise=cfg["blur.noise"],
+                            seed=int(rng.integers(1 << 31)))
+        assert np.array_equal(one.pixels, blurred)
 
 
 def test_blur_combo_all_matches_single_runs(tmp_path):
