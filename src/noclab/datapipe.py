@@ -278,11 +278,28 @@ def _motion_kernel(length, angle_deg):
     return k / k.sum()
 
 
-# Frames per blur block. Each block builds its own (m, h, h) and (m, w, w)
-# operators and intermediate products, so the memory they take does not
-# grow with the stack: one block of all 1600 frames raised the peak RSS of
-# a default blur_combo run from 181 to 208 MB (one BLAS thread).
-_BLUR_BLOCK = 64
+# float64 values per dense blur block, counting each frame's pixels, its
+# row-pass product and its two operators: 64 frames of the default
+# 3x32x32. A block's operators and products are its own, so the memory
+# they take grows neither with the stack nor with the frame size. One
+# block of all 1600 default frames raised the peak RSS of a default
+# blur_combo run from 181 to 208 MB, and blurring 400 3x128x128 frames
+# peaked at 394 MB in blocks of 64 and at 355 MB in blocks of 4 (one
+# BLAS thread).
+_BLUR_BLOCK_VALUES = 1 << 19
+
+# A frame is blurred by dense (h, h) and (w, w) operators, which cost
+# O(larger side) per pixel, while its larger side is at most this many
+# kernel widths (2r+1); above it, by _banded_blur, O(2r+1) per pixel.
+# The banded passes were the faster above about 18 widths on 3x128x128
+# frames, 37 on 3x256x256 and 47 on 3x512x512 (one BLAS thread), and
+# every default 32x32 frame takes the dense products.
+_DENSE_SPAN = 40
+
+
+def _blur_block(c, h, w):
+    """Frames per dense blur block for frames of shape (c, h, w)."""
+    return max(1, _BLUR_BLOCK_VALUES // (2 * c * h * w + h * h + w * w))
 
 
 def _per_frame(value, n, name):
@@ -303,41 +320,82 @@ def _reflect(idx, n):
     return np.where(m < n, m, 2 * n - 1 - m)
 
 
-def _blur_operators(sigmas, n):
-    """(len(sigmas), n, n) matrices: operator i times a column of n pixels
-    is that column blurred by _gaussian_kernel(sigmas[i]) with "reflect"
+def _blur_operators(kernels, n):
+    """(len(kernels), n, n) matrices: operator i times a column of n
+    pixels is that column blurred by the taps kernels[i] with "reflect"
     padding. Each frame's taps are zero-padded to the widest radius, and
     the operators are built by one fancy-index add per tap offset; rows
     are distinct within an offset, so no update is lost. Taps that the
     padding folds onto one pixel add up in tap order, and a zero tap
     leaves an entry as it is, so an operator does not depend on the
     other frames of the call."""
-    kernels = [_gaussian_kernel(s) for s in sigmas]
     r = max(len(k) for k in kernels) // 2
-    taps = np.zeros((len(sigmas), 2 * r + 1))
+    taps = np.zeros((len(kernels), 2 * r + 1))
     for row, k in zip(taps, kernels):
         row[r - len(k) // 2:r + len(k) // 2 + 1] = k
-    ops = np.zeros((len(sigmas), n, n))
+    ops = np.zeros((len(kernels), n, n))
     rows = np.arange(n)
     for t in range(-r, r + 1):
         ops[:, rows, _reflect(rows + t, n)] += taps[:, t + r, None]
     return ops
 
 
+def _banded_blur(planes, taps):
+    """Each plane of (..., h, w) convolved with symmetric taps down the
+    rows, then along the columns, with "reflect" padding (repeated for
+    radii beyond the plane). Each output sums center * taps[r] plus
+    (left_j + right_j) * taps[r - j], farthest j first, the order of
+    ndimage's symmetric-kernel loop, so it is bit-identical to two
+    ndimage.convolve1d passes."""
+    r = len(taps) // 2
+    out = planes
+    for _ in range(2):  # axis -2, then axis -2 of the swapped planes
+        n = out.shape[-2]
+        padded = out[..., _reflect(np.arange(-r, n + r), n), :]
+        out = padded[..., r:n + r, :] * taps[r]
+        pair = np.empty_like(out)
+        for j in range(r, 0, -1):
+            np.add(padded[..., r - j:n + r - j, :], padded[..., r + j:n + r + j, :],
+                   out=pair)
+            pair *= taps[r - j]
+            out += pair
+        out = out.swapaxes(-1, -2)
+    return out
+
+
 def _gaussian_blur(stack, sigmas):
-    """Gaussian blur of a stack (n, c, h, w), frame i at sigmas[i]: one
-    batched product down the rows, then one along the columns, a block
-    of frames at a time. Each frame's products are its own gemms, so a
-    frame's result does not depend on the rest of the stack."""
+    """Gaussian blur of a stack (n, c, h, w), frame i at sigmas[i].
+
+    A frame whose larger side is at most _DENSE_SPAN kernel widths is
+    blurred with its run of such neighbours, a block at a time, by one
+    batched product down the rows and one along the columns; any other
+    frame by _banded_blur. The method and each frame's products
+    depend on that frame alone, so its result does not depend on the
+    rest of the stack."""
+    # the products write through reshaped views of `out`, which are
+    # views only of a C-ordered array; a Frame read from a PPM holds
+    # transposed pixels
+    stack = np.ascontiguousarray(stack)
     n, c, h, w = stack.shape
-    out = np.empty_like(stack)
-    for s in range(0, n, _BLUR_BLOCK):
-        block = slice(s, s + _BLUR_BLOCK)
-        m = len(stack[block])
-        ops_h = _blur_operators(sigmas[block], h)
-        ops_w = ops_h if w == h else _blur_operators(sigmas[block], w)
-        down = np.matmul(ops_h[:, None], stack[block]).reshape(m, c * h, w)
-        np.matmul(down, ops_w.transpose(0, 2, 1), out=out[block].reshape(m, c * h, w))
+    out = np.empty(stack.shape)
+    kernels = [_gaussian_kernel(s) for s in sigmas]
+    dense = [max(h, w) <= _DENSE_SPAN * len(k) for k in kernels]
+    step = _blur_block(c, h, w)
+    s = 0
+    while s < n:
+        if not dense[s]:
+            out[s] = _banded_blur(stack[s], kernels[s])
+            s += 1
+            continue
+        e = s + 1
+        while e < min(n, s + step) and dense[e]:
+            e += 1
+        block = slice(s, e)
+        ops_h = _blur_operators(kernels[block], h)
+        ops_w = ops_h if w == h else _blur_operators(kernels[block], w)
+        down = np.matmul(ops_h[:, None], stack[block]).reshape(e - s, c * h, w)
+        np.matmul(down, ops_w.transpose(0, 2, 1), out=out[block].reshape(e - s, c * h, w))
+        s = e
     return out
 
 
@@ -347,7 +405,8 @@ def synth_blur(image, kind="gaussian", sigma=2.0, length=9, angle=0.0,
     gaussian or a 1-px-wide motion-line kernel, reflect-padded.
 
     `sigma` and `seed` are scalars or one value per frame. The gaussian
-    is separable and runs as two batched matrix products (see
+    is separable. It runs as two batched matrix products, or on a frame
+    wider than _DENSE_SPAN kernel widths as _banded_blur (see
     _gaussian_blur); it agrees with two ndimage.convolve1d passes to
     rounding, and a frame's result is the same in any stack. The motion
     blur is the only user of `scipy.ndimage`, imported on its first call.
@@ -553,28 +612,8 @@ _SMOOTH_TAPS /= _SMOOTH_TAPS.sum()
 def _smooth(planes):
     """Gaussian smoothing at sigma 1 of a plane or of each plane of a
     stack (..., h, w), bit-identical to ndimage.gaussian_filter(plane,
-    1.0) for planes at least 4 wide: the taps run along axis -2, then
-    axis -1, over edge-repeating mirror padding, and each output sums
-    center * w[r] plus (left_j + right_j) * w[r - j], farthest j first,
-    the order of ndimage's symmetric-kernel loop."""
-    w = _SMOOTH_TAPS
-    r = len(w) // 2
-    out = planes
-    for _ in range(2):  # axis -2, then axis -2 of the swapped planes
-        n = out.shape[-2]
-        padded = np.empty(out.shape[:-2] + (n + 2 * r, out.shape[-1]))
-        padded[..., :r, :] = out[..., :r, :][..., ::-1, :]
-        padded[..., r:n + r, :] = out
-        padded[..., n + r:, :] = out[..., n - r:, :][..., ::-1, :]
-        out = padded[..., r:n + r, :] * w[r]
-        pair = np.empty_like(out)
-        for j in range(r, 0, -1):
-            np.add(padded[..., r - j:n + r - j, :], padded[..., r + j:n + r + j, :],
-                   out=pair)
-            pair *= w[r - j]
-            out += pair
-        out = out.swapaxes(-1, -2)
-    return out
+    1.0)."""
+    return _banded_blur(planes, _SMOOTH_TAPS)
 
 
 def _render_family(family, count, size, rng, draw_angles=False):

@@ -537,11 +537,15 @@ def _run_blur_combo(cfg, artifact):
     records = build_dataset(cfg)
     labels, tr, te = _split(cfg, records)
     pixels = {"N": _image_stack(records)}
+    # the stack is the only copy of the images the run reads from here,
+    # and a stack is dropped once featurized, so that head training
+    # holds the features, not the records and the pixel stacks as well
+    del records
     used = sorted({v for combo in combos for v in combo.split("-")})
     if "B" in used:
         pixels["B"] = _blur_frames(cfg, pixels["N"])
     backbone = _backbone(cfg)
-    feats = {v: extract_features(backbone, pixels[v]) for v in used}
+    feats = {v: extract_features(backbone, pixels.pop(v)) for v in used}
     by_net = {}
     for combo in combos:
         data_v, net_v, _ = combo.split("-")

@@ -243,8 +243,9 @@ def test_gaussian_blur_matches_2d_reference(size, channels):
         assert np.max(np.abs(noisy - np.clip(ref + draw, 0.0, 1.0))) < 1e-12
 
 
+# (3, 128, 128) at sigma 0.2 takes the banded passes
 @pytest.mark.parametrize("shape", [(3, 3, 3), (3, 5, 5), (3, 16, 16), (3, 32, 32),
-                                   (3, 48, 48), (1, 7, 12)])
+                                   (3, 48, 48), (1, 7, 12), (3, 128, 128)])
 def test_gaussian_blur_matches_separable_ndimage(shape):
     rng = np.random.default_rng(shape[1] * shape[2])
     side = max(shape[1:])
@@ -256,9 +257,29 @@ def test_gaussian_blur_matches_separable_ndimage(shape):
         ref = ndimage.convolve1d(frame, k, axis=1, mode="reflect")
         ref = ndimage.convolve1d(ref, k, axis=2, mode="reflect")
         assert np.max(np.abs(blurred - ref)) < 1e-15
+        if side > dp._DENSE_SPAN * len(k):
+            # the banded passes sum as ndimage does
+            assert np.array_equal(blurred, np.clip(ref, 0.0, 1.0))
 
 
-@pytest.mark.parametrize("n", [1, dp._BLUR_BLOCK - 1, dp._BLUR_BLOCK, dp._BLUR_BLOCK + 1])
+def test_banded_blur_matches_ndimage_bit_for_bit():
+    # 1000 columns exceed _DENSE_SPAN widths of every kernel up to radius
+    # 9, and radius 9 exceeds the 8 rows
+    sigmas = (0.2, 0.5, 1.0, 2.9)
+    stack = np.random.default_rng(8).random((len(sigmas), 1, 8, 1000))
+    out = dp.synth_blur(stack, sigma=sigmas)
+    for frame, blurred, sigma in zip(stack, out, sigmas):
+        k = dp._gaussian_kernel(sigma)
+        assert 1000 > dp._DENSE_SPAN * len(k)
+        ref = ndimage.convolve1d(frame, k, axis=1, mode="reflect")
+        ref = ndimage.convolve1d(ref, k, axis=2, mode="reflect")
+        assert np.array_equal(blurred, np.clip(ref, 0.0, 1.0))
+
+
+BLOCK = dp._blur_block(3, 16, 16)
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1])
 def test_blur_stack_matches_per_frame(n):
     rng = np.random.default_rng(n)
     stack = rng.random((n, 3, 16, 16))
@@ -270,6 +291,39 @@ def test_blur_stack_matches_per_frame(n):
     for frame, blurred, sigma, seed in zip(stack, out, sigmas, seeds):
         one = dp.synth_blur(dp.Frame(frame), sigma=sigma, noise=0.02, seed=seed)
         assert np.array_equal(one.pixels, blurred)
+
+
+def test_blur_stack_mixing_dense_and_banded_frames_matches_per_frame():
+    rng = np.random.default_rng(4)
+    stack = rng.random((8, 3, 128, 128))
+    # radius 1 takes the banded passes at side 128; the six frames between
+    # form one dense run of two blocks
+    sigmas = [0.25, 1.0, 2.0, 1.5, 0.9, 3.0, 1.2, 0.3]
+    assert dp._blur_block(3, 128, 128) == 4
+    assert [128 > dp._DENSE_SPAN * len(dp._gaussian_kernel(s)) for s in sigmas] == \
+        [True] + [False] * 6 + [True]
+    seeds = list(range(8))
+    out = dp.synth_blur(stack, sigma=sigmas, noise=0.02, seed=seeds)
+    for frame, blurred, sigma, seed in zip(stack, out, sigmas, seeds):
+        one = dp.synth_blur(dp.Frame(frame), sigma=sigma, noise=0.02, seed=seed)
+        assert np.array_equal(one.pixels, blurred)
+
+
+def test_blur_of_any_memory_layout_matches_c_ordered(tmp_path):
+    rng = np.random.default_rng(9)
+    path = tmp_path / "f.ppm"
+    dp.write_ppm(dp.Frame(rng.random((3, 12, 10))), path)
+    # a PPM is read channels-last, so its Frame holds transposed pixels
+    frame = dp.read_ppm(path)
+    assert not frame.pixels.flags.c_contiguous
+    blurred = dp.synth_blur(frame, sigma=1.5, noise=0.05, seed=3)
+    ref = dp.synth_blur(dp.Frame(np.ascontiguousarray(frame.pixels)), sigma=1.5,
+                        noise=0.05, seed=3)
+    assert np.array_equal(blurred.pixels, ref.pixels)
+    stack = rng.random((5, 12, 10, 3)).transpose(0, 3, 1, 2)
+    sigmas = [0.4, 1.0, 2.0, 3.0, 10.0]
+    assert np.array_equal(dp.synth_blur(stack, sigma=sigmas),
+                          dp.synth_blur(np.ascontiguousarray(stack), sigma=sigmas))
 
 
 def test_motion_blur_stack_matches_per_plane():
