@@ -9,7 +9,6 @@ Run: python3 demos/04_flow_and_fusion.py
 
 import numpy as np
 
-from noclab import autodiff as ad
 from noclab import datapipe as dp
 from noclab import harness, nets
 
@@ -52,5 +51,5 @@ f_orient = harness.extract_features(bo, np.repeat(
 scale = cfg["fusion.orientation_scale"]
 fused = nets.fuse_sum(f_rgb, f_orient, scale)
 head = nets.build_noc(nets.NocArch("C1F3", fused.shape[1:], 6, 1 / 32), seed=0)
-logits = nets.forward(head, ad.Tensor(fused))
+logits = nets.infer(head, fused)
 print(f"fuse_sum (orientation scale {scale}) logits shape: {logits.shape}")

@@ -36,10 +36,9 @@ records = harness.build_dataset(cfg)
 feats, labels, tr, te = harness._prepare_features(cfg, records)
 arch = harness._head_arch(cfg, feats.shape[1:])
 head = harness.train_head(cfg, arch, feats[tr], labels[tr], "2LR", [])
-pen = ev.l2_normalize_rows(harness.head_penultimate(head, feats[te]))
+pen = harness.head_embedding(head, feats[te])
 
-svm = ev.svm_train(ev.l2_normalize_rows(harness.head_penultimate(head, feats[tr])),
-                   labels[tr], epochs=10, seed=0)
+svm = ev.svm_train(harness.head_embedding(head, feats[tr]), labels[tr], epochs=10, seed=0)
 pred = ev.svm_predict(svm, pen)
 metrics = ev.compute_metrics(pred, labels[te], background_class=5, num_classes=6)
 print(f"\nSVM on penultimate features: accuracy {metrics.accuracy:.1f}%, "

@@ -9,6 +9,7 @@ channel-major as float64.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -153,8 +154,8 @@ def spectral_specify(frame: Frame, base: Frame, band=8):
 def keyframe_select(clip: VideoClip, featurizer, tau):
     """Greedy selection: keep frame i when its feature is farther than tau
     from the last kept frame's feature. Frame 0 is always kept."""
-    if tau <= 0:
-        raise InvalidValue("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise InvalidValue(f"tau must be positive and finite, got {tau}")
     feats = [np.asarray(featurizer(f), dtype=np.float64).ravel() for f in clip.frames]
     selected = [0]
     last = feats[0]
@@ -555,8 +556,10 @@ def horn_schunck(f1, f2, lam=0.5, iters=100):
         raise SizeMismatch("frame shapes differ")
     if a.ndim not in (2, 3):
         raise InvalidValue(f"need planes (h, w) or stacks (n, h, w), got {a.shape}")
-    if lam <= 0 or iters < 1:
-        raise InvalidValue("need lam > 0 and iters >= 1")
+    if not 0 < lam < math.inf:
+        raise InvalidValue(f"lam must be positive and finite, got {lam}")
+    if not isinstance(iters, (int, np.integer)) or iters < 1:
+        raise InvalidValue(f"iters must be an integer >= 1, got {iters!r}")
     stack_a, stack_b = (a, b) if a.ndim == 3 else (a[None], b[None])
     u = np.empty_like(stack_a)
     v = np.empty_like(stack_a)

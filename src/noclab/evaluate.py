@@ -70,6 +70,8 @@ def svm_train(features, labels, c_reg=1.0, epochs=20, seed=0,
         raise InvalidValue("need at least two classes")
     if not (np.isfinite(c_reg) and c_reg > 0):
         raise InvalidValue(f"c_reg must be finite and positive, got {c_reg}")
+    if not isinstance(epochs, (int, np.integer)) or epochs < 1:
+        raise InvalidValue(f"epochs must be an integer >= 1, got {epochs!r}")
     k = len(classes)
     rng = np.random.default_rng(seed)
     perms = np.array([rng.permutation(n) for _ in range(k * epochs)]).reshape(
@@ -104,8 +106,8 @@ def svm_train(features, labels, c_reg=1.0, epochs=20, seed=0,
 
 def svm_predict(model: SvmModel, features):
     X = np.asarray(features, dtype=np.float64)
-    if X.shape[1] != model.weights.shape[1]:
-        raise SizeMismatch(f"feature dim {X.shape[1]} vs model "
+    if X.ndim != 2 or X.shape[1] != model.weights.shape[1]:
+        raise SizeMismatch(f"features of shape {X.shape} vs model dim "
                            f"{model.weights.shape[1]}")
     scores = X @ model.weights.T + model.biases
     return model.classes[scores.argmax(axis=1)]  # argmax ties -> lowest index
@@ -118,6 +120,10 @@ def compute_metrics(pred, truth, background_class=0, num_classes=None):
         raise SizeMismatch("pred/truth length mismatch")
     k = int(num_classes if num_classes is not None
             else max(pred.max(initial=0), truth.max(initial=0)) + 1)
+    for name, labels in (("pred", pred), ("truth", truth)):
+        if labels.dtype.kind not in "iu" or (
+                labels.size and not 0 <= labels.min() <= labels.max() < k):
+            raise InvalidValue(f"{name} labels must be integers in [0, {k})")
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (truth, pred), 1)
     accuracy = 100.0 * np.trace(confusion) / max(1, len(truth))

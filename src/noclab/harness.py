@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import autodiff as ad
 from . import datapipe as dp
 from . import evaluate as ev
 from . import nets, optim
@@ -275,7 +274,7 @@ def extract_features(backbone, pixels, batch=16):
     out = []
     X = np.asarray(pixels, dtype=np.float64)
     for i in range(0, len(X), batch):
-        out.append(nets.forward(backbone, ad.Tensor(X[i:i + batch])).data)
+        out.append(nets.infer(backbone, X[i:i + batch]))
     feats = np.concatenate(out)
     mean = feats.mean(axis=(1, 2, 3), keepdims=True)
     std = feats.std(axis=(1, 2, 3), keepdims=True)
@@ -299,21 +298,19 @@ def train_head(cfg, arch, X, labels, regime, loss_rows):
 
 
 def head_accuracy(head, X, labels):
-    logits = nets.forward(head, ad.Tensor(X)).data
+    logits = nets.infer(head, X)
     return 100.0 * float((logits.argmax(axis=1) == np.asarray(labels)).mean())
 
 
-def head_penultimate(head, X, batch=256):
-    out = []
-    for i in range(0, len(X), batch):
-        out.append(nets.penultimate_features(head, ad.Tensor(X[i:i + batch])).data)
-    return np.concatenate(out)
+def head_embedding(head, X):
+    """The features the SVM and the embeddings read: X's penultimate
+    features through `head`, L2-normalized per row."""
+    return ev.l2_normalize_rows(nets.infer(head, X, stop=-1))
 
 
 def pca_embedding(head, X, labels, sources, seed):
-    """L2-normalized penultimate features of X through `head`, and the
-    CSV rows of their 2-D PCA projection."""
-    pen = ev.l2_normalize_rows(head_penultimate(head, X))
+    """`head_embedding` of X, and the CSV rows of its 2-D PCA projection."""
+    pen = head_embedding(head, X)
     coords, _, _ = ev.pca_project(pen, 2, seed=seed)
     return pen, embedding_csv_rows(coords, labels, sources)
 
@@ -454,8 +451,8 @@ def _prepare_features(cfg, records):
 
 def _evaluate_heads(cfg, artifact, labels, tr, te, jobs):
     """Train one head per job on the training split of its features,
-    then fit every head's SVM on its penultimate training features in
-    one stacked `svm_train` call, then score and write each head.
+    then fit every head's SVM on the `head_embedding` of its training
+    features in one stacked `svm_train` call, then score and write each head.
 
     A job is (regime, arch_id, X, scored); arch_id None means the
     configured arch. Each (method, tag, X_eval) in `scored` is scored on
@@ -470,7 +467,7 @@ def _evaluate_heads(cfg, artifact, labels, tr, te, jobs):
         arch = _head_arch(cfg, X.shape[1:], arch_id=arch_id)
         heads.append(train_head(cfg, arch, X[tr], labels[tr], regime, loss_rows))
         loss_csvs.append(loss_csv_rows(loss_rows))
-    ftr = np.stack([ev.l2_normalize_rows(head_penultimate(head, X[tr]))
+    ftr = np.stack([head_embedding(head, X[tr])
                     for head, (_, _, X, _) in zip(heads, jobs)])
     svms = ev.svm_train(ftr, labels[tr], c_reg=cfg["svm.c_reg"],
                         epochs=cfg["svm.epochs"], seed=cfg.seed)
@@ -478,7 +475,7 @@ def _evaluate_heads(cfg, artifact, labels, tr, te, jobs):
     for head, svm, loss_csv, (regime, _, _, scored) in zip(heads, svms, loss_csvs, jobs):
         for method, tag, X_eval in scored:
             artifact.emit(f"loss_{tag}.csv", loss_csv, LOSS_HEADER)
-            fte = ev.l2_normalize_rows(head_penultimate(head, X_eval[te]))
+            fte = head_embedding(head, X_eval[te])
             pred = ev.svm_predict(svm, fte)
             metrics = ev.compute_metrics(pred, labels[te], background_class=k - 1,
                                          num_classes=k)

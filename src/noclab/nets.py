@@ -9,7 +9,8 @@ the backbone are all written as layer specs that `_build` realizes.
 
 Parameters are plain float64 arrays. One interpreter runs the layer
 chain on ndarrays through the `autodiff` kernels (`_chain_forward`,
-`_chain_backward`): training, inference and the input gradient.
+`_chain_backward`): training (`loss_and_grads`), inference (`infer`)
+and the input gradient (`forward`).
 """
 
 from __future__ import annotations
@@ -74,19 +75,17 @@ class Model:
     input_shape: tuple
     layers: list
     params: dict  # name -> float64 ndarray
-    penultimate_index: int
 
     def clone(self):
         params = {k: v.copy() for k, v in self.params.items()}
-        return Model(self.arch_id, self.input_shape, list(self.layers), params,
-                     self.penultimate_index)
+        return Model(self.arch_id, self.input_shape, list(self.layers), params)
 
 
 def _he_init(rng, shape, fan_in):
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def _build(arch_id, input_shape, spec, seed, penultimate_index) -> Model:
+def _build(arch_id, input_shape, spec, seed) -> Model:
     """Realize a layer spec as a Model.
 
     A spec entry is ("conv", c_out, stride, pad) with a 3x3 kernel,
@@ -130,7 +129,7 @@ def _build(arch_id, input_shape, spec, seed, penultimate_index) -> Model:
             elif kind == "flatten":
                 shape = (int(np.prod(shape)),)
             layers.append(entry)
-    return Model(arch_id, tuple(input_shape), layers, params, penultimate_index)
+    return Model(arch_id, tuple(input_shape), layers, params)
 
 
 def build_noc(arch: NocArch, seed: int) -> Model:
@@ -143,8 +142,8 @@ def build_noc(arch: NocArch, seed: int) -> Model:
               }[arch.arch_id]
     spec = prefix + [("flatten",), ("fc", arch.fc_width), ("relu",),
                      ("fc", arch.fc_width), ("relu",), ("fc", arch.num_classes)]
-    # every layout ends (relu, fc): the penultimate feature is that relu's output
-    return _build(arch.arch_id, arch.input_shape, spec, seed, len(spec) - 2)
+    # every layout ends (relu, fc): infer(head, X, stop=-1) is the penultimate feature
+    return _build(arch.arch_id, arch.input_shape, spec, seed)
 
 
 def build_backbone(input_shape, feature_channels: int, seed: int) -> Model:
@@ -155,7 +154,7 @@ def build_backbone(input_shape, feature_channels: int, seed: int) -> Model:
     chans = [max(4, feature_channels // 4), max(8, feature_channels // 2), feature_channels]
     spec = [layer for c_out in chans
             for layer in (("conv", c_out, 1, 1), ("relu",), ("maxpool", 2, 2))]
-    return _build("backbone", input_shape, spec, seed, len(spec) - 1)
+    return _build("backbone", input_shape, spec, seed)
 
 
 def _check_input(model: Model, shape):
@@ -248,16 +247,23 @@ def _chain_backward(model: Model, params, tape, g, to_input=False):
     return grads, (g if to_input else None)
 
 
-def forward(model: Model, batch: ad.Tensor) -> ad.Tensor:
-    """Run a batch (leading batch dim) through the model; returns logits.
+def infer(model: Model, X, stop=None) -> np.ndarray:
+    """Run layers [0, stop) of the model on the batch X (leading batch
+    dim), with no gradient: the logits by default. Every head ends
+    (relu, fc), so stop=-1 gives its penultimate features, one row per
+    sample. float64 input is read in place, never copied."""
+    X = np.asarray(X, dtype=np.float64)
+    _check_input(model, X.shape)
+    return _chain_forward(model, model.params, X, stop=stop)
 
-    The output is a constant Tensor unless the batch itself requires a
-    gradient; then it is one graph node whose backward runs the chain
-    back to the batch.
+
+def forward(model: Model, batch: ad.Tensor) -> ad.Tensor:
+    """The model's logits for a batch Tensor as one graph node, whose
+    backward runs the chain back to the batch: the input-gradient entry.
+    Like every op, it returns a constant Tensor when the batch needs no
+    gradient; inference without one is `infer`.
     """
     _check_input(model, batch.shape)
-    if not batch._needs_graph():
-        return ad.Tensor(_chain_forward(model, model.params, batch.data))
     params = dict(model.params)
     tape = []
     out = _chain_forward(model, params, batch.data, tape)
@@ -267,13 +273,6 @@ def forward(model: Model, batch: ad.Tensor) -> ad.Tensor:
         ad._accum(batch, grads, dx)
 
     return ad._from_op(out, (batch,), bwd)
-
-
-def penultimate_features(model: Model, batch: ad.Tensor) -> ad.Tensor:
-    """Activations of the last hidden fc layer (post-relu), one row per sample."""
-    _check_input(model, batch.shape)
-    return ad.Tensor(_chain_forward(model, model.params, batch.data,
-                                    stop=model.penultimate_index + 1))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ standard_ewma=True for the conventional (1-gamma) weighting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,17 +82,24 @@ def _check_shapes(theta, grad, *accs):
     return t, g
 
 
+def _check_alpha(alpha):
+    # a plain comparison, no numpy call: the rules run once per parameter
+    # per step; NaN fails it too
+    if not 0 < alpha < math.inf:
+        raise InvalidValue(f"alpha must be positive and finite, got {alpha}")
+
+
 def sgd_step(theta, grad, alpha):
     """theta - alpha * grad."""
     t, g = _check_shapes(theta, grad)
-    if alpha <= 0:
-        raise InvalidValue("alpha must be positive")
+    _check_alpha(alpha)
     return t - alpha * g
 
 
 def rmsprop_step(theta, grad, state: PreconditionerState, alpha):
     """psi <- beta*psi + (1-beta)*g^2; theta <- theta - alpha*g/(sqrt(psi)+eps)."""
     t, g = _check_shapes(theta, grad, state.psi)
+    _check_alpha(alpha)
     psi = state.beta * state.psi + (1 - state.beta) * g * g
     out = t - alpha * g / (np.sqrt(psi) + state.epsilon)
     state.psi = psi
@@ -106,6 +114,7 @@ def covprecond_step(theta, grad, state: PreconditionerState, alpha):
     theta <- theta - alpha*g/(sqrt(c2)+eps)
     """
     t, g = _check_shapes(theta, grad, state.mu, state.c2)
+    _check_alpha(alpha)
     var_w = (1 - state.gamma) if state.standard_ewma else state.gamma * (1 - state.gamma)
     c2 = state.gamma * state.c2 + var_w * (g - state.mu) ** 2
     mu = state.gamma * state.mu + (1 - state.gamma) * g

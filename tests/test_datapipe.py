@@ -121,8 +121,9 @@ def test_keyframe_select_scene_changes():
 def test_keyframe_select_huge_tau_and_validation():
     clip = dp.VideoClip([rand_frame(seed=i) for i in range(4)])
     assert dp.keyframe_select(clip, lambda f: f.pixels.ravel(), tau=1e9) == [0]
-    with pytest.raises(InvalidValue):
-        dp.keyframe_select(clip, lambda f: f.pixels.ravel(), tau=0.0)
+    for tau in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidValue, match="tau"):
+            dp.keyframe_select(clip, lambda f: f.pixels.ravel(), tau=tau)
 
 
 def test_kmeans_recovers_separated_centers():
@@ -406,8 +407,12 @@ def test_horn_schunck_swap_antisymmetry():
 def test_horn_schunck_validation():
     with pytest.raises(SizeMismatch):
         dp.horn_schunck(np.zeros((4, 4)), np.zeros((5, 5)))
-    with pytest.raises(InvalidValue):
-        dp.horn_schunck(np.zeros((4, 4)), np.zeros((4, 4)), lam=0.0)
+    for lam in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidValue, match="lam"):
+            dp.horn_schunck(np.zeros((4, 4)), np.zeros((4, 4)), lam=lam)
+    for iters in (0, 2.5):
+        with pytest.raises(InvalidValue, match="iters"):
+            dp.horn_schunck(np.zeros((4, 4)), np.zeros((4, 4)), iters=iters)
     with pytest.raises(InvalidValue):
         dp.horn_schunck(np.zeros(4), np.zeros(4))
     with pytest.raises(InvalidValue):

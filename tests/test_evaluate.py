@@ -42,9 +42,13 @@ def test_svm_validation():
     for c_reg in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(InvalidValue):
             ev.svm_train(X, y, c_reg=c_reg)
+    for epochs in (0, -1, 2.5):
+        with pytest.raises(InvalidValue, match="epochs"):
+            ev.svm_train(X, y, epochs=epochs)
     model = ev.svm_train(X, y, epochs=2)
-    with pytest.raises(SizeMismatch):
-        ev.svm_predict(model, np.zeros((3, 5)))
+    for features in (np.zeros((3, 5)), np.zeros(2), np.zeros((1, 3, 2))):
+        with pytest.raises(SizeMismatch):
+            ev.svm_predict(model, features)
 
 
 @pytest.mark.parametrize("features,labels,error", [
@@ -178,6 +182,15 @@ def test_compute_metrics_counts():
 def test_compute_metrics_validation():
     with pytest.raises(SizeMismatch):
         ev.compute_metrics(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
+    # a negative label would index the last column; a float one cannot index
+    for pred, truth in (([0, -1], [0, 1]), ([0, 2], [0, 1]), ([0, 1], [-1, 1]),
+                        ([0, 1], [0, 2]), ([0.0, 1.0], [0, 1]), ([], [])):
+        with pytest.raises(InvalidValue, match="labels must be integers in"):
+            ev.compute_metrics(np.array(pred), np.array(truth), num_classes=2)
+    with pytest.raises(InvalidValue):
+        ev.compute_metrics(np.array([0, -1]), np.array([0, 0]))
+    empty = np.array([], dtype=int)
+    assert ev.compute_metrics(empty, empty, num_classes=2).confusion.sum() == 0
 
 
 def test_l2_normalize_rows():

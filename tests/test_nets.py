@@ -36,16 +36,29 @@ def test_arch_validation():
 def test_forward_shapes_and_penultimate(arch_id):
     arch = small_arch(arch_id)
     model = nets.build_noc(arch, seed=0)
-    batch = ad.Tensor(np.random.default_rng(0).random((5, 3, 8, 8)))
-    logits = nets.forward(model, batch)
+    X = np.random.default_rng(0).random((5, 3, 8, 8))
+    logits = nets.infer(model, X)
     assert logits.shape == (5, 4)
-    pen = nets.penultimate_features(model, batch)
+    pen = nets.infer(model, X, stop=-1)
     assert pen.shape == (5, arch.fc_width)
-    assert np.all(pen.data >= 0)  # post-relu
+    assert np.all(pen >= 0)  # post-relu
+
+
+def test_infer_reads_float64_input_in_place():
+    model = nets.build_noc(small_arch("C0F3"), seed=0)
+    X = np.random.default_rng(1).random((4, 3, 8, 8))
+    # the first layer is the flatten, a reshape: a view of X unless X was copied
+    assert np.shares_memory(nets.infer(model, X, stop=1), X)
+    # a read-only broadcast view, as fusion's orientation stream passes
+    gray = np.broadcast_to(X[:, :1], X.shape)
+    assert not gray.flags.writeable
+    assert np.array_equal(nets.infer(model, gray), nets.infer(model, gray.copy()))
 
 
 def test_forward_shape_mismatch():
     model = nets.build_noc(small_arch("C0F3"), seed=0)
+    with pytest.raises(SizeMismatch):
+        nets.infer(model, np.zeros((2, 3, 9, 9)))
     with pytest.raises(SizeMismatch):
         nets.forward(model, ad.Tensor(np.zeros((2, 3, 9, 9))))
 
@@ -66,7 +79,7 @@ def test_clone_is_independent():
 
 def test_backbone_feature_shape():
     bb = nets.build_backbone((3, 32, 32), 16, seed=0)
-    out = nets.forward(bb, ad.Tensor(np.zeros((2, 3, 32, 32))))
+    out = nets.infer(bb, np.zeros((2, 3, 32, 32)))
     assert out.shape == (2, 16, 4, 4)
     with pytest.raises(SizeMismatch):
         nets.build_backbone((3, 8, 8), 16, seed=0)

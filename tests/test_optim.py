@@ -45,6 +45,21 @@ def test_sgd_step_value_and_errors():
         optim.sgd_step(np.array([1.0]), np.array([1.0, 2.0]), 0.1)
 
 
+@pytest.mark.parametrize("step", [
+    lambda alpha: optim.sgd_step(np.array([1.0]), np.array([1.0]), alpha),
+    lambda alpha: optim.rmsprop_step(np.array([1.0]), np.array([1.0]),
+                                     optim.PreconditionerState.zeros_like(np.zeros(1)),
+                                     alpha),
+    lambda alpha: optim.covprecond_step(np.array([1.0]), np.array([1.0]),
+                                        optim.PreconditionerState.zeros_like(np.zeros(1)),
+                                        alpha),
+], ids=["sgd", "rmsprop", "covprecond"])
+def test_step_rules_reject_bad_alpha(step):
+    for alpha in (np.nan, np.inf, 0.0, -0.01):
+        with pytest.raises(InvalidValue, match="alpha must be positive and finite"):
+            step(alpha)
+
+
 def test_rmsprop_matches_scalar_recurrence():
     beta, eps, alpha = 0.9, 1e-8, 0.01
     theta = np.array([0.3])
@@ -366,8 +381,8 @@ def test_forward_equals_graph(arch_id):
     ad.backward(loss)
     assert loss.item() == ref.item()
     assert np.array_equal(x.grad, ref_x.grad)
-    pen = nets.penultimate_features(model, ad.Tensor(X))
-    assert np.array_equal(pen.data, acts[model.penultimate_index].data)
+    assert np.array_equal(nets.infer(model, X), acts[-1].data)
+    assert np.array_equal(nets.infer(model, X, stop=-1), acts[-2].data)
 
 
 @pytest.mark.parametrize("arch_id", nets.ARCH_IDS)
@@ -426,10 +441,12 @@ def test_parameters_are_plain_float64_arrays(tmp_path, arch_id):
     path = tmp_path / "m.noc"
     nets.save_model(heads[-1], path)
     assert_plain_params(nets.load_params(path, nets.build_noc(head_arch, seed=1)))
-    # inference on a trained head builds no graph
-    for out in (nets.forward(heads[-1], ad.Tensor(X)),
-                nets.penultimate_features(heads[-1], ad.Tensor(X))):
-        assert out._backward_fn is None and not out.requires_grad
+    # inference on a trained head gives plain arrays, and the graph entry
+    # builds no graph for a constant batch
+    for out in (nets.infer(heads[-1], X), nets.infer(heads[-1], X, stop=-1)):
+        assert type(out) is np.ndarray and out.dtype == np.float64
+    out = nets.forward(heads[-1], ad.Tensor(X))
+    assert out._backward_fn is None and not out.requires_grad
 
 
 def test_make_batches_covers_all_samples():
