@@ -1,10 +1,9 @@
 """sha256 of every file `noclab grid` writes, as JSON.
 
-    PYTHONPATH=src python tests/digests.py [--seed S] [--set KEY=VALUE ...]
-        [--experiments a,b] [--out digests.json]
+    PYTHONPATH=src python tests/digests.py [--set KEY=VALUE ...] [> digests.json]
 
-Runs `noclab grid` into a temporary directory, with the seed, `--set`
-overrides and experiment list passed through, and prints one
+Runs `noclab grid` into a temporary directory with the `--set` overrides
+passed through (the seed too: `--set seed=3`), and prints one
 "<experiment>/<file>": sha256 entry per output file, sorted.
 `config.txt` is left out: it records the output directory. A refactor
 that should not move the results prints the same JSON before and
@@ -25,13 +24,11 @@ import tempfile
 from noclab import cli
 
 
-def digests(seed=0, overrides=(), experiments=None):
+def digests(overrides=()):
     with tempfile.TemporaryDirectory() as out_dir:
-        argv = ["grid", "--seed", str(seed), "--output-dir", out_dir]
+        argv = ["grid", "--output-dir", out_dir]
         for item in overrides:
             argv += ["--set", item]
-        if experiments:
-            argv += ["--experiments", experiments]
         with contextlib.redirect_stdout(sys.stderr):
             if cli.main(argv) != 0:
                 raise SystemExit("noclab grid failed")
@@ -49,19 +46,10 @@ def digests(seed=0, overrides=(), experiments=None):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="config override passed to noclab grid (repeatable)")
-    parser.add_argument("--experiments", default=None,
-                        help="comma list passed to noclab grid, default all four")
-    parser.add_argument("--out", help="also write the JSON to this file")
     args = parser.parse_args(argv)
-    text = json.dumps(digests(args.seed, args.set, args.experiments), indent=2,
-                      sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    print(json.dumps(digests(args.set), indent=2, sort_keys=True))
     return 0
 
 

@@ -1,6 +1,7 @@
 """CLI verb tests (gen / train / eval / grid / plotdata)."""
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -300,3 +301,21 @@ def test_scipy_loaded_only_by_the_blur(tmp_path, experiments, loaded):
     assert ("'scipy.ndimage'" in after_run) == loaded
     if not loaded:
         assert after_run == "scipy: []"
+
+
+def _digests_module():
+    path = os.path.join(os.path.dirname(__file__), "digests.py")
+    spec = importlib.util.spec_from_file_location("digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digests_pass_the_seed_override_through():
+    digests = _digests_module().digests
+    small = [item for item in SMALL if item != "--set"]
+    default = digests(small)
+    assert digests(small + ["seed=0"]) == default
+    moved = digests(small + ["seed=1"])
+    assert moved.keys() == default.keys()
+    assert moved != default
