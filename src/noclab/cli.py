@@ -27,13 +27,16 @@ def _load_config(args):
         overrides["seed"] = args.seed
     if args.output_dir is not None:
         overrides["output_dir"] = args.output_dir
-    return harness.parse_config(args.config, overrides)
+    cfg = harness.parse_config(args.config, overrides)
+    # every verb fails on an unusable output_dir before it builds data
+    harness.check_output_dir(cfg["output_dir"])
+    return cfg
 
 
 def cmd_gen(args):
     cfg = _load_config(args)
     out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
+    harness.make_output_dir(out)
     records = harness.build_dataset(cfg)
     rows = []
     for i, rec in enumerate(records):
@@ -57,7 +60,7 @@ def cmd_train(args):
     head = harness.train_head(cfg, arch, feats[tr], labels[tr],
                               cfg["regime.name"], loss_rows)
     out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
+    harness.make_output_dir(out)
     mpath = os.path.join(out, f"model_{arch.arch_id}_{cfg['regime.name']}.noc")
     nets.save_model(head, mpath)
     harness.emit_csv(harness.loss_csv_rows(loss_rows), harness.LOSS_HEADER,
@@ -83,6 +86,8 @@ def cmd_grid(args):
     # experiment makes data or a directory
     subcfgs = []
     for exp in experiments:
+        if experiments.count(exp) > 1:
+            raise ConfigError(f"experiment {exp!r} listed twice in --experiments")
         sub = dict(cfg.values)
         sub["experiment"] = exp
         sub["output_dir"] = os.path.join(base_out, exp)
@@ -98,7 +103,7 @@ def cmd_plotdata(args):
     """Emit embedding CSVs (PCA and exact t-SNE) for the test features."""
     cfg = _load_config(args)
     out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
+    harness.make_output_dir(out)
     records = harness.build_dataset(cfg)
     feats, labels, tr, te = harness._prepare_features(cfg, records)
     arch = harness._head_arch(cfg, feats.shape[1:])

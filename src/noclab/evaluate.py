@@ -145,12 +145,20 @@ def compute_metrics(pred, truth, background_class=0, num_classes=None):
 # embeddings
 
 
+def _finite_features(X):
+    """X as float64; one NaN or inf would turn every embedded point NaN."""
+    X = np.asarray(X, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise InvalidValue("features to embed must be finite")
+    return X
+
+
 def pca_project(X, d, iters=200, seed=0):
     """Top-d principal directions by power iteration with deflation.
 
     Returns (projected coordinates, components (d, dim), mean).
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _finite_features(X)
     n, dim = X.shape
     if not (1 <= d <= dim) or n < d + 1:
         raise InvalidValue("need 1 <= d <= dim and at least d+1 samples")
@@ -212,7 +220,7 @@ def tsne_embed(X, perplexity=20.0, iters=500, seed=0, learning_rate=100.0):
     switching to 0.8 at iteration 250, embedding re-centered every
     iteration. Returns (coords (n,2), KL trace).
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _finite_features(X)
     n = X.shape[0]
     if n > 2000:
         raise InvalidValue("exact t-SNE capped at 2000 points")

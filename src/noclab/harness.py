@@ -17,7 +17,7 @@ import numpy as np
 from . import datapipe as dp
 from . import evaluate as ev
 from . import nets, optim
-from .errors import ConfigError
+from .errors import ConfigError, InvalidValue
 
 EXPERIMENTS = ("arch_sweep", "regime_sweep", "blur_combo", "fusion")
 COMBOS = ("N-N-N", "N-B-B", "B-N-N", "B-B-B")
@@ -247,6 +247,8 @@ def _test_count(class_size, test_frac=TEST_FRAC):
 
 def stratified_split(labels, test_frac=TEST_FRAC, seed=0):
     """Disjoint stratified train/test index split."""
+    if not 0 < test_frac < 1:
+        raise InvalidValue(f"test_frac must be in (0, 1), got {test_frac}")
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     train, test = [], []
@@ -372,6 +374,28 @@ def emit_table(artifact):
     return "\n".join(lines) + "\n"
 
 
+def check_output_dir(path):
+    """Raise ConfigError if `path` cannot be made a directory: it, or its
+    nearest existing ancestor, is no directory or cannot be written.
+    Creates nothing."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"cannot create output_dir {path}: {probe} is not a directory")
+    if probe != os.path.abspath(path) and not os.access(probe, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot create output_dir {path}: {probe} is not writable")
+
+
+def make_output_dir(path):
+    """Create `path` and its parents if missing, or raise ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {path}: "
+                          f"{exc.strerror or exc}") from None
+
+
 def _echo_config(cfg, artifact):
     path = artifact.path("config.txt")
     with open(path, "w") as fh:
@@ -381,10 +405,38 @@ def _echo_config(cfg, artifact):
 
 
 # ---------------------------------------------------------------------------
-# experiment drivers
+# the experiment plan
+#
+# Every experiment is a table of scored rows (method, tag, net, data,
+# arch_id, regime): a head of `arch_id` trains under `regime` on the
+# training split of feature variant `net`, its SVM fits there on the
+# head's embedding, and both are scored on the test split of variant
+# `data`. The variants are N (the sharp images), B (their `_blur_frames`
+# copy) and F (N fused with the orientation maps' features). Rows with
+# the same (net, arch_id, regime) share one head and one SVM.
+
+
+def _plan(cfg):
+    """The experiment's scored rows, in the order their heads train."""
+    experiment = cfg["experiment"]
+    arch_id, regime = cfg["arch.arch_id"], cfg["regime.name"]
+    if experiment == "blur_combo":
+        combos = COMBOS if cfg["combo"] == "all" else (cfg["combo"],)
+        # a combo reads data-net-SVM variant, and the SVM always reads
+        # the net's variant
+        return [(combo, combo, net, data, arch_id, regime)
+                for combo in combos for data, net, _ in [combo.split("-")]]
+    if experiment == "fusion":
+        return [(method, method, v, v, arch_id, regime)
+                for method, v in (("rgb_only", "N"), ("rgb_plus_orientation", "F"))]
+    archs = nets.ARCH_IDS if experiment == "arch_sweep" else (arch_id,)
+    regimes = optim.REGIMES if experiment == "regime_sweep" else (regime,)
+    return [(a, f"{a}_{r}", "N", "N", a, r) for a in archs for r in regimes]
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
+    """Run the experiment's plan (`_plan`) over one dataset and write
+    its artifacts into cfg["output_dir"]."""
     # cfg.values may have been edited by hand since parse_config
     for key, value in cfg.values.items():
         if key not in SCHEMA:
@@ -392,27 +444,66 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
         _check_type(key, value)
         _validate(key, value)
     _check_cross_keys(cfg, {})
-    experiment = cfg["experiment"]
     # checked here, not in parse_config: `grid` parses its base config
     # before it sets each fusion run's motion, and only experiments read
     # `experiment`
-    if experiment == "fusion" and cfg["dataset.motion"] == "none":
+    if cfg["experiment"] == "fusion" and cfg["dataset.motion"] == "none":
         raise ConfigError("fusion experiment needs dataset.motion set")
     out_dir = cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    make_output_dir(out_dir)
     artifact = RunArtifact(output_dir=out_dir, metrics_rows=[])
     _echo_config(cfg, artifact)
 
-    if experiment == "fusion":
-        _run_fusion(cfg, artifact)
-    elif experiment == "blur_combo":
-        _run_blur_combo(cfg, artifact)
-    elif experiment == "arch_sweep":
-        _run_sweep(cfg, artifact, archs=list(nets.ARCH_IDS),
-                   regimes=[cfg["regime.name"]])
-    elif experiment == "regime_sweep":
-        _run_sweep(cfg, artifact, archs=[cfg["arch.arch_id"]],
-                   regimes=list(optim.REGIMES))
+    plan = _plan(cfg)
+    variants = {v for _, _, net, data, _, _ in plan for v in (net, data)}
+    records = build_dataset(cfg)
+    labels, tr, te = _split(cfg, records)
+    sources = [records[i].source for i in te]
+    pixels = {"N": _image_stack(records)}
+    if "F" in variants:
+        pixels["O"] = np.stack([r.orientation.pixels for r in records])
+    # the stacks are the only copies of the frames the run reads from
+    # here on, and `_features` drops each once featurized, so head
+    # training holds the features only
+    del records
+    feats = _features(cfg, pixels, variants)
+
+    # train every head, then fit all their SVMs in one stacked call, and
+    # only then write: a head that fails to train leaves no artifact
+    heads = {}  # (net, arch_id, regime) -> (head, loss CSV rows)
+    for _, _, net, _, arch_id, regime in plan:
+        if (net, arch_id, regime) not in heads:
+            X, loss_rows = feats[net], []
+            head = train_head(cfg, _head_arch(cfg, X.shape[1:], arch_id), X[tr],
+                              labels[tr], regime, loss_rows)
+            heads[net, arch_id, regime] = head, loss_csv_rows(loss_rows)
+    ftr = np.stack([head_embedding(head, feats[net][tr])
+                    for (net, _, _), (head, _) in heads.items()])
+    svms = dict(zip(heads, ev.svm_train(ftr, labels[tr], c_reg=cfg["svm.c_reg"],
+                                        epochs=cfg["svm.epochs"], seed=cfg.seed)))
+    k = cfg["dataset.classes"]
+    for method, tag, net, data, arch_id, regime in plan:
+        head, loss_csv = heads[net, arch_id, regime]
+        X_eval = feats[data][te]
+        artifact.emit(f"loss_{tag}.csv", loss_csv, LOSS_HEADER)
+        pred = ev.svm_predict(svms[net, arch_id, regime], head_embedding(head, X_eval))
+        metrics = ev.compute_metrics(pred, labels[te], background_class=k - 1,
+                                     num_classes=k)
+        artifact.metrics_rows.append((method, regime, "net",
+                                      head_accuracy(head, X_eval, labels[te]), 0))
+        artifact.metrics_rows.append((method, regime, "svm", metrics.accuracy,
+                                      metrics.false_alarms))
+        confusion = metrics.confusion
+        artifact.emit(f"confusion_{tag}.csv",
+                      ([r, *(int(x) for x in row)] for r, row in enumerate(confusion)),
+                      ["truth\\pred", *(str(c) for c in range(len(confusion)))])
+        mname = f"model_{tag}.noc"
+        nets.save_model(head, artifact.path(mname))
+        artifact.files[mname] = artifact.path(mname)
+    if cfg["experiment"].endswith("_sweep"):
+        # embedding of the test features through the last row's head
+        _, rows = pca_embedding(head, X_eval, labels[te], sources, cfg.seed)
+        artifact.emit("embedding.csv", rows, EMBEDDING_HEADER)
 
     artifact.emit("metrics.csv", [(m, r, s, f"{a:.1f}", fa) for m, r, s, a, fa
                                   in sorted(artifact.metrics_rows)], METRICS_HEADER)
@@ -442,67 +533,37 @@ def _backbone(cfg, seed_offset=1):
                                seed=cfg.seed + seed_offset)
 
 
+def _features(cfg, pixels, variants):
+    """Backbone features of each feature variant in `variants`, by name.
+
+    `pixels` holds the image stack under N and, when F is wanted, the
+    orientation maps (n, 1, h, w) under O. Each stack is popped from it
+    once it is featurized (N right after the blur, if no variant reads
+    its features), so the caller's dict ends up empty.
+    """
+    if "B" in variants:
+        pixels["B"] = _blur_frames(cfg, pixels["N"])
+    if not variants & {"N", "F"}:
+        del pixels["N"]
+    backbone = _backbone(cfg)
+    feats = {v: extract_features(backbone, pixels.pop(v)) for v in ("B", "N") if v in pixels}
+    if "F" in variants:
+        # orientation maps are single-channel; the backbone reads them
+        # through a 3-channel view, because a replicated copy made each
+        # fusion run fault in fresh pages (1900 more minor faults at 160
+        # records) and run slower
+        orient = pixels.pop("O")
+        orient = np.broadcast_to(orient, (len(orient), 3) + orient.shape[2:])
+        feats["F"] = nets.fuse_sum(feats["N"], extract_features(_backbone(cfg, 2), orient),
+                                   cfg["fusion.orientation_scale"])
+    return feats
+
+
 def _prepare_features(cfg, records):
     """Backbone features of the records' images, their labels and the split."""
     labels, train_idx, test_idx = _split(cfg, records)
-    feats = extract_features(_backbone(cfg), _image_stack(records))
+    feats = _features(cfg, {"N": _image_stack(records)}, {"N"})["N"]
     return feats, labels, train_idx, test_idx
-
-
-def _evaluate_heads(cfg, artifact, labels, tr, te, jobs):
-    """Train one head per job on the training split of its features,
-    then fit every head's SVM on the `head_embedding` of its training
-    features in one stacked `svm_train` call, then score and write each head.
-
-    A job is (regime, arch_id, X, scored); arch_id None means the
-    configured arch. Each (method, tag, X_eval) in `scored` is scored on
-    the test split of X_eval, writes loss_<tag>.csv, confusion_<tag>.csv
-    and model_<tag>.noc, and adds the `net` and `svm` metric rows of
-    `method`. Every head trains before any file is written. Returns the
-    trained heads in job order.
-    """
-    heads, loss_csvs = [], []
-    for regime, arch_id, X, _ in jobs:
-        loss_rows = []
-        arch = _head_arch(cfg, X.shape[1:], arch_id=arch_id)
-        heads.append(train_head(cfg, arch, X[tr], labels[tr], regime, loss_rows))
-        loss_csvs.append(loss_csv_rows(loss_rows))
-    ftr = np.stack([head_embedding(head, X[tr])
-                    for head, (_, _, X, _) in zip(heads, jobs)])
-    svms = ev.svm_train(ftr, labels[tr], c_reg=cfg["svm.c_reg"],
-                        epochs=cfg["svm.epochs"], seed=cfg.seed)
-    k = cfg["dataset.classes"]
-    for head, svm, loss_csv, (regime, _, _, scored) in zip(heads, svms, loss_csvs, jobs):
-        for method, tag, X_eval in scored:
-            artifact.emit(f"loss_{tag}.csv", loss_csv, LOSS_HEADER)
-            fte = head_embedding(head, X_eval[te])
-            pred = ev.svm_predict(svm, fte)
-            metrics = ev.compute_metrics(pred, labels[te], background_class=k - 1,
-                                         num_classes=k)
-            artifact.metrics_rows.append((method, regime, "net",
-                                          head_accuracy(head, X_eval[te], labels[te]), 0))
-            artifact.metrics_rows.append((method, regime, "svm", metrics.accuracy,
-                                          metrics.false_alarms))
-            confusion = metrics.confusion
-            artifact.emit(f"confusion_{tag}.csv",
-                          ([r, *(int(x) for x in row)] for r, row in enumerate(confusion)),
-                          ["truth\\pred", *(str(c) for c in range(len(confusion)))])
-            mname = f"model_{tag}.noc"
-            nets.save_model(head, artifact.path(mname))
-            artifact.files[mname] = artifact.path(mname)
-    return heads
-
-
-def _run_sweep(cfg, artifact, archs, regimes):
-    records = build_dataset(cfg)
-    feats, labels, tr, te = _prepare_features(cfg, records)
-    heads = _evaluate_heads(cfg, artifact, labels, tr, te, [
-        (regime, arch_id, feats, [(arch_id, f"{arch_id}_{regime}", feats)])
-        for arch_id in archs for regime in regimes])
-    # embedding of test features through the last trained head
-    sources = [records[i].source for i in te]
-    _, rows = pca_embedding(heads[-1], feats[te], labels[te], sources, cfg.seed)
-    artifact.emit("embedding.csv", rows, EMBEDDING_HEADER)
 
 
 def _blur_frames(cfg, pixels):
@@ -524,47 +585,3 @@ def _blur_frames(cfg, pixels):
     return dp.synth_blur(pixels, kind=cfg["blur.kind"], sigma=sigmas,
                          length=cfg["blur.length"], angle=cfg["blur.angle"],
                          noise=cfg["blur.noise"], seed=seeds)
-
-
-def _run_blur_combo(cfg, artifact):
-    """The requested combos over one dataset. A combo reads data-net-SVM
-    variant, N sharp or B blurred; the SVM always uses the net's
-    variant, so combos that share a net variant share its head and SVM."""
-    combos = COMBOS if cfg["combo"] == "all" else (cfg["combo"],)
-    records = build_dataset(cfg)
-    labels, tr, te = _split(cfg, records)
-    pixels = {"N": _image_stack(records)}
-    # the stack is the only copy of the images the run reads from here,
-    # and a stack is dropped once featurized, so that head training
-    # holds the features, not the records and the pixel stacks as well
-    del records
-    used = sorted({v for combo in combos for v in combo.split("-")})
-    if "B" in used:
-        pixels["B"] = _blur_frames(cfg, pixels["N"])
-    backbone = _backbone(cfg)
-    feats = {v: extract_features(backbone, pixels.pop(v)) for v in used}
-    by_net = {}
-    for combo in combos:
-        data_v, net_v, _ = combo.split("-")
-        by_net.setdefault(net_v, []).append((combo, combo, feats[data_v]))
-    _evaluate_heads(cfg, artifact, labels, tr, te,
-                    [(cfg["regime.name"], None, feats[net_v], scored)
-                     for net_v, scored in by_net.items()])
-
-
-def _run_fusion(cfg, artifact):
-    records = build_dataset(cfg)
-    labels, tr, te = _split(cfg, records)
-    f_rgb = extract_features(_backbone(cfg, 1), _image_stack(records))
-    # orientation maps are single-channel; the backbone reads them through
-    # a 3-channel view, because a replicated copy made each fusion run
-    # fault in fresh pages (1900 more minor faults at 160 records) and
-    # run slower
-    orient = np.stack([r.orientation.pixels for r in records])
-    orient = np.broadcast_to(orient, (len(orient), 3) + orient.shape[2:])
-    f_fused = nets.fuse_sum(f_rgb, extract_features(_backbone(cfg, 2), orient),
-                            cfg["fusion.orientation_scale"])
-    _evaluate_heads(cfg, artifact, labels, tr, te,
-                    [(cfg["regime.name"], None, feats, [(method, method, feats)])
-                     for method, feats in (("rgb_only", f_rgb),
-                                           ("rgb_plus_orientation", f_fused))])

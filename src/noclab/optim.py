@@ -82,6 +82,12 @@ def _check_shapes(theta, grad, *accs):
     return t, g
 
 
+def _is_count(value):
+    """Whether `value` is an integer >= 1 (a bool is no count)."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= 1)
+
+
 def _check_alpha(alpha):
     # a plain comparison, no numpy call: the rules run once per parameter
     # per step; NaN fails it too
@@ -179,6 +185,9 @@ def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
     if not batches:
         raise InvalidValue("no batches")
     steps = hyper.iterations if num_steps is None else num_steps
+    if not _is_count(steps):
+        raise InvalidValue(f"{'iterations' if num_steps is None else 'num_steps'} "
+                           f"must be an integer >= 1, got {steps!r}")
     sched = None
     if regime == "1LR":
         sched = Schedule(hyper.alpha_start, hyper.alpha_end, steps)
@@ -204,9 +213,14 @@ def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
 
 def make_batches(X, labels, batch_size, seed=0):
     """Shuffle once and split into minibatches (last one may be short)."""
+    if not _is_count(batch_size):
+        raise InvalidValue(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    X = np.asarray(X)
+    if len(X) != len(labels):
+        raise SizeMismatch(f"{len(X)} samples vs {len(labels)} labels")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(labels))
-    X = np.asarray(X)[order]
+    X = X[order]
     labels = np.asarray(labels)[order]
     return [(X[i:i + batch_size], labels[i:i + batch_size])
             for i in range(0, len(labels), batch_size)]
@@ -230,7 +244,7 @@ def train(init, X, labels, regime: str, hyper: Hyper, partitions, seed=0,
     labels = np.asarray(labels)
     if len(X) != len(labels):
         raise SizeMismatch(f"{len(X)} samples vs {len(labels)} labels")
-    if not 1 <= partitions <= len(labels):
+    if not (_is_count(partitions) and partitions <= len(labels)):
         raise InvalidPlan(f"cannot deal {len(labels)} samples into "
                           f"{partitions} partitions")
     averaged = regime == "3LR"

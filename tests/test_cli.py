@@ -101,6 +101,34 @@ def test_grid_rejects_unknown_experiment(tmp_path, capsys, experiments):
     assert not os.path.exists(out)
 
 
+def no_data(cfg):
+    raise AssertionError("data built")
+
+
+@pytest.mark.parametrize("verb", ["gen", "train", "eval", "grid", "plotdata"])
+@pytest.mark.parametrize("below", [False, True])
+def test_unusable_output_dir_fails_before_any_data(tmp_path, capsys, monkeypatch,
+                                                    verb, below):
+    # the output dir is a regular file, or a path below one
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "out" if below else blocker)
+    monkeypatch.setattr(harness, "build_dataset", no_data)
+    assert run([verb, "--output-dir", out] + SMALL) == 1
+    assert capsys.readouterr().err == (f"error: cannot create output_dir {out}: "
+                                       f"{blocker} is not a directory\n")
+
+
+def test_grid_rejects_duplicate_experiments(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "build_dataset", no_data)
+    out = str(tmp_path / "grid")
+    assert run(["grid", "--output-dir", out, "--experiments",
+                "arch_sweep,fusion,fusion"] + SMALL) == 1
+    assert capsys.readouterr().err == ("error: experiment 'fusion' listed twice "
+                                       "in --experiments\n")
+    assert not os.path.exists(out)
+
+
 def test_run_experiment_rejects_unknown_experiment(tmp_path):
     cfg = harness.parse_config(None, {"output_dir": str(tmp_path / "run")})
     cfg.values["experiment"] = "regime_swep"

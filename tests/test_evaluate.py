@@ -225,6 +225,12 @@ def test_pca_validation():
         ev.pca_project(RNG.normal(size=(5, 3)), 4)
     with pytest.raises(InvalidValue):
         ev.pca_project(RNG.normal(size=(2, 3)), 2)
+    # one NaN or inf would make every projected point NaN
+    for bad in (np.nan, np.inf):
+        X = RNG.normal(size=(20, 3))
+        X[4, 1] = bad
+        with pytest.raises(InvalidValue, match="finite"):
+            ev.pca_project(X, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -254,3 +260,8 @@ def test_tsne_validation():
         ev.tsne_embed(X, perplexity=20.0)  # > (n-1)/3
     with pytest.raises(InvalidValue):
         ev.tsne_embed(RNG.normal(size=(2001, 2)), perplexity=30.0)
+    for bad in (np.nan, np.inf):
+        X = RNG.normal(size=(30, 3))
+        X[4, 1] = bad
+        with pytest.raises(InvalidValue, match="finite"):
+            ev.tsne_embed(X, perplexity=5.0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from noclab import harness
-from noclab.errors import ConfigError
+from noclab.errors import ConfigError, InvalidValue
 
 SMALL = {
     "dataset.classes": 3,
@@ -209,6 +209,12 @@ def test_stratified_split_disjoint_and_stratified():
         assert sum(labels[i] == c for i in te) == 2
 
 
+@pytest.mark.parametrize("test_frac", [0, -1, 1, 1.5, float("nan")])
+def test_stratified_split_rejects_bad_test_frac(test_frac):
+    with pytest.raises(InvalidValue, match="test_frac"):
+        harness.stratified_split(np.repeat(np.arange(4), 10), test_frac)
+
+
 def test_extract_features_standardized(tmp_path):
     from noclab import nets
     frames = np.stack([np.random.default_rng(i).random((3, 16, 16)) for i in range(4)])
@@ -340,6 +346,40 @@ def test_blur_combo_all_matches_single_runs(tmp_path):
                      f"model_{combo}.noc"):
             with open(single.path(name), "rb") as a, open(whole.path(name), "rb") as b:
                 assert a.read() == b.read(), name
+
+
+@pytest.mark.parametrize("overrides,featurized,blurred", [
+    ({"experiment": "blur_combo", "combo": "B-B-B"}, 1, 1),  # no sharp features
+    ({"experiment": "blur_combo", "combo": "N-N-N"}, 1, 0),
+    ({"experiment": "blur_combo"}, 2, 1),
+    ({"experiment": "fusion", "dataset.motion": "correlated"}, 2, 0),
+    ({"experiment": "regime_sweep"}, 1, 0),
+    ({"experiment": "arch_sweep"}, 1, 0),
+], ids=["B-B-B", "N-N-N", "all", "fusion", "regime_sweep", "arch_sweep"])
+def test_plan_featurizes_only_the_variants_it_reads(tmp_path, monkeypatch, overrides,
+                                                    featurized, blurred):
+    calls = {"extract_features": 0, "_blur_frames": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(harness, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counting)
+    harness.run_experiment(small_cfg(tmp_path, **{"regime.name": "1LR", **overrides}))
+    assert calls == {"extract_features": featurized, "_blur_frames": blurred}
+
+
+def test_run_experiment_rejects_unusable_output_dir(tmp_path, monkeypatch):
+    def no_data(cfg):
+        raise AssertionError("data built")
+
+    monkeypatch.setattr(harness, "build_dataset", no_data)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = small_cfg(tmp_path)
+    cfg.values["output_dir"] = str(blocker / "out")
+    with pytest.raises(ConfigError, match=r"^cannot create output_dir .*/file/out: "
+                                          r"Not a directory$"):
+        harness.run_experiment(cfg)
 
 
 def test_fusion_requires_motion(tmp_path):

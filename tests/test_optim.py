@@ -235,6 +235,36 @@ def test_train_rejects_more_partitions_than_samples():
         optim.train(init, X, y, "1LR", optim.Hyper(iterations=2), 0)
 
 
+@pytest.mark.parametrize("regime", optim.REGIMES)
+@pytest.mark.parametrize("field,value", [
+    ("batch_size", 0), ("batch_size", 2.5), ("iterations", 0), ("iterations", -1),
+    ("iterations", 2.5), ("iterations", True),
+])
+def test_train_rejects_bad_counts(regime, field, value):
+    # iterations=0 used to return an untrained copy under 2LR and 3LR
+    X, y = toy_data()
+    hyper = optim.Hyper(**{"iterations": 2, field: value})
+    with pytest.raises(InvalidValue, match=f"{field} must be an integer >= 1"):
+        optim.train(nets.build_noc(arch(), seed=0), X, y, regime, hyper, 2)
+
+
+@pytest.mark.parametrize("partitions", [2.5, 2.0, True])
+def test_train_rejects_non_integer_partitions(partitions):
+    X, y = toy_data()
+    with pytest.raises(InvalidPlan):
+        optim.train(nets.build_noc(arch(), seed=0), X, y, "1LR",
+                    optim.Hyper(iterations=2), partitions)
+
+
+@pytest.mark.parametrize("num_steps", [0, 2.5])
+def test_train_epoch_rejects_bad_num_steps(num_steps):
+    X, y = toy_data()
+    batches = optim.make_batches(X, y, 16)
+    with pytest.raises(InvalidValue, match="num_steps must be an integer >= 1"):
+        optim.train_epoch(nets.build_noc(arch(), seed=0), batches, "2LR",
+                          optim.Hyper(), num_steps=num_steps)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_rejects_divergence():
     X, y = toy_data()
@@ -456,3 +486,14 @@ def test_make_batches_covers_all_samples():
     got = sorted(int(v) for _, ys in batches for v in ys)
     assert got == list(range(10))
     assert [len(b[1]) for b in batches] == [3, 3, 3, 1]
+
+
+@pytest.mark.parametrize("X,labels,batch_size,error", [
+    (np.zeros((20, 2)), np.arange(5), 3, SizeMismatch),  # used to keep 5 rows
+    (np.zeros((5, 2)), np.arange(20), 3, SizeMismatch),
+    (np.zeros((10, 2)), np.arange(10), 0, InvalidValue),
+    (np.zeros((10, 2)), np.arange(10), 2.5, InvalidValue),
+])
+def test_make_batches_rejects_bad_input(X, labels, batch_size, error):
+    with pytest.raises(error):
+        optim.make_batches(X, labels, batch_size)
