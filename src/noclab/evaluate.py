@@ -3,6 +3,8 @@ false-alarm accounting, PCA, and exact t-SNE."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,11 @@ def svm_objective(w, b, X, y_signed, c_reg):
     return 0.5 * float(w @ w) + c_reg * float(np.maximum(0, margins).sum())
 
 
+def _is_int(value):
+    """Whether `value` is an integer (a bool is none)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def svm_train(features, labels, c_reg=1.0, epochs=20, seed=0,
               track_objective=False):
     """One-vs-rest linear SVM by stochastic subgradient descent on
@@ -61,6 +68,9 @@ def svm_train(features, labels, c_reg=1.0, epochs=20, seed=0,
                            f"got shape {X.shape}")
     stack = X if X.ndim == 3 else X[None]
     fits, n, dim = stack.shape
+    if fits == 0 or dim == 0:
+        raise SizeMismatch(f"need at least one fit and one feature, got shape "
+                           f"{X.shape}")
     if y.shape != (n,):
         raise SizeMismatch(f"labels shape {y.shape} vs {n} feature rows")
     if not np.isfinite(stack).all():
@@ -68,30 +78,55 @@ def svm_train(features, labels, c_reg=1.0, epochs=20, seed=0,
     classes = np.unique(y)
     if len(classes) < 2:
         raise InvalidValue("need at least two classes")
-    if not (np.isfinite(c_reg) and c_reg > 0):
-        raise InvalidValue(f"c_reg must be finite and positive, got {c_reg}")
-    if not isinstance(epochs, (int, np.integer)) or epochs < 1:
+    if not (isinstance(c_reg, numbers.Real) and 0 < c_reg < math.inf):
+        raise InvalidValue(f"c_reg must be finite and positive, got {c_reg!r}")
+    if not _is_int(epochs) or epochs < 1:
         raise InvalidValue(f"epochs must be an integer >= 1, got {epochs!r}")
+    if not _is_int(seed) or seed < 0:
+        raise InvalidValue(f"seed must be an integer >= 0, got {seed!r}")
     k = len(classes)
     rng = np.random.default_rng(seed)
     perms = np.array([rng.permutation(n) for _ in range(k * epochs)]).reshape(
         k, epochs, n)
     Y = np.where(y == classes[:, None], 1.0, -1.0)  # (classes, n)
     Yp = np.take_along_axis(Y[:, None, :], perms, axis=2)  # signed labels, permuted
+    # row i of `signed` is x_i and row n + i is -x_i, so gathering row
+    # i + n*(y_i < 0) gives y_i*x_i: y = +-1 makes every sign flip exact
+    signed = np.empty((fits, 2 * n, dim))
+    signed[:, :n] = stack
+    np.negative(stack, out=signed[:, n:])
+    rows = perms + n * (Yp < 0)
     W = np.zeros((fits, k, dim))
     B = np.zeros((fits, k))
+    yx = np.empty((fits, k, dim))  # y*x of each lane's sample, then c_reg*y*x
+    g = np.empty((fits, k, dim))  # W minus the subgradient's sample term
+    margin = np.empty((fits, k))
+    yb = np.empty((fits, k))
+    viol = np.empty((fits, k), dtype=bool)
+    viol_rows = viol[..., None]  # viol broadcast along each weight row
+    eta_cy = np.empty(k)
     epoch_obj = np.zeros((fits, epochs))
     t = 0
     for ep in range(epochs):
-        for idx, yi in zip(perms[:, ep].T, Yp[:, ep].T):
+        for idx, yi in zip(rows[:, ep].T, Yp[:, ep].T):
             t += 1
             eta = 1.0 / (c_reg * t)
-            xi = stack[:, idx]  # (fits, classes, dim)
-            viol = yi * (np.einsum("fkd,fkd->fk", xi, W) + B) < 1
-            # subgradient: (W, 0) minus c_reg*y*(x, 1) where the margin is violated
-            m = np.where(viol, c_reg * yi, 0.0)
-            W -= eta * (W - m[..., None] * xi)
-            B += eta * m
+            signed.take(idx, axis=1, out=yx, mode="clip")
+            # y*(x.w + b) as y*x.w + y*b
+            np.einsum("fkd,fkd->fk", yx, W, out=margin)
+            np.multiply(yi, B, out=yb)
+            margin += yb
+            np.less(margin, 1, out=viol)
+            # subgradient: (W, 0) minus c_reg*y*(x, 1) where the margin is
+            # violated; the other lanes keep W, as W - 0 == W
+            if c_reg != 1:  # 1*v == v
+                yx *= c_reg
+            np.copyto(g, W)
+            np.subtract(W, yx, out=g, where=viol_rows)
+            g *= eta
+            W -= g
+            np.multiply(eta * c_reg, yi, out=eta_cy)  # == eta*(c_reg*y), y = +-1
+            np.add(B, eta_cy, out=B, where=viol)
         if track_objective:
             for f in range(fits):
                 for ci in range(k):

@@ -6,8 +6,11 @@ average (3LR).
 partitions) to a trained model: it deals the samples into partitions
 and chains (1LR, 2LR) or averages (3LR) the per-partition runs of
 `train_epoch`. Parameters and gradients are plain float64 arrays (a
-model's `params`, and what `nets.loss_and_grads` returns); every step
-rule returns new arrays and never writes into the ones it is given.
+model's `params`, and what `nets.loss_and_grads` returns). Each rule's
+formula is one private in-place kernel: `train_epoch` runs it once per
+step over one flat vector of all the parameters, and the public step
+rules run it on copies, so they return new arrays and never write into
+the ones they are given.
 
 All preconditioning is elementwise (diagonal). The covariance
 accumulator uses the literal gamma*(1-gamma) variance factor; pass
@@ -17,6 +20,7 @@ standard_ewma=True for the conventional (1-gamma) weighting.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,25 +93,90 @@ def _is_count(value):
 
 
 def _check_alpha(alpha):
-    # a plain comparison, no numpy call: the rules run once per parameter
-    # per step; NaN fails it too
-    if not 0 < alpha < math.inf:
-        raise InvalidValue(f"alpha must be positive and finite, got {alpha}")
+    # NaN fails the comparison too
+    if not (isinstance(alpha, numbers.Real) and 0 < alpha < math.inf):
+        raise InvalidValue(f"alpha must be positive and finite, got {alpha!r}")
+
+
+def _check_constants(**constants):
+    """beta and gamma in the open unit interval, epsilon positive and
+    finite; NaN fails every comparison."""
+    for name, value in constants.items():
+        top = math.inf if name == "epsilon" else 1
+        if not (isinstance(value, numbers.Real) and 0 < value < top):
+            raise InvalidValue(f"{name} must be in (0, {top}), got {value!r}")
+
+
+# The in-place kernels: each rule's formula, written once. They update
+# theta and the accumulators in place from grad, through the scratch
+# arrays s1 and s2 (all of one shape). The expressions and their order
+# are those of the formulas in the public rules' docstrings, and every
+# operation is elementwise, so one flat run gives the same bits as the
+# public rules applied array by array.
+
+
+def _sgd_kernel(theta, grad, alpha, s1):
+    # theta <- theta - alpha*g
+    np.multiply(alpha, grad, out=s1)
+    theta -= s1
+
+
+def _precond_kernel(theta, grad, acc, alpha, epsilon, s1, s2):
+    # theta <- theta - alpha*g / (sqrt(acc) + eps)
+    np.sqrt(acc, out=s2)
+    s2 += epsilon
+    np.multiply(alpha, grad, out=s1)
+    s1 /= s2
+    theta -= s1
+
+
+def _rmsprop_kernel(theta, grad, psi, alpha, beta, epsilon, s1, s2):
+    # psi <- beta*psi + (1-beta)*g*g
+    np.multiply(1 - beta, grad, out=s1)
+    s1 *= grad
+    psi *= beta
+    psi += s1
+    _precond_kernel(theta, grad, psi, alpha, epsilon, s1, s2)
+
+
+def _covprecond_kernel(theta, grad, mu, c2, alpha, gamma, epsilon,
+                       standard_ewma, s1, s2):
+    # c2 <- gamma*c2 + var_w*(g - mu)^2 with the previous mu
+    # mu <- gamma*mu + (1-gamma)*g
+    var_w = (1 - gamma) if standard_ewma else gamma * (1 - gamma)
+    np.subtract(grad, mu, out=s1)
+    np.square(s1, out=s1)
+    s1 *= var_w
+    c2 *= gamma
+    c2 += s1
+    np.multiply(1 - gamma, grad, out=s1)
+    mu *= gamma
+    mu += s1
+    _precond_kernel(theta, grad, c2, alpha, epsilon, s1, s2)
+
+
+def _fresh(array):
+    """A float64 copy to update in place, leaving the caller's array as it was."""
+    return np.array(array, dtype=np.float64)
 
 
 def sgd_step(theta, grad, alpha):
     """theta - alpha * grad."""
     t, g = _check_shapes(theta, grad)
     _check_alpha(alpha)
-    return t - alpha * g
+    out = _fresh(t)
+    _sgd_kernel(out, g, alpha, np.empty_like(out))
+    return out
 
 
 def rmsprop_step(theta, grad, state: PreconditionerState, alpha):
     """psi <- beta*psi + (1-beta)*g^2; theta <- theta - alpha*g/(sqrt(psi)+eps)."""
     t, g = _check_shapes(theta, grad, state.psi)
     _check_alpha(alpha)
-    psi = state.beta * state.psi + (1 - state.beta) * g * g
-    out = t - alpha * g / (np.sqrt(psi) + state.epsilon)
+    _check_constants(beta=state.beta, epsilon=state.epsilon)
+    out, psi = _fresh(t), _fresh(state.psi)
+    _rmsprop_kernel(out, g, psi, alpha, state.beta, state.epsilon,
+                    np.empty_like(out), np.empty_like(out))
     state.psi = psi
     return out, state
 
@@ -121,10 +190,10 @@ def covprecond_step(theta, grad, state: PreconditionerState, alpha):
     """
     t, g = _check_shapes(theta, grad, state.mu, state.c2)
     _check_alpha(alpha)
-    var_w = (1 - state.gamma) if state.standard_ewma else state.gamma * (1 - state.gamma)
-    c2 = state.gamma * state.c2 + var_w * (g - state.mu) ** 2
-    mu = state.gamma * state.mu + (1 - state.gamma) * g
-    out = t - alpha * g / (np.sqrt(c2) + state.epsilon)
+    _check_constants(gamma=state.gamma, epsilon=state.epsilon)
+    out, mu, c2 = _fresh(t), _fresh(state.mu), _fresh(state.c2)
+    _covprecond_kernel(out, g, mu, c2, alpha, state.gamma, state.epsilon,
+                       state.standard_ewma, np.empty_like(out), np.empty_like(out))
     state.c2 = c2
     state.mu = mu
     return out, state
@@ -168,19 +237,49 @@ def _sgd_rule(theta, grad, state, alpha):
     return sgd_step(theta, grad, alpha), state
 
 
+def _flatten(params):
+    """A float64 copy of `params` (name -> array) as one flat vector, and
+    name -> views into it, shaped like the arrays they copy."""
+    theta = np.concatenate(list(params.values()), axis=None, dtype=np.float64)
+    views, start = {}, 0
+    for name, p in params.items():
+        end = start + np.size(p)
+        views[name] = theta[start:end].reshape(np.shape(p))
+        start = end
+    return theta, views
+
+
+def _flat_rule(regime, hyper: Hyper, theta, grad):
+    """The regime's update of the flat parameter vector `theta` from the
+    flat gradient `grad`, as a function of alpha; it owns the flat
+    optimizer state and two scratch vectors, allocated here once."""
+    s1, s2 = np.empty_like(theta), np.empty_like(theta)
+    if regime == "1LR":
+        return lambda alpha: _sgd_kernel(theta, grad, alpha, s1)
+    if regime == "2LR":
+        psi = np.zeros_like(theta)
+        return lambda alpha: _rmsprop_kernel(theta, grad, psi, alpha, hyper.beta,
+                                             hyper.epsilon, s1, s2)
+    mu, c2 = np.zeros_like(theta), np.zeros_like(theta)
+    return lambda alpha: _covprecond_kernel(theta, grad, mu, c2, alpha, hyper.gamma,
+                                            hyper.epsilon, hyper.standard_ewma, s1, s2)
+
+
 def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
     """Train for `num_steps` minibatch steps (default hyper.iterations)
     under one regime; returns (model, loss trace rows).
 
-    Each minibatch is checked and prepared once (`nets.prepare_batch`)
-    and every step runs the graph-free `nets.loss_and_grads` on working
-    copies of the parameters, which replace the model's at the end.
-    Raises InvalidValue as soon as a minibatch loss is not finite; numpy's
-    overflow and invalid-value warnings are silenced so that this check
-    is the one report of a diverging run.
+    Each minibatch is checked and prepared once (`nets.prepare_batch`).
+    The parameters are copied once into one flat float64 vector, and
+    `nets.loss_and_grads` reads them through name -> views into it; each
+    step gathers the gradients into one flat vector and runs the
+    regime's rule once, in place, over all of them. At the end the
+    model's params are replaced by those views. Raises InvalidValue as
+    soon as a minibatch loss is not finite; numpy's overflow and
+    invalid-value warnings are silenced so that this check is the one
+    report of a diverging run.
     """
-    rule = {"1LR": _sgd_rule, "2LR": rmsprop_step, "3LR": covprecond_step}.get(regime)
-    if rule is None:
+    if regime not in REGIMES:
         raise InvalidValue(f"unknown regime {regime!r}")
     if not batches:
         raise InvalidValue("no batches")
@@ -188,15 +287,14 @@ def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
     if not _is_count(steps):
         raise InvalidValue(f"{'iterations' if num_steps is None else 'num_steps'} "
                            f"must be an integer >= 1, got {steps!r}")
+    _check_constants(beta=hyper.beta, gamma=hyper.gamma, epsilon=hyper.epsilon)
     sched = None
     if regime == "1LR":
         sched = Schedule(hyper.alpha_start, hyper.alpha_end, steps)
     prepared = [nets.prepare_batch(model, X, labels) for X, labels in batches]
-    params = dict(model.params)
-    states = {n: PreconditionerState.zeros_like(p, beta=hyper.beta, gamma=hyper.gamma,
-                                                epsilon=hyper.epsilon,
-                                                standard_ewma=hyper.standard_ewma)
-              for n, p in params.items()}
+    theta, params = _flatten(model.params)
+    grad = np.empty_like(theta)
+    update = _flat_rule(regime, hyper, theta, grad)
     trace = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
@@ -204,8 +302,9 @@ def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
             if not np.isfinite(value):
                 raise InvalidValue(f"{regime} diverged at step {t}: loss {value}")
             alpha = hyper.alpha if sched is None else schedule_alpha(sched, t)
-            for name, g in grads.items():
-                params[name], states[name] = rule(params[name], g, states[name], alpha)
+            _check_alpha(alpha)
+            np.concatenate([grads[n] for n in params], axis=None, out=grad)
+            update(alpha)
             trace.append((t, 0, alpha, value))
     model.params.update(params)
     return model, trace

@@ -39,10 +39,13 @@ def test_svm_validation():
     X, y = blobs()
     with pytest.raises(InvalidValue):
         ev.svm_train(X, np.zeros(len(y)))  # single class
-    for c_reg in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(InvalidValue):
+    for c_reg in (0.0, -1.0, np.nan, np.inf, "1", None):
+        with pytest.raises(InvalidValue, match="c_reg"):
             ev.svm_train(X, y, c_reg=c_reg)
-    for epochs in (0, -1, 2.5):
+    for seed in (-1, 1.5, "0", None, False):
+        with pytest.raises(InvalidValue, match="seed"):
+            ev.svm_train(X, y, seed=seed)
+    for epochs in (0, -1, 2.5, True):
         with pytest.raises(InvalidValue, match="epochs"):
             ev.svm_train(X, y, epochs=epochs)
     model = ev.svm_train(X, y, epochs=2)
@@ -62,6 +65,9 @@ def test_svm_validation():
     (np.full((60, 2), np.inf), np.arange(60) % 3, InvalidValue),
     (np.stack([np.zeros((60, 2)), np.full((60, 2), np.nan)]), np.arange(60) % 3,
      InvalidValue),
+    (np.zeros((0, 60, 2)), np.arange(60) % 3, SizeMismatch),  # no fits
+    (np.zeros((60, 0)), np.arange(60) % 3, SizeMismatch),  # zero-width features
+    (np.zeros((2, 60, 0)), np.arange(60) % 3, SizeMismatch),
 ])
 def test_svm_train_rejects_bad_input(features, labels, error):
     with pytest.raises(error):

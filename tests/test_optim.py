@@ -55,7 +55,7 @@ def test_sgd_step_value_and_errors():
                                         alpha),
 ], ids=["sgd", "rmsprop", "covprecond"])
 def test_step_rules_reject_bad_alpha(step):
-    for alpha in (np.nan, np.inf, 0.0, -0.01):
+    for alpha in (np.nan, np.inf, 0.0, -0.01, "0.1"):
         with pytest.raises(InvalidValue, match="alpha must be positive and finite"):
             step(alpha)
 
@@ -101,6 +101,58 @@ def test_covprecond_accumulator_nonnegative(gamma, grads):
         theta, state = optim.covprecond_step(theta, np.array([g]), state, 0.01)
         assert state.c2[0] >= 0
         assert np.isfinite(theta[0])
+
+
+@pytest.mark.parametrize("rule", ["sgd", "rmsprop", "covprecond"])
+def test_step_rules_leave_their_inputs_unchanged(rule):
+    # the public rules run the training kernels on copies
+    rng = np.random.default_rng(3)
+    theta, grad = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+    state = optim.PreconditionerState.zeros_like(theta, standard_ewma=True)
+    for g in rng.normal(size=(3, 4, 5)):  # no accumulator left at zero
+        _, state = optim.rmsprop_step(theta, g, state, 0.01)
+        _, state = optim.covprecond_step(theta, g, state, 0.01)
+    before = {"theta": theta.copy(), "grad": grad.copy(), "psi": state.psi.copy(),
+              "mu": state.mu.copy(), "c2": state.c2.copy()}
+    inputs = {"theta": theta, "grad": grad, "psi": state.psi, "mu": state.mu,
+              "c2": state.c2}
+    if rule == "sgd":
+        out = optim.sgd_step(theta, grad, 0.1)
+    else:
+        step = optim.rmsprop_step if rule == "rmsprop" else optim.covprecond_step
+        out, state = step(theta, grad, state, 0.1)
+    for name, array in inputs.items():
+        assert np.array_equal(array, before[name]), name
+        assert not np.shares_memory(out, array), name
+    assert not np.array_equal(out, theta)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("beta", 1.5), ("beta", 0.0), ("beta", 1.0), ("beta", np.nan),
+    ("gamma", -0.1), ("gamma", 1.0), ("gamma", np.inf), ("gamma", np.nan),
+    ("epsilon", -1.0), ("epsilon", 0.0), ("epsilon", np.inf), ("epsilon", np.nan),
+    ("beta", "0.9"), ("gamma", None), ("epsilon", "1e-8"),
+])
+def test_bad_rule_constants_raise(name, value):
+    # beta=1.5 used to give NaN parameters with only a RuntimeWarning, a
+    # negative epsilon trained, and gamma=nan read as a divergence
+    constants = {name: value}
+    match = f"{name} must be in"
+    state = optim.PreconditionerState.zeros_like(np.zeros(3), **constants)
+    rules = {"beta": [optim.rmsprop_step], "gamma": [optim.covprecond_step],
+             "epsilon": [optim.rmsprop_step, optim.covprecond_step]}[name]
+    for step in rules:
+        with pytest.raises(InvalidValue, match=match):
+            step(np.ones(3), np.ones(3), state, 0.1)
+    X, y = toy_data()
+    batches = optim.make_batches(X, y, 16)
+    for regime in optim.REGIMES:
+        model = nets.build_noc(arch(), seed=0)
+        before = {n: p.copy() for n, p in model.params.items()}
+        with pytest.raises(InvalidValue, match=match):
+            optim.train_epoch(model, batches, regime,
+                              optim.Hyper(iterations=2, **constants))
+        assert all(np.array_equal(model.params[n], p) for n, p in before.items())
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +278,19 @@ def test_train_chains_one_model_through_partitions(regime):
     assert [p for _, p, _, _ in trace] == [j for j in range(3) for _ in range(10)]
 
 
+@pytest.mark.parametrize("regime", optim.REGIMES)
+def test_train_leaves_init_unchanged(regime):
+    # training runs in place over a flat copy of the parameters
+    X, y = toy_data()
+    init = nets.build_noc(arch(), seed=0)
+    before = {n: p.copy() for n, p in init.params.items()}
+    out = optim.train(init, X, y, regime, optim.Hyper(iterations=5), 3)
+    for name, p in init.params.items():
+        assert np.array_equal(p, before[name]), name
+        assert not np.shares_memory(out.params[name], p), name
+        assert not np.array_equal(out.params[name], p), name
+
+
 def test_train_rejects_more_partitions_than_samples():
     X, y = toy_data(n=4)
     init = nets.build_noc(arch(), seed=0)
@@ -339,7 +404,8 @@ def reference_train_epoch(model, batches, regime, hyper, num_steps):
     sched = optim.Schedule(hyper.alpha_start, hyper.alpha_end, num_steps)
     states = {n: optim.PreconditionerState.zeros_like(p, beta=hyper.beta,
                                                       gamma=hyper.gamma,
-                                                      epsilon=hyper.epsilon)
+                                                      epsilon=hyper.epsilon,
+                                                      standard_ewma=hyper.standard_ewma)
               for n, p in model.params.items()}
     trace = []
     for t in range(num_steps):
@@ -391,6 +457,24 @@ def test_train_epoch_equals_graph_reference(arch_id, regime):
     _, trace = optim.train_epoch(model, batches, regime, hyper, num_steps=steps)
     ref_trace = reference_train_epoch(ref, batches, regime, hyper, steps)
     assert trace == ref_trace
+    for name in ref.params:
+        assert np.array_equal(model.params[name], ref.params[name]), name
+
+
+@pytest.mark.parametrize("arch_id", nets.ARCH_IDS)
+@pytest.mark.parametrize("regime", ["2LR", "3LR"])
+@pytest.mark.parametrize("hyper", [
+    optim.Hyper(alpha=0.01, standard_ewma=True),
+    optim.Hyper(alpha=0.02, beta=0.75, gamma=0.6, epsilon=1e-3),
+    optim.Hyper(alpha=0.005, beta=0.99, gamma=0.3, epsilon=1e-12, standard_ewma=True),
+], ids=["standard_ewma", "constants", "both"])
+def test_train_epoch_equals_graph_reference_at_other_constants(arch_id, regime, hyper):
+    # the flat kernels read every constant of the regime they run
+    model, batches = chain_case(arch_id)
+    ref = model.clone()
+    steps = 2 * len(batches)
+    _, trace = optim.train_epoch(model, batches, regime, hyper, num_steps=steps)
+    assert trace == reference_train_epoch(ref, batches, regime, hyper, steps)
     for name in ref.params:
         assert np.array_equal(model.params[name], ref.params[name]), name
 
