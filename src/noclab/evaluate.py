@@ -38,11 +38,6 @@ def svm_objective(w, b, X, y_signed, c_reg):
     return 0.5 * float(w @ w) + c_reg * float(np.maximum(0, margins).sum())
 
 
-def _is_int(value):
-    """Whether `value` is an integer (a bool is none)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def svm_train(features, labels, c_reg=1.0, epochs=20, seed=0,
               track_objective=False):
     """One-vs-rest linear SVM by stochastic subgradient descent on
@@ -80,10 +75,11 @@ def svm_train(features, labels, c_reg=1.0, epochs=20, seed=0,
         raise InvalidValue("need at least two classes")
     if not (isinstance(c_reg, numbers.Real) and 0 < c_reg < math.inf):
         raise InvalidValue(f"c_reg must be finite and positive, got {c_reg!r}")
-    if not _is_int(epochs) or epochs < 1:
-        raise InvalidValue(f"epochs must be an integer >= 1, got {epochs!r}")
-    if not _is_int(seed) or seed < 0:
-        raise InvalidValue(f"seed must be an integer >= 0, got {seed!r}")
+    for name, value, least in (("epochs", epochs, 1), ("seed", seed, 0)):
+        # a bool is no integer here
+        if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                and value >= least):
+            raise InvalidValue(f"{name} must be an integer >= {least}, got {value!r}")
     k = len(classes)
     rng = np.random.default_rng(seed)
     perms = np.array([rng.permutation(n) for _ in range(k * epochs)]).reshape(
@@ -119,8 +115,7 @@ def svm_train(features, labels, c_reg=1.0, epochs=20, seed=0,
             np.less(margin, 1, out=viol)
             # subgradient: (W, 0) minus c_reg*y*(x, 1) where the margin is
             # violated; the other lanes keep W, as W - 0 == W
-            if c_reg != 1:  # 1*v == v
-                yx *= c_reg
+            yx *= c_reg
             np.copyto(g, W)
             np.subtract(W, yx, out=g, where=viol_rows)
             g *= eta

@@ -233,10 +233,6 @@ class Hyper:
     standard_ewma: bool = False
 
 
-def _sgd_rule(theta, grad, state, alpha):
-    return sgd_step(theta, grad, alpha), state
-
-
 def _flatten(params):
     """A float64 copy of `params` (name -> array) as one flat vector, and
     name -> views into it, shaped like the arrays they copy."""
@@ -249,20 +245,33 @@ def _flatten(params):
     return theta, views
 
 
-def _flat_rule(regime, hyper: Hyper, theta, grad):
-    """The regime's update of the flat parameter vector `theta` from the
-    flat gradient `grad`, as a function of alpha; it owns the flat
-    optimizer state and two scratch vectors, allocated here once."""
-    s1, s2 = np.empty_like(theta), np.empty_like(theta)
+def _flat_step(regime, hyper: Hyper, theta, names):
+    """One training step's update, `step(grads, alpha)`: it gathers
+    `grads` (name -> array, for each of `names` in the order `theta`
+    holds them) into one flat gradient vector and runs the regime's rule
+    over the flat parameter vector `theta` in place. The gradient vector,
+    the flat optimizer state and two scratch vectors are allocated here
+    once."""
+    grad, s1, s2 = (np.empty_like(theta) for _ in range(3))
     if regime == "1LR":
-        return lambda alpha: _sgd_kernel(theta, grad, alpha, s1)
-    if regime == "2LR":
+        def rule(alpha):
+            _sgd_kernel(theta, grad, alpha, s1)
+    elif regime == "2LR":
         psi = np.zeros_like(theta)
-        return lambda alpha: _rmsprop_kernel(theta, grad, psi, alpha, hyper.beta,
-                                             hyper.epsilon, s1, s2)
-    mu, c2 = np.zeros_like(theta), np.zeros_like(theta)
-    return lambda alpha: _covprecond_kernel(theta, grad, mu, c2, alpha, hyper.gamma,
-                                            hyper.epsilon, hyper.standard_ewma, s1, s2)
+
+        def rule(alpha):
+            _rmsprop_kernel(theta, grad, psi, alpha, hyper.beta, hyper.epsilon, s1, s2)
+    else:
+        mu, c2 = np.zeros_like(theta), np.zeros_like(theta)
+
+        def rule(alpha):
+            _covprecond_kernel(theta, grad, mu, c2, alpha, hyper.gamma, hyper.epsilon,
+                               hyper.standard_ewma, s1, s2)
+
+    def step(grads, alpha):
+        np.concatenate([grads[n] for n in names], axis=None, out=grad)
+        rule(alpha)
+    return step
 
 
 def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
@@ -293,8 +302,7 @@ def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
         sched = Schedule(hyper.alpha_start, hyper.alpha_end, steps)
     prepared = [nets.prepare_batch(model, X, labels) for X, labels in batches]
     theta, params = _flatten(model.params)
-    grad = np.empty_like(theta)
-    update = _flat_rule(regime, hyper, theta, grad)
+    update = _flat_step(regime, hyper, theta, list(params))
     trace = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
@@ -303,8 +311,7 @@ def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
                 raise InvalidValue(f"{regime} diverged at step {t}: loss {value}")
             alpha = hyper.alpha if sched is None else schedule_alpha(sched, t)
             _check_alpha(alpha)
-            np.concatenate([grads[n] for n in params], axis=None, out=grad)
-            update(alpha)
+            update(grads, alpha)
             trace.append((t, 0, alpha, value))
     model.params.update(params)
     return model, trace

@@ -65,14 +65,9 @@ def head_costs(cfg, repeats):
         _, grads = nets.loss_and_grads(model, model.params, batch)
         for regime in optim.REGIMES:
             theta, params = optim._flatten(model.params)
-            grad = np.empty_like(theta)
-            rule = optim._flat_rule(regime, hyper, theta, grad)
-
-            def step():
-                np.concatenate([grads[n] for n in params], axis=None, out=grad)
-                rule(hyper.alpha)
-
-            update[f"{arch_id}/{regime}"] = median_us(step, repeats, 50)
+            step = optim._flat_step(regime, hyper, theta, list(params))
+            update[f"{arch_id}/{regime}"] = median_us(
+                lambda: step(grads, hyper.alpha), repeats, 50)
     return update, loss
 
 

@@ -399,7 +399,8 @@ def reference_train_epoch(model, batches, regime, hyper, num_steps):
     """The graph-path training loop: every step builds an autodiff graph
     over leaf Tensors of the parameters and runs `ad.backward` on its
     loss."""
-    rule = {"1LR": optim._sgd_rule, "2LR": optim.rmsprop_step,
+    rule = {"1LR": lambda th, g, st, a: (optim.sgd_step(th, g, a), st),
+            "2LR": optim.rmsprop_step,
             "3LR": optim.covprecond_step}[regime]
     sched = optim.Schedule(hyper.alpha_start, hyper.alpha_end, num_steps)
     states = {n: optim.PreconditionerState.zeros_like(p, beta=hyper.beta,
