@@ -35,7 +35,7 @@ print(f"clip of {len(frames)} frames -> {len(keys)} key frames -> "
       f"{len(records)} sampled records")
 
 # --- blur synthesis ---------------------------------------------------------
-sharp = dp.gen_synthetic_dataset(4, 1, 32, seed=1)[0].image
+sharp = dp.Frame(dp.gen_synthetic_dataset(4, 1, 32, seed=1).images[0])
 for kind in ("gaussian", "motion"):
     blurred = dp.synth_blur(sharp, kind=kind, sigma=2.0, length=9, angle=30.0)
     print(f"{kind} blur: pixel variance {sharp.pixels.var():.4f} -> "

@@ -44,10 +44,9 @@ size = int(cfg["dataset.size"])
 channels = int(cfg["backbone.channels"])
 bi = nets.build_backbone((3, size, size), channels, seed=1)
 bo = nets.build_backbone((3, size, size), channels, seed=2)
-records = harness.build_dataset(cfg)[:3]
-f_rgb = harness.extract_features(bi, np.stack([r.image.pixels for r in records]))
-f_orient = harness.extract_features(bo, np.repeat(
-    np.stack([r.orientation.pixels for r in records]), 3, axis=1))
+data = harness.build_dataset(cfg)
+f_rgb = harness.extract_features(bi, data.images[:3])
+f_orient = harness.extract_features(bo, np.repeat(data.orientation[:3], 3, axis=1))
 scale = cfg["fusion.orientation_scale"]
 fused = nets.fuse_sum(f_rgb, f_orient, scale)
 head = nets.build_noc(nets.NocArch("C1F3", fused.shape[1:], 6, 1 / 32), seed=0)

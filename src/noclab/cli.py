@@ -37,36 +37,43 @@ def cmd_gen(args):
     cfg = _load_config(args)
     out = cfg["output_dir"]
     harness.make_output_dir(out)
-    records = harness.build_dataset(cfg)
+    data = harness.build_dataset(cfg)
     rows = []
-    for i, rec in enumerate(records):
+    for i, (pixels, class_id) in enumerate(zip(data.images, data.labels)):
         name = f"img_{i:05d}.ppm"
-        dp.write_ppm(rec.image, os.path.join(out, name))
-        if rec.orientation is not None:
-            oname = f"orient_{i:05d}.pgm"
-            dp.write_pgm(rec.orientation, os.path.join(out, oname))
-        part = "" if rec.partition is None else rec.partition
-        rows.append((name, rec.class_id, rec.source, part))
+        dp.write_ppm(dp.Frame(pixels), os.path.join(out, name))
+        if data.orientation is not None:
+            dp.write_pgm(dp.Frame(data.orientation[i]),
+                         os.path.join(out, f"orient_{i:05d}.pgm"))
+        # generated samples are all "normal" and in no partition
+        rows.append((name, int(class_id), "normal", ""))
     harness.emit_csv(rows, ("path", "class_id", "source", "partition"),
                      os.path.join(out, "manifest.csv"))
-    print(f"wrote {len(records)} samples to {out}")
+    print(f"wrote {len(data)} samples to {out}")
+
+
+def _train_head(cfg, loss_rows):
+    """arch.arch_id's head trained under regime.name on a fresh dataset's
+    training split, with the test split's features and labels."""
+    feats, labels, tr, te = harness._prepare_features(cfg, harness.build_dataset(cfg))
+    arch = harness._head_arch(cfg, feats.shape[1:])
+    head = harness.train_head(cfg, arch, feats[tr], labels[tr],
+                              cfg["regime.name"], loss_rows)
+    return head, feats[te], labels[te]
 
 
 def cmd_train(args):
     cfg = _load_config(args)
-    feats, labels, tr, te = harness._prepare_features(cfg, harness.build_dataset(cfg))
-    arch = harness._head_arch(cfg, feats.shape[1:])
     loss_rows = []
-    head = harness.train_head(cfg, arch, feats[tr], labels[tr],
-                              cfg["regime.name"], loss_rows)
+    head, X_test, y_test = _train_head(cfg, loss_rows)
     out = cfg["output_dir"]
     harness.make_output_dir(out)
-    mpath = os.path.join(out, f"model_{arch.arch_id}_{cfg['regime.name']}.noc")
+    mpath = os.path.join(out, f"model_{cfg['arch.arch_id']}_{cfg['regime.name']}.noc")
     nets.save_model(head, mpath)
     harness.emit_csv(harness.loss_csv_rows(loss_rows), harness.LOSS_HEADER,
                      os.path.join(out, "loss.csv"))
-    acc = harness.head_accuracy(head, feats[te], labels[te])
-    print(f"trained {arch.arch_id} with {cfg['regime.name']}; "
+    acc = harness.head_accuracy(head, X_test, y_test)
+    print(f"trained {cfg['arch.arch_id']} with {cfg['regime.name']}; "
           f"test accuracy {acc:.1f}; model at {mpath}")
 
 
@@ -104,13 +111,8 @@ def cmd_plotdata(args):
     cfg = _load_config(args)
     out = cfg["output_dir"]
     harness.make_output_dir(out)
-    records = harness.build_dataset(cfg)
-    feats, labels, tr, te = harness._prepare_features(cfg, records)
-    arch = harness._head_arch(cfg, feats.shape[1:])
-    head = harness.train_head(cfg, arch, feats[tr], labels[tr],
-                              cfg["regime.name"], [])
-    sources = [records[i].source for i in te]
-    pen, rows = harness.pca_embedding(head, feats[te], labels[te], sources, cfg.seed)
+    head, X_test, y_test = _train_head(cfg, [])
+    pen, rows = harness.pca_embedding(head, X_test, y_test, cfg.seed)
     harness.emit_csv(rows, harness.EMBEDDING_HEADER, os.path.join(out, "pca.csv"))
     n = len(pen)
     cap = min(n, 500)
@@ -121,7 +123,7 @@ def cmd_plotdata(args):
     tsne_coords, _ = ev.tsne_embed(pen[:cap], perplexity=perp, iters=300,
                                    seed=cfg.seed)
     harness.emit_csv(
-        harness.embedding_csv_rows(tsne_coords, labels[te][:cap], sources[:cap]),
+        harness.embedding_csv_rows(tsne_coords, y_test[:cap]),
         harness.EMBEDDING_HEADER, os.path.join(out, "tsne.csv"))
     print(f"wrote {out}/pca.csv and {out}/tsne.csv")
 

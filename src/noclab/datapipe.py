@@ -95,9 +95,17 @@ class FlowField:
 class SampleRecord:
     image: Frame
     class_id: int
-    source: str = "normal"  # normal | blurred
-    partition: int | None = None
-    orientation: Frame | None = None  # flow-angle image for the second stream
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """A generated dataset as stacks, one row per sample."""
+    images: np.ndarray  # (n, 3, h, w), values in [0,1]
+    labels: np.ndarray  # (n,) class ids
+    orientation: np.ndarray | None = None  # (n, 1, h, w) flow-angle maps, with motion
+
+    def __len__(self):
+        return len(self.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -690,13 +698,14 @@ def gen_synthetic_dataset(num_classes=16, per_class=100, size=32, motion=False,
                           seed=0):
     """Procedural image/video dataset.
 
-    motion=False: one still frame per record, all visual families distinct.
+    motion=False: one still frame per sample, all visual families distinct.
     motion="correlated": classes share visual families in pairs and are
-    distinguished by motion direction; each record carries the
-    flow-orientation frame.
+    distinguished by motion direction; each sample carries the
+    flow-orientation map.
     motion="uncorrelated": distinct visuals, random motion direction.
 
-    Returns the list of records.
+    Returns a Dataset; class c renders (and flows) its own rows
+    [c*per_class, (c+1)*per_class).
     """
     if not (1 <= num_classes <= 16):
         raise InvalidValue("num_classes must be in [1,16]")
@@ -707,37 +716,26 @@ def gen_synthetic_dataset(num_classes=16, per_class=100, size=32, motion=False,
     if per_class < 1:
         raise InvalidValue(f"per_class must be >= 1, got {per_class}")
     rng = np.random.default_rng(seed)
-    records = []
-    if motion:
-        # gray planes of each frame and of its shifted copy, flowed in one call
-        first = np.empty((num_classes * per_class, size, size))
-        second = np.empty_like(first)
+    images = np.empty((num_classes * per_class, 3, size, size))
+    orientation = np.empty((len(images), 1, size, size)) if motion else None
     step = 2.0
     for c in range(num_classes):
-        if motion == "correlated":
-            family = c % max(1, (num_classes + 1) // 2)
-        else:
-            family = c
-        pixels, angles = _render_family(family, per_class, size, rng,
-                                        draw_angles=motion == "uncorrelated")
-        records.extend(SampleRecord(_clamped_frame(p), c) for p in pixels)
+        family = c % ((num_classes + 1) // 2) if motion == "correlated" else c
+        rows = slice(c * per_class, (c + 1) * per_class)
+        images[rows], angles = _render_family(family, per_class, size, rng,
+                                              draw_angles=motion == "uncorrelated")
         if not motion:
             continue
-        rows = slice(c * per_class, (c + 1) * per_class)
-        first[rows] = pixels.mean(axis=1)
+        first = images[rows].mean(axis=1)
         if motion == "correlated":
             angle = 2 * np.pi * c / num_classes
-            second[rows] = _shift_plane(first[rows], step * np.cos(angle),
-                                        step * np.sin(angle))
+            second = _shift_plane(first, step * np.cos(angle), step * np.sin(angle))
         else:
-            for i, angle in enumerate(angles, rows.start):
-                second[i] = _shift_plane(first[i], step * np.cos(angle),
-                                         step * np.sin(angle))
-    if motion:
+            second = np.stack([_shift_plane(p, step * np.cos(a), step * np.sin(a))
+                               for p, a in zip(first, angles)])
         flow = horn_schunck(first, second, lam=0.5, iters=60)
-        for rec, vals in zip(records, _orientation(flow.u, flow.v)):
-            rec.orientation = _clamped_frame(vals[None])  # in [0,1] by construction
-    return records
+        orientation[rows, 0] = _orientation(flow.u, flow.v)  # in [0,1] by construction
+    return Dataset(images, np.repeat(np.arange(num_classes), per_class), orientation)
 
 
 # ---------------------------------------------------------------------------

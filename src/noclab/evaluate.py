@@ -29,7 +29,10 @@ class Metrics:
 
 def l2_normalize_rows(X):
     X = np.asarray(X, dtype=np.float64)
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(X, axis=1, keepdims=True)
+    if not np.isfinite(norms).all():
+        raise InvalidValue("row norms non-finite: cannot L2-normalize")
     return X / np.maximum(norms, 1e-12)
 
 
@@ -104,24 +107,29 @@ def svm_train(features, labels, c_reg=1.0, epochs=20, seed=0,
     epoch_obj = np.zeros((fits, epochs))
     t = 0
     for ep in range(epochs):
-        for idx, yi in zip(rows[:, ep].T, Yp[:, ep].T):
-            t += 1
-            eta = 1.0 / (c_reg * t)
-            signed.take(idx, axis=1, out=yx, mode="clip")
-            # y*(x.w + b) as y*x.w + y*b
-            np.einsum("fkd,fkd->fk", yx, W, out=margin)
-            np.multiply(yi, B, out=yb)
-            margin += yb
-            np.less(margin, 1, out=viol)
-            # subgradient: (W, 0) minus c_reg*y*(x, 1) where the margin is
-            # violated; the other lanes keep W, as W - 0 == W
-            yx *= c_reg
-            np.copyto(g, W)
-            np.subtract(W, yx, out=g, where=viol_rows)
-            g *= eta
-            W -= g
-            np.multiply(eta * c_reg, yi, out=eta_cy)  # == eta*(c_reg*y), y = +-1
-            np.add(B, eta_cy, out=B, where=viol)
+        # a tiny c_reg overflows the weights; the check below raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx, yi in zip(rows[:, ep].T, Yp[:, ep].T):
+                t += 1
+                eta = 1.0 / (c_reg * t)
+                signed.take(idx, axis=1, out=yx, mode="clip")
+                # y*(x.w + b) as y*x.w + y*b
+                np.einsum("fkd,fkd->fk", yx, W, out=margin)
+                np.multiply(yi, B, out=yb)
+                margin += yb
+                np.less(margin, 1, out=viol)
+                # subgradient: (W, 0) minus c_reg*y*(x, 1) where the margin is
+                # violated; the other lanes keep W, as W - 0 == W
+                yx *= c_reg
+                np.copyto(g, W)
+                np.subtract(W, yx, out=g, where=viol_rows)
+                g *= eta
+                W -= g
+                np.multiply(eta * c_reg, yi, out=eta_cy)  # == eta*(c_reg*y), y = +-1
+                np.add(B, eta_cy, out=B, where=viol)
+        if not (np.isfinite(W).all() and np.isfinite(B).all()):
+            raise InvalidValue(f"SVM weights non-finite after epoch {ep + 1} "
+                               f"(c_reg = {c_reg})")
         if track_objective:
             for f in range(fits):
                 for ci in range(k):

@@ -222,17 +222,13 @@ def _check_cross_keys(cfg, lines):
 # dataset plumbing
 
 
-def _motion_mode(cfg):
-    m = cfg["dataset.motion"]
-    return False if m == "none" else m
-
-
 def build_dataset(cfg):
+    motion = cfg["dataset.motion"]
     return dp.gen_synthetic_dataset(
         num_classes=cfg["dataset.classes"],
         per_class=cfg["dataset.per_class"],
         size=cfg["dataset.size"],
-        motion=_motion_mode(cfg),
+        motion=False if motion == "none" else motion,
         seed=cfg.seed,
     )
 
@@ -310,11 +306,11 @@ def head_embedding(head, X):
     return ev.l2_normalize_rows(nets.infer(head, X, stop=-1))
 
 
-def pca_embedding(head, X, labels, sources, seed):
+def pca_embedding(head, X, labels, seed):
     """`head_embedding` of X, and the CSV rows of its 2-D PCA projection."""
     pen = head_embedding(head, X)
     coords, _, _ = ev.pca_project(pen, 2, seed=seed)
-    return pen, embedding_csv_rows(coords, labels, sources)
+    return pen, embedding_csv_rows(coords, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +327,10 @@ def loss_csv_rows(loss_rows):
             for step, part, alpha, loss in loss_rows]
 
 
-def embedding_csv_rows(coords, labels, sources):
-    """CSV rows of a 2-D embedding: one (x, y, class_id, source) per point."""
-    return [(f"{x:.6f}", f"{y:.6f}", int(cls), src)
-            for (x, y), cls, src in zip(coords, labels, sources)]
+def embedding_csv_rows(coords, labels):
+    """CSV rows of a 2-D embedding: one (x, y, class_id, "normal") per point."""
+    return [(f"{x:.6f}", f"{y:.6f}", int(cls), "normal")
+            for (x, y), cls in zip(coords, labels)]
 
 
 def emit_csv(rows, header, path):
@@ -456,16 +452,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
 
     plan = _plan(cfg)
     variants = {v for _, _, net, data, _, _ in plan for v in (net, data)}
-    records = build_dataset(cfg)
-    labels, tr, te = _split(cfg, records)
-    sources = [records[i].source for i in te]
-    pixels = {"N": _image_stack(records)}
+    dataset = build_dataset(cfg)
+    labels, tr, te = _split(cfg, dataset)
+    pixels = {"N": dataset.images}
     if "F" in variants:
-        pixels["O"] = np.stack([r.orientation.pixels for r in records])
-    # the stacks are the only copies of the frames the run reads from
-    # here on, and `_features` drops each once featurized, so head
-    # training holds the features only
-    del records
+        pixels["O"] = dataset.orientation
+    # `_features` drops each stack once featurized, so head training
+    # holds the features only
+    del dataset
     feats = _features(cfg, pixels, variants)
 
     # train every head, then fit all their SVMs in one stacked call, and
@@ -502,7 +496,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
         artifact.files[mname] = artifact.path(mname)
     if cfg["experiment"].endswith("_sweep"):
         # embedding of the test features through the last row's head
-        _, rows = pca_embedding(head, X_eval, labels[te], sources, cfg.seed)
+        _, rows = pca_embedding(head, X_eval, labels[te], cfg.seed)
         artifact.emit("embedding.csv", rows, EMBEDDING_HEADER)
 
     artifact.emit("metrics.csv", [(m, r, s, f"{a:.1f}", fa) for m, r, s, a, fa
@@ -516,15 +510,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
     return artifact
 
 
-def _split(cfg, records):
-    labels = np.array([r.class_id for r in records])
-    train_idx, test_idx = stratified_split(labels, TEST_FRAC, cfg.seed)
-    return labels, train_idx, test_idx
-
-
-def _image_stack(records):
-    """The records' image pixels as one stack (n, 3, h, w)."""
-    return np.stack([r.image.pixels for r in records])
+def _split(cfg, data):
+    train_idx, test_idx = stratified_split(data.labels, TEST_FRAC, cfg.seed)
+    return data.labels, train_idx, test_idx
 
 
 def _backbone(cfg, seed_offset=1):
@@ -551,7 +539,7 @@ def _features(cfg, pixels, variants):
         # orientation maps are single-channel; the backbone reads them
         # through a 3-channel view, because a replicated copy made each
         # fusion run fault in fresh pages (1900 more minor faults at 160
-        # records) and run slower
+        # samples) and run slower
         orient = pixels.pop("O")
         orient = np.broadcast_to(orient, (len(orient), 3) + orient.shape[2:])
         feats["F"] = nets.fuse_sum(feats["N"], extract_features(_backbone(cfg, 2), orient),
@@ -559,10 +547,10 @@ def _features(cfg, pixels, variants):
     return feats
 
 
-def _prepare_features(cfg, records):
-    """Backbone features of the records' images, their labels and the split."""
-    labels, train_idx, test_idx = _split(cfg, records)
-    feats = _features(cfg, {"N": _image_stack(records)}, {"N"})["N"]
+def _prepare_features(cfg, data):
+    """Backbone features of a Dataset's images, its labels and the split."""
+    labels, train_idx, test_idx = _split(cfg, data)
+    feats = _features(cfg, {"N": data.images}, {"N"})["N"]
     return feats, labels, train_idx, test_idx
 
 

@@ -6,9 +6,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from noclab import cli, harness
+from noclab import datapipe as dp
 from noclab.errors import ConfigError
 
 SMALL = [
@@ -40,6 +42,25 @@ def test_gen_emits_orientation_maps_with_motion(tmp_path):
     assert run(["gen", "--output-dir", out, "--set", "dataset.motion=correlated",
                 "--set", "dataset.per_class=2"] + SMALL[:6]) == 0
     assert any(n.endswith(".pgm") for n in os.listdir(out))
+
+
+def test_gen_files_equal_the_dataset_rows(tmp_path):
+    out = str(tmp_path / "genm")
+    overrides = {"dataset.classes": 3, "dataset.per_class": 3, "dataset.size": 16,
+                 "dataset.motion": "correlated"}
+    assert run(["gen", "--output-dir", out]
+               + [a for k, v in overrides.items() for a in ("--set", f"{k}={v}")]) == 0
+    data = harness.build_dataset(harness.parse_config(None, overrides))
+    assert len(data) == 9
+    lines = open(os.path.join(out, "manifest.csv")).read().splitlines()
+    assert lines == ["path,class_id,source,partition"] + [
+        f"img_{i:05d}.ppm,{c},normal," for i, c in enumerate(data.labels)]
+    for i in range(len(data)):
+        image = dp.read_ppm(os.path.join(out, f"img_{i:05d}.ppm"))
+        orient = dp.read_pgm(os.path.join(out, f"orient_{i:05d}.pgm"))
+        assert np.array_equal(image.pixels, np.round(255 * data.images[i]) / 255)
+        assert np.array_equal(orient.pixels, np.round(255 * data.orientation[i]) / 255)
+    assert len(os.listdir(out)) == 1 + 2 * len(data)
 
 
 def test_train_writes_model_and_loss(tmp_path, capsys):
@@ -213,6 +234,10 @@ def test_unreadable_config_file_exits_cleanly(tmp_path, capsys, kind, reason):
     ("fusion", "fusion.orientation_scale=1e308", "fused features non-finite"),
     # the first head (1LR) trains; the second (2LR) diverges
     ("regime_sweep", "regime.alpha=1e200", "2LR diverged"),
+    # the SVM's step size 1/(c_reg*t) overflows its weights
+    ("regime_sweep", "svm.c_reg=1e-300", "SVM weights non-finite"),
+    # the fused features are finite, but their embedding's row norms are not
+    ("fusion", "fusion.orientation_scale=1e300", "row norms non-finite"),
 ])
 def test_failed_experiment_writes_no_artifacts(tmp_path, capsys, recwarn,
                                                experiment, setting, message):

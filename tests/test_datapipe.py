@@ -592,27 +592,28 @@ def test_render_smoothing_matches_ndimage(size):
 
 
 def test_gen_dataset_shapes_and_labels():
-    records = dp.gen_synthetic_dataset(4, 3, 16, motion=False, seed=0)
-    assert len(records) == 12
-    assert sorted({r.class_id for r in records}) == [0, 1, 2, 3]
-    assert all(r.image.pixels.shape == (3, 16, 16) for r in records)
-    assert all(r.orientation is None for r in records)
+    data = dp.gen_synthetic_dataset(4, 3, 16, motion=False, seed=0)
+    assert len(data) == 12
+    assert data.images.shape == (12, 3, 16, 16)
+    # class c holds rows [3c, 3c + 3)
+    assert data.labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
+    assert data.orientation is None
 
 
 def test_gen_dataset_motion_modes():
-    recs = dp.gen_synthetic_dataset(4, 2, 16, motion="correlated", seed=0)
-    assert len(recs) == 8
-    assert all(r.orientation is not None for r in recs)
-    recs_u = dp.gen_synthetic_dataset(4, 2, 16, motion="uncorrelated", seed=0)
-    assert all(r.orientation is not None for r in recs_u)
+    data = dp.gen_synthetic_dataset(4, 2, 16, motion="correlated", seed=0)
+    assert len(data) == 8
+    assert data.orientation.shape == (8, 1, 16, 16)
+    data_u = dp.gen_synthetic_dataset(4, 2, 16, motion="uncorrelated", seed=0)
+    assert data_u.orientation.shape == (8, 1, 16, 16)
 
 
 @pytest.mark.parametrize("motion", ["correlated", "uncorrelated"])
 def test_gen_dataset_orientation_matches_per_record_flow(motion):
     num_classes, per_class, size, seed = 4, 5, 16, 3
-    records = dp.gen_synthetic_dataset(num_classes, per_class, size, motion=motion,
-                                       seed=seed)
-    # the generator's draws, replayed one record at a time
+    data = dp.gen_synthetic_dataset(num_classes, per_class, size, motion=motion,
+                                    seed=seed)
+    # the generator's draws, replayed one sample at a time
     rng = np.random.default_rng(seed)
     i = 0
     for c in range(num_classes):
@@ -626,17 +627,18 @@ def test_gen_dataset_orientation_matches_per_record_flow(motion):
             shift = (int(round(2.0 * np.sin(angle))), int(round(2.0 * np.cos(angle))))
             shifted = dp.Frame(np.roll(frame.pixels, shift, axis=(1, 2)))
             want = dp.orientation_map(dp.horn_schunck(frame, shifted, lam=0.5, iters=60))
-            assert np.array_equal(records[i].image.pixels, frame.pixels)
-            assert np.array_equal(records[i].orientation.pixels, want.pixels)
+            assert data.labels[i] == c
+            assert np.array_equal(data.images[i], frame.pixels)
+            assert np.array_equal(data.orientation[i], want.pixels)
             i += 1
-    assert i == len(records)
+    assert i == len(data)
 
 
 def test_gen_dataset_deterministic():
     a = dp.gen_synthetic_dataset(3, 2, 16, seed=5)
     b = dp.gen_synthetic_dataset(3, 2, 16, seed=5)
-    for ra, rb in zip(a, b):
-        assert np.array_equal(ra.image.pixels, rb.image.pixels)
+    assert np.array_equal(a.images, b.images)
+    assert np.array_equal(a.labels, b.labels)
 
 
 def test_gen_dataset_validation():

@@ -321,7 +321,7 @@ def test_blur_frames_draws_each_frame_in_turn(tmp_path, kind):
     noise seed drawn frame after frame from the seed + 17 generator."""
     from noclab import datapipe as dp
     cfg = small_cfg(tmp_path, **{"blur.kind": kind, "blur.length": 5})
-    pixels = harness._image_stack(harness.build_dataset(cfg))
+    pixels = harness.build_dataset(cfg).images
     out = harness._blur_frames(cfg, pixels)
     rng = np.random.default_rng(cfg.seed + 17)
     for frame, blurred in zip(pixels, out):
