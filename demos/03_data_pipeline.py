@@ -36,14 +36,16 @@ print(f"clip of {len(frames)} frames -> {len(keys)} key frames -> "
 
 # --- blur synthesis ---------------------------------------------------------
 sharp = dp.Frame(dp.gen_synthetic_dataset(4, 1, 32, seed=1).images[0])
+# the blur takes a stack of frames; one frame is a one-frame stack
 for kind in ("gaussian", "motion"):
-    blurred = dp.synth_blur(sharp, kind=kind, sigma=2.0, length=9, angle=30.0)
+    blurred = dp.synth_blur(sharp.pixels[None], kind=kind, sigma=2.0, length=9,
+                            angle=30.0)[0]
     print(f"{kind} blur: pixel variance {sharp.pixels.var():.4f} -> "
-          f"{blurred.pixels.var():.4f}")
+          f"{blurred.var():.4f}")
 
 # post-blur sensor noise makes the degradation non-invertible
-noisy = dp.synth_blur(sharp, sigma=2.0, noise=0.02, seed=7)
-print(f"with re-capture noise: variance {noisy.pixels.var():.4f}")
+noisy = dp.synth_blur(sharp.pixels[None], sigma=2.0, noise=0.02, seed=7)[0]
+print(f"with re-capture noise: variance {noisy.var():.4f}")
 
 # round-trip to disk as binary PPM
 dp.write_ppm(sharp, "/tmp/demo_sharp.ppm")

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, SizeMismatch
+from .errors import InvalidValue, SizeMismatch, is_count
 
 # ---------------------------------------------------------------------------
 # core containers
@@ -29,7 +29,8 @@ class Frame:
         p = np.asarray(self.pixels, dtype=np.float64)
         if p.ndim == 2:
             p = p[None]
-        _check_frame_shape(p)
+        if p.ndim != 3 or p.shape[0] not in (1, 3):
+            raise InvalidValue(f"frame must be (1|3, h, w), got {p.shape}")
         # clipping would pass NaN through to the features
         if not np.isfinite(p).all():
             raise InvalidValue("frame pixels must be finite")
@@ -47,24 +48,12 @@ class Frame:
     def width(self):
         return self.pixels.shape[2]
 
-    def gray(self):
-        """Channel-mean luminance plane (h, w)."""
-        return self.pixels.mean(axis=0)
 
-
-def _check_frame_shape(p):
-    if p.ndim != 3 or p.shape[0] not in (1, 3):
-        raise InvalidValue(f"frame must be (1|3, h, w), got {p.shape}")
-
-
-def _clamped_frame(pixels):
-    """A Frame around float64 (1|3, h, w) pixels that the caller has
-    already clamped to [0,1]: the shape is checked, but nothing is
-    copied or clipped again."""
-    _check_frame_shape(pixels)
-    frame = object.__new__(Frame)
-    frame.pixels = pixels
-    return frame
+def _floats(value, name):
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidValue(f"{name} is no float array: {type(value).__name__}") from None
 
 
 @dataclass
@@ -193,12 +182,12 @@ def kmeans(points, k, max_iters=100, seed=0):
     """
     X = np.asarray(points, dtype=np.float64)
     n = X.shape[0]
-    if k < 1:
-        raise InvalidValue(f"k must be >= 1, got {k}")
+    if not is_count(k):
+        raise InvalidValue(f"k must be >= 1 (an integer), got {k!r}")
     if k > len(np.unique(X, axis=0)):
         raise InvalidValue(f"k={k} exceeds distinct point count")
-    if max_iters < 1:
-        raise InvalidValue("max_iters must be >= 1")
+    if not is_count(max_iters):
+        raise InvalidValue(f"max_iters must be >= 1 (an integer), got {max_iters!r}")
     rng = np.random.default_rng(seed)
 
     # k-means++ seeding
@@ -270,7 +259,9 @@ def _gaussian_kernel(sigma):
     gaussian kernel is their outer product."""
     r = max(1, int(np.ceil(3 * sigma)))
     x = np.arange(-r, r + 1)
-    k = np.exp(-0.5 * (x / sigma) ** 2)
+    # below sigma 7e-155 (x / sigma) ** 2 overflows, and exp(-inf) = 0 is exact
+    with np.errstate(over="ignore"):
+        k = np.exp(-0.5 * (x / sigma) ** 2)
     return k / k.sum()
 
 
@@ -408,32 +399,54 @@ def _gaussian_blur(stack, sigmas):
     return out
 
 
-def synth_blur(image, kind="gaussian", sigma=2.0, length=9, angle=0.0,
+# Frames per motion blur block: on 1600 default frames at length 9 (2-vCPU Xeon, one
+# BLAS thread) blocks of 8 took 91-96 ms, of 4 100-129, of 16 96-104, of 64 203 ms.
+_MOTION_BLOCK = 8
+
+
+def _motion_blur(stack, kernel):
+    """Each plane of (n, c, h, w) convolved with a square kernel, bit for bit
+    as ndimage.convolve(stack, kernel[None, None], "reflect"): the sum, from
+    zero in row-major order over the flipped kernel's nonzero taps, of tap *
+    a shifted view of the reflect-padded planes (origin as in ndimage)."""
+    n, c, h, w = stack.shape
+    size = len(kernel)
+    rows, cols = (_reflect(np.arange(m + size - 1) - (size - 1) // 2, m) for m in (h, w))
+    flipped = kernel[::-1, ::-1]
+    out = np.zeros(stack.shape)
+    term = np.empty((min(n, _MOTION_BLOCK), c, h, w))
+    for s in range(0, n, _MOTION_BLOCK):
+        block = out[s:s + _MOTION_BLOCK]
+        padded = stack[s:s + _MOTION_BLOCK][..., rows[:, None], cols]
+        for a, b in zip(*np.nonzero(flipped)):
+            block += np.multiply(padded[..., a:a + h, b:b + w], flipped[a, b],
+                                 out=term[:len(block)])
+    return out
+
+
+def synth_blur(stack, kind="gaussian", sigma=2.0, length=9, angle=0.0,
                noise=0.0, seed=None):
-    """Blur a Frame, or a stack (n, c, h, w) of frame pixels, with a
-    gaussian or a 1-px-wide motion-line kernel, reflect-padded.
+    """Blur a stack (n, c, h, w) of frame pixels (a frame: `pixels[None]`)
+    with a gaussian or a 1-px-wide motion-line kernel, reflect-padded.
 
     `sigma` and `seed` are scalars or one value per frame. The gaussian
     is separable. It runs as two batched matrix products, or on a frame
     wider than _DENSE_SPAN kernel widths as _banded_blur (see
     _gaussian_blur); it agrees with two ndimage.convolve1d passes to
     rounding, and a frame's result is the same in any stack. The motion
-    blur is the only user of `scipy.ndimage`, imported on its first call.
+    blur sums shifted views of the reflect-padded frames, one per nonzero
+    kernel tap, bit-identical to ndimage.convolve (see _motion_blur).
 
     `noise` adds i.i.d. post-blur pixel noise (re-capture noise), drawn
     for frame i from default_rng(seed[i]); it is what makes blur
-    destructive rather than a reversible linear map. Returns a Frame for
-    a Frame and a stack, clamped to [0,1], for a stack. Every argument
-    is checked before any kernel is built.
+    destructive rather than a reversible linear map. Returns the blurred
+    stack clamped to [0,1]; every argument is checked before any kernel.
     """
-    if isinstance(image, Frame):
-        stack = image.pixels[None]
-    else:
-        stack = np.asarray(image, dtype=np.float64)
-        if stack.ndim != 4 or stack.shape[1] not in (1, 3):
-            raise InvalidValue(f"need a Frame or a stack (n, 1|3, h, w), got {stack.shape}")
-        if not np.isfinite(stack).all():
-            raise InvalidValue("frame pixels must be finite")
+    stack = _floats(stack, "blur input")
+    if stack.ndim != 4 or stack.shape[1] not in (1, 3):
+        raise InvalidValue(f"need a stack (n, 1|3, h, w), got {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise InvalidValue("frame pixels must be finite")
     n, _, h, w = stack.shape
     if not (np.isfinite(noise) and noise >= 0):
         raise InvalidValue(f"noise must be finite and >= 0, got {noise}")
@@ -453,19 +466,13 @@ def synth_blur(image, kind="gaussian", sigma=2.0, length=9, angle=0.0,
             raise InvalidValue(f"motion length must be in [1, {max(h, w)}], got {length}")
         if not np.isfinite(angle):
             raise InvalidValue(f"motion angle must be finite, got {angle}")
-        # imported here, not at module load, so that runs which never
-        # motion-blur never pay for scipy's import time and memory
-        from scipy import ndimage
-
-        out = ndimage.convolve(stack, _motion_kernel(length, angle)[None, None],
-                               mode="reflect")
+        out = _motion_blur(stack, _motion_kernel(length, angle))
     else:
         raise InvalidValue(f"unknown blur kind {kind!r}")
     if noise > 0:
         for frame, frame_seed in zip(out, seeds):
             frame += np.random.default_rng(frame_seed).normal(0.0, noise, size=frame.shape)
-    np.clip(out, 0.0, 1.0, out=out)
-    return _clamped_frame(out[0]) if isinstance(image, Frame) else out
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +483,6 @@ def synth_blur(image, kind="gaussian", sigma=2.0, length=9, angle=0.0,
 # sweep's working set in cache; on a 2-vCPU Xeon with 4 MiB of L2, one
 # block of 1600 such frames ran 2-2.5x slower.
 _FLOW_BLOCK = 16
-
-
-def _gray(f):
-    return f.gray() if isinstance(f, Frame) else np.asarray(f, dtype=np.float64)
 
 
 def _brightness_gradients(a, b):
@@ -552,25 +555,22 @@ def _jacobi_block(a, b, lam, iters):
 def horn_schunck(f1, f2, lam=0.5, iters=100):
     """Classic dense optical flow via Jacobi iteration.
 
-    f1, f2: gray planes (h, w), single-channel Frames, or stacks (n, h, w)
-    of planes, frame pair i being (f1[i], f2[i]). Returns flow of the
-    input's shape, such that a rightward image shift gives u > 0. A stack
-    is swept in fixed blocks of frames; each pair's flow equals that of
-    a call on the pair alone.
+    f1, f2: gray planes (h, w), a frame's being `pixels.mean(axis=0)`, or
+    stacks (n, h, w), pair i being (f1[i], f2[i]). Returns flow of the
+    input's shape; a rightward image shift gives u > 0. A stack is swept in
+    fixed blocks of frames; a pair's flow equals that of a call on it alone.
     """
-    a = _gray(f1)
-    b = _gray(f2)
+    a, b = _floats(f1, "f1"), _floats(f2, "f2")
     if a.shape != b.shape:
         raise SizeMismatch("frame shapes differ")
     if a.ndim not in (2, 3):
         raise InvalidValue(f"need planes (h, w) or stacks (n, h, w), got {a.shape}")
     if not 0 < lam < math.inf:
         raise InvalidValue(f"lam must be positive and finite, got {lam}")
-    if not isinstance(iters, (int, np.integer)) or iters < 1:
+    if not is_count(iters):
         raise InvalidValue(f"iters must be an integer >= 1, got {iters!r}")
     stack_a, stack_b = (a, b) if a.ndim == 3 else (a[None], b[None])
-    u = np.empty_like(stack_a)
-    v = np.empty_like(stack_a)
+    u, v = np.empty_like(stack_a), np.empty_like(stack_a)
     for s in range(0, len(stack_a), _FLOW_BLOCK):
         block = slice(s, s + _FLOW_BLOCK)
         u[block], v[block] = _jacobi_block(stack_a[block], stack_b[block], lam, iters)
@@ -579,14 +579,10 @@ def horn_schunck(f1, f2, lam=0.5, iters=100):
 
 def flow_energy(flow: FlowField, f1, f2, lam=0.5):
     """Data + smoothness objective the Jacobi iteration descends."""
-    Ix, Iy, It = _brightness_gradients(_gray(f1), _gray(f2))
+    Ix, Iy, It = _brightness_gradients(_floats(f1, "f1"), _floats(f2, "f2"))
     u, v = flow.u, flow.v
-    data = ((Ix * u + Iy * v + It) ** 2).sum()
-    gu = np.diff(u, axis=0) ** 2
-    gu2 = np.diff(u, axis=1) ** 2
-    gv = np.diff(v, axis=0) ** 2
-    gv2 = np.diff(v, axis=1) ** 2
-    return float(data + lam ** 2 * (gu.sum() + gu2.sum() + gv.sum() + gv2.sum()))
+    smooth = sum((np.diff(f, axis=axis) ** 2).sum() for f in (u, v) for axis in (0, 1))
+    return float(((Ix * u + Iy * v + It) ** 2).sum() + lam ** 2 * smooth)
 
 
 def _orientation(u, v):
@@ -627,17 +623,17 @@ def _smooth(planes):
     return _banded_blur(planes, _SMOOTH_TAPS)
 
 
-def _render_family(family, count, size, rng, draw_angles=False):
-    """`count` images of one visual family: polygons, stripes, blob
-    fields and checkers, each with a family-specific color tint.
+def _render_family(family, out, rng, draw_angles=False):
+    """Fill `out` (count, 3, size, size) with one visual family: polygons,
+    stripes, blob fields and checkers, each with a family-specific tint.
 
     Each image takes its random numbers from `rng` in turn: background
     noise, center, the family's draws, sensor noise and, with
     `draw_angles`, a motion angle in [0, 2*pi). The stack is then built
-    with the same elementwise expressions an image at a time would use.
-    Returns the pixels (count, 3, size, size), clamped to [0,1], and the
-    angles (None without `draw_angles`).
+    with the same elementwise expressions an image at a time would use,
+    and clamped to [0,1]. Returns the angles (None without `draw_angles`).
     """
+    count, _, size, _ = out.shape
     kind = family % 4
     variant = family // 4
     blobs = 1 + 2 * variant if kind == 2 else 0
@@ -683,9 +679,11 @@ def _render_family(family, count, size, rng, draw_angles=False):
     else:  # checker
         cell = max(2, size // (4 + 2 * variant))
         mask = ((yy // cell + xx // cell) % 2).astype(bool)[None]
-    img = np.where(mask[:, None], (0.25 + 0.75 * color)[:, None, None], base[:, None])
-    img += sensor
-    return np.clip(img, 0.0, 1.0, out=img), angles
+    np.copyto(out, base[:, None])
+    np.copyto(out, (0.25 + 0.75 * color)[:, None, None], where=mask[:, None])
+    out += sensor
+    np.clip(out, 0.0, 1.0, out=out)
+    return angles
 
 
 def _shift_plane(planes, dx, dy):
@@ -713,8 +711,8 @@ def gen_synthetic_dataset(num_classes=16, per_class=100, size=32, motion=False,
         raise InvalidValue("size must be >= 16")
     if motion not in (False, "correlated", "uncorrelated"):
         raise InvalidValue(f"bad motion mode {motion!r}")
-    if per_class < 1:
-        raise InvalidValue(f"per_class must be >= 1, got {per_class}")
+    if not is_count(per_class):
+        raise InvalidValue(f"per_class must be >= 1 (an integer), got {per_class!r}")
     rng = np.random.default_rng(seed)
     images = np.empty((num_classes * per_class, 3, size, size))
     orientation = np.empty((len(images), 1, size, size)) if motion else None
@@ -722,8 +720,7 @@ def gen_synthetic_dataset(num_classes=16, per_class=100, size=32, motion=False,
     for c in range(num_classes):
         family = c % ((num_classes + 1) // 2) if motion == "correlated" else c
         rows = slice(c * per_class, (c + 1) * per_class)
-        images[rows], angles = _render_family(family, per_class, size, rng,
-                                              draw_angles=motion == "uncorrelated")
+        angles = _render_family(family, images[rows], rng, motion == "uncorrelated")
         if not motion:
             continue
         first = images[rows].mean(axis=1)

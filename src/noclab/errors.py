@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its count check."""
+
+import numbers
 
 
 class NoclabError(Exception):
@@ -27,3 +29,8 @@ class InvalidPlan(NoclabError):
 
 class ConfigError(NoclabError):
     """An experiment config file or override is invalid."""
+
+
+def is_count(value):
+    """Whether `value` is an integer >= 1 (a bool is no count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1

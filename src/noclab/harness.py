@@ -475,6 +475,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
                     for (net, _, _), (head, _) in heads.items()])
     svms = dict(zip(heads, ev.svm_train(ftr, labels[tr], c_reg=cfg["svm.c_reg"],
                                         epochs=cfg["svm.epochs"], seed=cfg.seed)))
+    if cfg["experiment"].endswith("_sweep"):
+        # first, so that a test split too small to embed leaves no artifact
+        _, _, net, data, arch_id, regime = plan[-1]
+        _, rows = pca_embedding(heads[net, arch_id, regime][0], feats[data][te],
+                                labels[te], cfg.seed)
+        artifact.emit("embedding.csv", rows, EMBEDDING_HEADER)
     k = cfg["dataset.classes"]
     for method, tag, net, data, arch_id, regime in plan:
         head, loss_csv = heads[net, arch_id, regime]
@@ -494,11 +500,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
         mname = f"model_{tag}.noc"
         nets.save_model(head, artifact.path(mname))
         artifact.files[mname] = artifact.path(mname)
-    if cfg["experiment"].endswith("_sweep"):
-        # embedding of the test features through the last row's head
-        _, rows = pca_embedding(head, X_eval, labels[te], cfg.seed)
-        artifact.emit("embedding.csv", rows, EMBEDDING_HEADER)
-
     artifact.emit("metrics.csv", [(m, r, s, f"{a:.1f}", fa) for m, r, s, a, fa
                                   in sorted(artifact.metrics_rows)], METRICS_HEADER)
     with open(artifact.path("table.txt"), "w") as fh:

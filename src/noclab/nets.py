@@ -251,10 +251,15 @@ def infer(model: Model, X, stop=None) -> np.ndarray:
     """Run layers [0, stop) of the model on the batch X (leading batch
     dim), with no gradient: the logits by default. Every head ends
     (relu, fc), so stop=-1 gives its penultimate features, one row per
-    sample. float64 input is read in place, never copied."""
+    sample. float64 input is read in place, never copied. Non-finite
+    output, say from finite but huge parameters, raises InvalidValue."""
     X = np.asarray(X, dtype=np.float64)
     _check_input(model, X.shape)
-    return _chain_forward(model, model.params, X, stop=stop)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _chain_forward(model, model.params, X, stop=stop)
+    if not np.isfinite(out).all():
+        raise InvalidValue(f"{model.arch_id} output non-finite: its parameters overflow it")
+    return out
 
 
 def forward(model: Model, batch: ad.Tensor) -> ad.Tensor:

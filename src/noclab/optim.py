@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets
-from .errors import ArchMismatch, InvalidPlan, InvalidValue, SizeMismatch
+from .errors import ArchMismatch, InvalidPlan, InvalidValue, SizeMismatch, is_count
 
 DEFAULT_BETA = 0.9
 DEFAULT_GAMMA = 0.9
@@ -84,12 +84,6 @@ def _check_shapes(theta, grad, *accs):
         if a.shape != t.shape:
             raise SizeMismatch(f"accumulator {a.shape} vs theta {t.shape}")
     return t, g
-
-
-def _is_count(value):
-    """Whether `value` is an integer >= 1 (a bool is no count)."""
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and value >= 1)
 
 
 def _check_alpha(alpha):
@@ -293,7 +287,7 @@ def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
     if not batches:
         raise InvalidValue("no batches")
     steps = hyper.iterations if num_steps is None else num_steps
-    if not _is_count(steps):
+    if not is_count(steps):
         raise InvalidValue(f"{'iterations' if num_steps is None else 'num_steps'} "
                            f"must be an integer >= 1, got {steps!r}")
     _check_constants(beta=hyper.beta, gamma=hyper.gamma, epsilon=hyper.epsilon)
@@ -319,7 +313,7 @@ def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
 
 def make_batches(X, labels, batch_size, seed=0):
     """Shuffle once and split into minibatches (last one may be short)."""
-    if not _is_count(batch_size):
+    if not is_count(batch_size):
         raise InvalidValue(f"batch_size must be an integer >= 1, got {batch_size!r}")
     X = np.asarray(X)
     if len(X) != len(labels):
@@ -350,7 +344,7 @@ def train(init, X, labels, regime: str, hyper: Hyper, partitions, seed=0,
     labels = np.asarray(labels)
     if len(X) != len(labels):
         raise SizeMismatch(f"{len(X)} samples vs {len(labels)} labels")
-    if not (_is_count(partitions) and partitions <= len(labels)):
+    if not (is_count(partitions) and partitions <= len(labels)):
         raise InvalidPlan(f"cannot deal {len(labels)} samples into "
                           f"{partitions} partitions")
     averaged = regime == "3LR"

@@ -1,6 +1,8 @@
 """Unit tests for the data pipeline: spectra, sampling, blur, optical
 flow, synthetic generation and Netpbm I/O."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,7 +28,8 @@ def test_frame_clamps_and_promotes_2d():
     f = dp.Frame(np.array([[2.0, -1.0], [0.5, 0.25]]))
     assert f.pixels.shape == (1, 2, 2)
     assert f.pixels.max() <= 1.0 and f.pixels.min() >= 0.0
-    assert f.gray().shape == (2, 2)
+    pixels = np.random.default_rng(0).random((3, 4, 5))
+    assert dp.Frame(pixels).pixels is not pixels
 
 
 def test_frame_rejects_bad_channel_count():
@@ -42,15 +45,6 @@ def test_frame_rejects_non_finite_pixels(bad):
         dp.Frame(pixels)
     with pytest.raises(InvalidValue, match="finite"):
         dp.Frame(pixels[1])
-
-
-def test_clamped_frame_checks_shape_without_copying():
-    pixels = np.random.default_rng(0).random((3, 4, 5))
-    assert dp._clamped_frame(pixels).pixels is pixels
-    assert dp.Frame(pixels).pixels is not pixels
-    for bad in (np.zeros((2, 4, 4)), np.zeros((4, 4))):
-        with pytest.raises(InvalidValue):
-            dp._clamped_frame(bad)
 
 
 def test_clip_rejects_mixed_geometry():
@@ -136,11 +130,18 @@ def test_kmeans_recovers_separated_centers():
         dp.kmeans(np.zeros((5, 2)), 2)  # k exceeds distinct points
 
 
-@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("k", [0, -1, 2.5, np.nan, True])
 def test_kmeans_rejects_nonpositive_k(k):
     pts = np.arange(10.0).reshape(5, 2)
     with pytest.raises(InvalidValue, match="k must be >= 1"):
         dp.kmeans(pts, k)
+
+
+@pytest.mark.parametrize("max_iters", [0, 2.5, True])
+def test_kmeans_rejects_non_count_max_iters(max_iters):
+    pts = np.arange(10.0).reshape(5, 2)
+    with pytest.raises(InvalidValue, match="max_iters must be >= 1"):
+        dp.kmeans(pts, 2, max_iters=max_iters)
 
 
 def test_sample_dataset_deterministic():
@@ -185,23 +186,23 @@ def test_blur_kernels_normalized():
 
 
 def test_blur_preserves_constant_image():
-    const = dp.Frame(np.full((3, 12, 12), 0.5))
+    const = np.full((1, 3, 12, 12), 0.5)
     for kind in ("gaussian", "motion"):
         out = dp.synth_blur(const, kind=kind)
-        assert np.max(np.abs(out.pixels - 0.5)) < 1e-12
+        assert np.max(np.abs(out - 0.5)) < 1e-12
 
 
 def test_blur_reduces_variance_and_noise_is_seeded():
-    f = rand_frame(seed=4)
+    f = rand_frame(seed=4).pixels[None]
     blurred = dp.synth_blur(f, sigma=2.0)
-    assert blurred.pixels.var() < f.pixels.var()
+    assert blurred.var() < f.var()
     a = dp.synth_blur(f, sigma=1.0, noise=0.05, seed=9)
     b = dp.synth_blur(f, sigma=1.0, noise=0.05, seed=9)
-    assert np.array_equal(a.pixels, b.pixels)
+    assert np.array_equal(a, b)
 
 
 def test_blur_validation():
-    f = rand_frame()
+    f = rand_frame().pixels[None]
     for sigma in (0.0, -1.0, np.nan, np.inf, -np.inf):
         with pytest.raises(InvalidValue):
             dp.synth_blur(f, sigma=sigma)
@@ -215,6 +216,16 @@ def test_blur_validation():
             dp.synth_blur(f, noise=noise, seed=0)
     with pytest.raises(InvalidValue):
         dp.synth_blur(f, kind="box")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gaussian_blur_at_a_tiny_sigma_is_the_identity():
+    # (x / sigma) ** 2 overflows below sigma 7e-155; the taps are [0, 1, 0]
+    # from sigma 0.026 down
+    stack = np.random.default_rng(2).random((3, 3, 8, 8))
+    for sigma in (5e-324, 1e-300, 1e-100, 0.02):
+        assert np.array_equal(dp._gaussian_kernel(sigma), [0.0, 1.0, 0.0])
+        assert np.array_equal(dp.synth_blur(stack, sigma=sigma), stack)
 
 
 def reference_gaussian_blur(frame, sigma):
@@ -236,10 +247,10 @@ def test_gaussian_blur_matches_2d_reference(size, channels):
     for sigma in (0.2, 0.5, 1.0, 1.7, 2.9, 3.0):
         f = dp.Frame(rng.random((channels, size, size)))
         ref = reference_gaussian_blur(f, sigma)
-        out = dp.synth_blur(f, sigma=sigma).pixels
+        out = dp.synth_blur(f.pixels[None], sigma=sigma)[0]
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) < 1e-12
-        noisy = dp.synth_blur(f, sigma=sigma, noise=0.05, seed=7).pixels
+        noisy = dp.synth_blur(f.pixels[None], sigma=sigma, noise=0.05, seed=7)[0]
         draw = np.random.default_rng(7).normal(0.0, 0.05, size=ref.shape)
         assert np.max(np.abs(noisy - np.clip(ref + draw, 0.0, 1.0))) < 1e-12
 
@@ -290,8 +301,8 @@ def test_blur_stack_matches_per_frame(n):
     out = dp.synth_blur(stack, sigma=sigmas, noise=0.02, seed=seeds)
     assert out.shape == stack.shape
     for frame, blurred, sigma, seed in zip(stack, out, sigmas, seeds):
-        one = dp.synth_blur(dp.Frame(frame), sigma=sigma, noise=0.02, seed=seed)
-        assert np.array_equal(one.pixels, blurred)
+        one = dp.synth_blur(frame[None], sigma=sigma, noise=0.02, seed=seed)
+        assert np.array_equal(one[0], blurred)
 
 
 def test_blur_stack_mixing_dense_and_banded_frames_matches_per_frame():
@@ -306,8 +317,8 @@ def test_blur_stack_mixing_dense_and_banded_frames_matches_per_frame():
     seeds = list(range(8))
     out = dp.synth_blur(stack, sigma=sigmas, noise=0.02, seed=seeds)
     for frame, blurred, sigma, seed in zip(stack, out, sigmas, seeds):
-        one = dp.synth_blur(dp.Frame(frame), sigma=sigma, noise=0.02, seed=seed)
-        assert np.array_equal(one.pixels, blurred)
+        one = dp.synth_blur(frame[None], sigma=sigma, noise=0.02, seed=seed)
+        assert np.array_equal(one[0], blurred)
 
 
 def test_blur_of_any_memory_layout_matches_c_ordered(tmp_path):
@@ -317,10 +328,10 @@ def test_blur_of_any_memory_layout_matches_c_ordered(tmp_path):
     # a PPM is read channels-last, so its Frame holds transposed pixels
     frame = dp.read_ppm(path)
     assert not frame.pixels.flags.c_contiguous
-    blurred = dp.synth_blur(frame, sigma=1.5, noise=0.05, seed=3)
-    ref = dp.synth_blur(dp.Frame(np.ascontiguousarray(frame.pixels)), sigma=1.5,
+    blurred = dp.synth_blur(frame.pixels[None], sigma=1.5, noise=0.05, seed=3)
+    ref = dp.synth_blur(np.ascontiguousarray(frame.pixels)[None], sigma=1.5,
                         noise=0.05, seed=3)
-    assert np.array_equal(blurred.pixels, ref.pixels)
+    assert np.array_equal(blurred, ref)
     stack = rng.random((5, 12, 10, 3)).transpose(0, 3, 1, 2)
     sigmas = [0.4, 1.0, 2.0, 3.0, 10.0]
     assert np.array_equal(dp.synth_blur(stack, sigma=sigmas),
@@ -328,14 +339,20 @@ def test_blur_of_any_memory_layout_matches_c_ordered(tmp_path):
 
 
 def test_motion_blur_stack_matches_per_plane():
-    stack = np.random.default_rng(5).random((4, 3, 16, 16))
-    kernel = dp._motion_kernel(9, 30.0)
-    out = dp.synth_blur(stack, kind="motion", length=9, angle=30.0)
-    for frame, blurred in zip(stack, out):
-        ref = [ndimage.convolve(plane, kernel, mode="reflect") for plane in frame]
-        assert np.array_equal(blurred, np.clip(ref, 0.0, 1.0))
-        assert np.array_equal(dp.synth_blur(dp.Frame(frame), kind="motion", length=9,
-                                            angle=30.0).pixels, blurred)
+    # square, non-square and 1-channel frames; the second stack spans more
+    # than one motion block, and length 12 exceeds the third's 9 rows
+    for shape in ((4, 3, 16, 16), (dp._MOTION_BLOCK + 3, 3, 16, 24), (3, 1, 9, 13)):
+        stack = np.random.default_rng(shape[0]).random(shape)
+        for length, angle in itertools.product(range(1, 13),  # odd and even kernels
+                                               (0.0, 17.0, 30.0, 45.0, 90.0, 137.0)):
+            kernel = dp._motion_kernel(length, angle)
+            out = dp.synth_blur(stack, kind="motion", length=length, angle=angle)
+            for frame, blurred in zip(stack, out):
+                ref = [ndimage.convolve(plane, kernel, mode="reflect") for plane in frame]
+                assert np.array_equal(blurred, np.clip(ref, 0.0, 1.0))
+            # a frame blurs as it does in any stack
+            assert np.array_equal(dp.synth_blur(stack[-1:], kind="motion", length=length,
+                                                angle=angle), out[-1:])
 
 
 def test_blur_stack_validation():
@@ -354,7 +371,7 @@ def test_blur_stack_validation():
         with pytest.raises(InvalidValue, match="larger side"):
             dp.synth_blur(stack, sigma=[1.0, 1.0, sigma])
         with pytest.raises(InvalidValue, match="larger side"):
-            dp.synth_blur(dp.Frame(stack[0]), sigma=sigma)
+            dp.synth_blur(stack[:1], sigma=sigma)
     with pytest.raises(InvalidValue):
         dp.synth_blur(stack, kind="motion", length=9)
     for shape in ((3, 8, 8), (2, 2, 8, 8)):
@@ -364,6 +381,25 @@ def test_blur_stack_validation():
     bad[2, 0, 0, 0] = np.nan
     with pytest.raises(InvalidValue, match="finite"):
         dp.synth_blur(bad)
+
+
+# input that numpy cannot read as a float64 array
+NOT_FLOATS = [dp.Frame(np.zeros((3, 8, 8))), "abc", [[0.0, 1.0], [0.0]]]
+
+
+@pytest.mark.parametrize("bad", NOT_FLOATS, ids=["frame", "string", "ragged"])
+def test_blur_rejects_input_that_is_no_float_array(bad):
+    for kind in ("gaussian", "motion"):
+        with pytest.raises(InvalidValue, match="float array"):
+            dp.synth_blur(bad, kind=kind)
+
+
+@pytest.mark.parametrize("bad", NOT_FLOATS, ids=["frame", "string", "ragged"])
+def test_horn_schunck_rejects_input_that_is_no_float_array(bad):
+    with pytest.raises(InvalidValue, match="float array"):
+        dp.horn_schunck(bad, np.zeros((8, 8)))
+    with pytest.raises(InvalidValue, match="float array"):
+        dp.horn_schunck(np.zeros((8, 8)), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +446,7 @@ def test_horn_schunck_validation():
     for lam in (0.0, np.nan, np.inf):
         with pytest.raises(InvalidValue, match="lam"):
             dp.horn_schunck(np.zeros((4, 4)), np.zeros((4, 4)), lam=lam)
-    for iters in (0, 2.5):
+    for iters in (0, 2.5, True):
         with pytest.raises(InvalidValue, match="iters"):
             dp.horn_schunck(np.zeros((4, 4)), np.zeros((4, 4)), iters=iters)
     with pytest.raises(InvalidValue):
@@ -447,7 +483,8 @@ def reference_horn_schunck(a, b, lam=0.5, iters=100):
 def test_horn_schunck_plane_and_frame_match_reference():
     f1, f2 = bump(10, 12), bump(12, 13)
     u, v = reference_horn_schunck(f1, f2, lam=0.7, iters=40)
-    for a, b in ((f1, f2), (dp.Frame(f1), dp.Frame(f2))):
+    for a, b in ((f1, f2), (dp.Frame(f1).pixels.mean(axis=0),
+                            dp.Frame(f2).pixels.mean(axis=0))):
         flow = dp.horn_schunck(a, b, lam=0.7, iters=40)
         assert flow.u.shape == (24, 24)
         assert np.array_equal(flow.u, u) and np.array_equal(flow.v, v)
@@ -559,9 +596,8 @@ def test_render_family_matches_per_image_oracle(size, count, draw_angles):
     for family in range(16):
         seed = 1000 * size + 10 * count + family
         rng = np.random.default_rng(seed)
-        pixels, angles = dp._render_family(family, count, size, rng,
-                                           draw_angles=draw_angles)
-        assert pixels.shape == (count, 3, size, size)
+        pixels = np.empty((count, 3, size, size))
+        angles = dp._render_family(family, pixels, rng, draw_angles=draw_angles)
         assert (angles is not None) == draw_angles
         ref = np.random.default_rng(seed)
         for i in range(count):
@@ -626,7 +662,8 @@ def test_gen_dataset_orientation_matches_per_record_flow(motion):
                 angle = rng.uniform(0, 2 * np.pi)
             shift = (int(round(2.0 * np.sin(angle))), int(round(2.0 * np.cos(angle))))
             shifted = dp.Frame(np.roll(frame.pixels, shift, axis=(1, 2)))
-            want = dp.orientation_map(dp.horn_schunck(frame, shifted, lam=0.5, iters=60))
+            want = dp.orientation_map(dp.horn_schunck(
+                frame.pixels.mean(axis=0), shifted.pixels.mean(axis=0), lam=0.5, iters=60))
             assert data.labels[i] == c
             assert np.array_equal(data.images[i], frame.pixels)
             assert np.array_equal(data.orientation[i], want.pixels)
@@ -654,7 +691,7 @@ def test_gen_dataset_validation():
             dp.gen_synthetic_dataset(4, 1, 16, motion=alias)
 
 
-@pytest.mark.parametrize("per_class", [0, -1])
+@pytest.mark.parametrize("per_class", [0, -1, 2.5, True])
 @pytest.mark.parametrize("motion", [False, "correlated", "uncorrelated"])
 def test_gen_dataset_rejects_empty_classes(per_class, motion):
     with pytest.raises(InvalidValue, match="per_class must be >= 1"):

@@ -326,10 +326,10 @@ def test_blur_frames_draws_each_frame_in_turn(tmp_path, kind):
     rng = np.random.default_rng(cfg.seed + 17)
     for frame, blurred in zip(pixels, out):
         sigma = rng.uniform(cfg["blur.sigma_min"], cfg["blur.sigma_max"])
-        one = dp.synth_blur(dp.Frame(frame), kind=kind, sigma=sigma, length=5,
+        one = dp.synth_blur(frame[None], kind=kind, sigma=sigma, length=5,
                             angle=cfg["blur.angle"], noise=cfg["blur.noise"],
                             seed=int(rng.integers(1 << 31)))
-        assert np.array_equal(one.pixels, blurred)
+        assert np.array_equal(one[0], blurred)
 
 
 def test_blur_combo_all_matches_single_runs(tmp_path):
