@@ -101,6 +101,7 @@ def cmd_grid(args):
         if exp == "fusion" and sub["dataset.motion"] == "none":
             sub["dataset.motion"] = "correlated"
         subcfgs.append(harness.parse_config(None, sub))
+        harness.check_experiment(subcfgs[-1])
     for exp, subcfg in zip(experiments, subcfgs):
         artifact = harness.run_experiment(subcfg)
         print(f"[{exp}] artifacts in {artifact.output_dir}")
@@ -109,6 +110,7 @@ def cmd_grid(args):
 def cmd_plotdata(args):
     """Emit embedding CSVs (PCA and exact t-SNE) for the test features."""
     cfg = _load_config(args)
+    harness.check_embeddable(cfg, "plotdata")
     out = cfg["output_dir"]
     harness.make_output_dir(out)
     head, X_test, y_test = _train_head(cfg, [])

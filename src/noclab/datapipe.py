@@ -479,10 +479,17 @@ def synth_blur(stack, kind="gaussian", sigma=2.0, length=9, angle=0.0,
 # optical flow
 
 
-# Frames per Jacobi block. A 16-frame block of 32x32 planes keeps the
-# sweep's working set in cache; on a 2-vCPU Xeon with 4 MiB of L2, one
-# block of 1600 such frames ran 2-2.5x slower.
+# Frames per flow block. On 1600 default correlated pairs, flowed in 16
+# calls of 100 at 15 sweeps (2-vCPU Xeon, one BLAS thread, medians of 5 in
+# two rounds), blocks of 4 took 717-942 ms, of 8 504-569, of 16 476-559,
+# of 32 592-727, of 64 610-658 and of 100 787-912 ms; blocks of 12 to 24
+# were within the noise of 16.
 _FLOW_BLOCK = 16
+
+# The over-relaxation factor of the red-black sweep, and the sweeps
+# gen_synthetic_dataset runs on each frame pair.
+_SOR_OMEGA = 1.8
+_FLOW_SWEEPS = 15
 
 
 def _brightness_gradients(a, b):
@@ -495,69 +502,90 @@ def _brightness_gradients(a, b):
     return Ix, Iy, b - a
 
 
-def _jacobi_block(a, b, lam, iters):
-    """Horn-Schunck Jacobi sweeps over a block (n, h, w) of frame pairs;
-    returns the flow as one array (2, n, h, w) holding u and v."""
+def _sor_block(a, b, lam, iters):
+    """Horn-Schunck red-black SOR sweeps over a block (n, h, w) of frame
+    pairs; returns the flow as one array (2, n, h, w) holding u and v."""
     Ix, Iy, It = _brightness_gradients(a, b)
     n, h, w = a.shape
-    # u and v share one buffer with a one-pixel ghost border. Copying the
-    # edge rows, then the full edge columns, into the border equals
-    # np.pad(mode="edge"): the Neumann boundary that keeps the iteration
-    # consistent with the interior-difference smoothness energy.
-    grid = np.zeros((2, n, h + 2, w + 2))
-    # Every other op runs on the flat band [W+1, N-W-1) of that layout:
-    # it starts at plane 0's first interior pixel and ends after the last
-    # plane's last one, so a pixel's neighbours sit at -W, +W, -1 and +1
-    # and stay inside the buffer. The band also holds ghost pixels; there
-    # Ix, Iy and It are 0 and the denominator 1, so the update writes a
-    # finite ubar/vbar that the next edge copy overwrites.
-    W = w + 2
-    N = n * (h + 2) * W
-    lo, hi = W + 1, N - W - 1
-    flat = grid.reshape(2, N)
-    flow = flat[:, lo:hi]
-    up, down = flat[:, lo - W:hi - W], flat[:, lo + W:hi + W]
-    left, right = flat[:, lo - 1:hi - 1], flat[:, lo + 1:hi + 1]
+    # Plane i is the interior of tile i of one flat layout: R rows of
+    # pitch P, with a one-pixel ghost border. P is odd (w+2 or w+3) and R
+    # even (h+2 or h+3), so a cell's colour is the parity of its flat index
+    # k, which equals (row+col) % 2 within every tile. Red (even) and black
+    # (odd) cells live in two contiguous arrays, cell k at entry k//2 of its
+    # colour's. With B = (P+1)/2, the up, down, left and right neighbours
+    # of red cell m are the black cells m-B, m+B-1, m-1 and m; those of
+    # black cell m are the red cells m-B+1, m+B, m and m+1. So every op of a
+    # half-sweep is one contiguous pass, on u and v together, over the band
+    # [B, H-B) of its colour, which holds every interior cell and keeps each
+    # neighbour inside the arrays. The band also holds ghost and padding
+    # cells; there Ix, Iy and It are 0 and the denominator 1, so the update
+    # stays finite. The ghosts it writes are refreshed before an interior
+    # cell reads them, and no interior cell reads a corner or padding cell.
+    P, R = (w + 2) | 1, (h + 3) & ~1
+    H = n * R * P // 2
+    B = (P + 1) // 2
+    band = slice(B, H - B)
+    # Ix, Iy, It and the denominator in that layout, 0, 0, 0 and 1 outside
+    # the planes; then as [red, black][Ix, Iy, It, denominator] of the band
+    terms = np.zeros((4, n, R, P))
+    terms[3] = 1.0
+    for out, term in zip(terms[..., 1:h + 1, 1:w + 1],
+                         (Ix, Iy, It, lam ** 2 + Ix ** 2 + Iy ** 2)):
+        out[...] = term
+    colours = np.moveaxis(terms.reshape(4, H, 2)[:, band], -1, 0).copy()
 
-    def banded(planes, ghost):
-        out = np.full(planes.shape[:-2] + (h + 2, W), ghost)
-        out[..., 1:-1, 1:-1] = planes
-        return out.reshape(planes.shape[:-3] + (N,))[..., lo:hi]
-
-    grads = banded(np.stack([Ix, Iy]), 0.0)
-    It = banded(It, 0.0)
-    denom = banded(lam ** 2 + Ix ** 2 + Iy ** 2, 1.0)
-    bar = np.empty_like(flow)
-    prod = np.empty_like(flow)
-    t = np.empty_like(It)
+    # The Neumann boundary, np.pad(mode="edge") bar the corners that no
+    # interior cell reads: each ghost copies its interior neighbour, which
+    # has the other colour. Before a colour's half-sweep, the other
+    # colour's ghosts are refreshed from this colour's cells.
+    rows, cols = np.arange(1, h + 1) * P, np.arange(1, w + 1)
+    tiles = np.arange(n)[:, None] * (R * P)
+    ghosts = (tiles + np.concatenate([cols, (h + 1) * P + cols, rows, rows + w + 1])).ravel()
+    sources = (tiles + np.concatenate([P + cols, h * P + cols, rows + 1, rows + w])).ravel()
+    state = np.zeros((2, 2, H))  # [red, black][u, v]
+    halves = []
+    for colour, offsets in enumerate(((-B, B - 1, -1, 0), (1 - B, B, 0, 1))):
+        theirs = ghosts % 2 != colour
+        halves.append((ghosts[theirs] // 2, sources[theirs] // 2,
+                       [state[1 - colour, :, B + d:H - B + d] for d in offsets],
+                       state[colour, :, band], colours[colour, :2], *colours[colour, 2:]))
+    bar = np.empty((2, H - 2 * B))
+    prod = np.empty_like(bar)
+    t = np.empty(H - 2 * B)
     for _ in range(iters):
-        grid[..., 0, :] = grid[..., 1, :]
-        grid[..., -1, :] = grid[..., -2, :]
-        grid[..., 0] = grid[..., 1]
-        grid[..., -1] = grid[..., -2]
-        # every sum keeps the order of the per-plane expressions
-        # ((up + down) + left + right) / 4 and ((Ix*ubar + Iy*vbar) + It),
-        # so the flow is bit-identical to one plane at a time; * 0.25 is
-        # the same IEEE result as / 4
-        np.add(up, down, out=bar)
-        bar += left
-        bar += right
-        bar *= 0.25
-        np.multiply(grads, bar, out=prod)
-        np.add(prod[0], prod[1], out=t)
-        t += It
-        t /= denom
-        np.multiply(grads, t, out=prod)
-        np.subtract(bar, prod, out=flow)
-    return grid[..., 1:-1, 1:-1]
+        for colour, (ghost, source, (up, down, left, right), flow, grads, It_c,
+                     denom) in enumerate(halves):
+            state[1 - colour][:, ghost] = state[colour][:, source]
+            # every sum keeps the order of the per-plane expressions
+            # ((up + down) + left + right) / 4, ((Ix*ubar + Iy*vbar) + It)
+            # and u + omega * ((ubar - Ix*t) - u), so the flow is
+            # bit-identical to one plane at a time; * 0.25 is the same IEEE
+            # result as / 4
+            np.add(up, down, out=bar)
+            bar += left
+            bar += right
+            bar *= 0.25
+            np.multiply(grads, bar, out=prod)
+            np.add(prod[0], prod[1], out=t)
+            t += It_c
+            t /= denom
+            np.multiply(grads, t, out=prod)
+            bar -= prod
+            bar -= flow
+            bar *= _SOR_OMEGA
+            flow += bar
+    return np.stack(state, axis=-1).reshape(2, n, R, P)[..., 1:h + 1, 1:w + 1]
 
 
 def horn_schunck(f1, f2, lam=0.5, iters=100):
-    """Classic dense optical flow via Jacobi iteration.
+    """Classic dense optical flow, by red-black successive over-relaxation.
 
     f1, f2: gray planes (h, w), a frame's being `pixels.mean(axis=0)`, or
     stacks (n, h, w), pair i being (f1[i], f2[i]). Returns flow of the
-    input's shape; a rightward image shift gives u > 0. A stack is swept in
+    input's shape; a rightward image shift gives u > 0. Each of the `iters`
+    sweeps updates the cells with (row+col) even, then the others, each
+    from its neighbours' latest values: the Gauss-Seidel value of the
+    Horn-Schunck equations, over-relaxed by omega = 1.8. A stack is swept in
     fixed blocks of frames; a pair's flow equals that of a call on it alone.
     """
     a, b = _floats(f1, "f1"), _floats(f2, "f2")
@@ -573,16 +601,19 @@ def horn_schunck(f1, f2, lam=0.5, iters=100):
     u, v = np.empty_like(stack_a), np.empty_like(stack_a)
     for s in range(0, len(stack_a), _FLOW_BLOCK):
         block = slice(s, s + _FLOW_BLOCK)
-        u[block], v[block] = _jacobi_block(stack_a[block], stack_b[block], lam, iters)
+        u[block], v[block] = _sor_block(stack_a[block], stack_b[block], lam, iters)
     return FlowField(u=u.reshape(a.shape), v=v.reshape(a.shape))
 
 
 def flow_energy(flow: FlowField, f1, f2, lam=0.5):
-    """Data + smoothness objective the Jacobi iteration descends."""
+    """The Horn-Schunck objective: sum (Ix*u + Iy*v + It)^2 plus
+    lam^2/4 times the squared differences of u and v between neighbours
+    within a plane; of a stack, the sum over its pairs. The flow
+    horn_schunck converges to is its stationary point."""
     Ix, Iy, It = _brightness_gradients(_floats(f1, "f1"), _floats(f2, "f2"))
     u, v = flow.u, flow.v
-    smooth = sum((np.diff(f, axis=axis) ** 2).sum() for f in (u, v) for axis in (0, 1))
-    return float(((Ix * u + Iy * v + It) ** 2).sum() + lam ** 2 * smooth)
+    smooth = sum((np.diff(f, axis=axis) ** 2).sum() for f in (u, v) for axis in (-2, -1))
+    return float(((Ix * u + Iy * v + It) ** 2).sum() + lam ** 2 / 4 * smooth)
 
 
 def _orientation(u, v):
@@ -730,7 +761,7 @@ def gen_synthetic_dataset(num_classes=16, per_class=100, size=32, motion=False,
         else:
             second = np.stack([_shift_plane(p, step * np.cos(a), step * np.sin(a))
                                for p, a in zip(first, angles)])
-        flow = horn_schunck(first, second, lam=0.5, iters=60)
+        flow = horn_schunck(first, second, lam=0.5, iters=_FLOW_SWEEPS)
         orientation[rows, 0] = _orientation(flow.u, flow.v)  # in [0,1] by construction
     return Dataset(images, np.repeat(np.arange(num_classes), per_class), orientation)
 

@@ -218,6 +218,27 @@ def _check_cross_keys(cfg, lines):
             + where("arch.width_scale", "dataset.classes"))
 
 
+def check_experiment(cfg):
+    """Checks that read `experiment`, made before it builds data. They are
+    not in parse_config: `grid` parses its base config before it sets each
+    run's experiment and each fusion run's motion."""
+    if cfg["experiment"] == "fusion" and cfg["dataset.motion"] == "none":
+        raise ConfigError("fusion experiment needs dataset.motion set")
+    if cfg["experiment"].endswith("_sweep"):
+        check_embeddable(cfg, cfg["experiment"])
+
+
+def check_embeddable(cfg, what):
+    """Raise ConfigError unless the test split has the 3 samples that
+    `pca_embedding`'s 2-D projection needs."""
+    n_test = cfg["dataset.classes"] * _test_count(cfg["dataset.per_class"])
+    if n_test < 3:
+        raise ConfigError(
+            f"{what} embeds a test split of {n_test} samples (dataset.classes = "
+            f"{cfg['dataset.classes']}, dataset.per_class = {cfg['dataset.per_class']}); "
+            "its 2-D embedding needs at least 3")
+
+
 # ---------------------------------------------------------------------------
 # dataset plumbing
 
@@ -440,11 +461,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
         _check_type(key, value)
         _validate(key, value)
     _check_cross_keys(cfg, {})
-    # checked here, not in parse_config: `grid` parses its base config
-    # before it sets each fusion run's motion, and only experiments read
-    # `experiment`
-    if cfg["experiment"] == "fusion" and cfg["dataset.motion"] == "none":
-        raise ConfigError("fusion experiment needs dataset.motion set")
+    check_experiment(cfg)
     out_dir = cfg["output_dir"]
     make_output_dir(out_dir)
     artifact = RunArtifact(output_dir=out_dir, metrics_rows=[])
@@ -476,7 +493,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
     svms = dict(zip(heads, ev.svm_train(ftr, labels[tr], c_reg=cfg["svm.c_reg"],
                                         epochs=cfg["svm.epochs"], seed=cfg.seed)))
     if cfg["experiment"].endswith("_sweep"):
-        # first, so that a test split too small to embed leaves no artifact
+        # first, so that an embedding that fails leaves no artifact
         _, _, net, data, arch_id, regime = plan[-1]
         _, rows = pca_embedding(heads[net, arch_id, regime][0], feats[data][te],
                                 labels[te], cfg.seed)

@@ -12,7 +12,10 @@ thread variables before numpy loads):
 - `loss_and_grads_us`: `nets.loss_and_grads` on a prepared batch of 32;
 - `svm_step_us`: one lock-step `evaluate.svm_train` step (16 classes,
   dim 128, n 1280) at 1 and 3 fits, timed as the difference between
-  5-epoch and 1-epoch fits divided by the 4n steps between them.
+  5-epoch and 1-epoch fits divided by the 4n steps between them;
+- `flow_sweep_us`: one red-black sweep of `datapipe.horn_schunck` over a
+  block of `datapipe._FLOW_BLOCK` frame pairs of 32x32, timed as the
+  difference between a 16-sweep and a 1-sweep call divided by 15.
 
 Each figure is the median of `--repeats` timed blocks. It reports
 costs and checks nothing; pytest does not collect this file.
@@ -33,7 +36,7 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from noclab import evaluate, harness, nets, optim  # noqa: E402
+from noclab import datapipe, evaluate, harness, nets, optim  # noqa: E402
 
 
 def median_us(fn, repeats, calls):
@@ -87,6 +90,14 @@ def svm_step_costs(cfg, repeats):
     return costs
 
 
+def flow_sweep_cost(cfg, repeats, sweeps=16):
+    size = cfg["dataset.size"]
+    a, b = np.random.default_rng(2).random((2, datapipe._FLOW_BLOCK, size, size))
+    calls = {k: median_us(lambda k=k: datapipe.horn_schunck(a, b, iters=k), repeats, 5)
+             for k in (1, sweeps)}
+    return (calls[sweeps] - calls[1]) / (sweeps - 1)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeats", type=int, default=7)
@@ -96,6 +107,7 @@ def main(argv=None):
     update, loss = head_costs(cfg, args.repeats)
     report = {"update_us": update, "loss_and_grads_us": loss,
               "svm_step_us": svm_step_costs(cfg, args.repeats),
+              "flow_sweep_us": flow_sweep_cost(cfg, args.repeats),
               "numpy": np.__version__}
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:

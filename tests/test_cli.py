@@ -218,6 +218,40 @@ def test_cross_key_config_error_before_any_output(tmp_path, capsys, args, messag
     assert not os.path.exists(out)
 
 
+TWO_TEST_SAMPLES = ["--set", "dataset.classes=2", "--set", "dataset.per_class=5",
+                    "--set", "dataset.size=16", "--set", "regime.iterations=5",
+                    "--set", "regime.partitions=2", "--set", "svm.epochs=1"]
+
+
+@pytest.mark.parametrize("verb,what", [
+    (["grid", "--experiments", "arch_sweep"], "arch_sweep"),
+    (["grid", "--experiments", "fusion,regime_sweep"], "regime_sweep"),
+    (["plotdata"], "plotdata"),
+])
+def test_unembeddable_test_split_fails_before_any_data(
+        tmp_path, capsys, monkeypatch, verb, what):
+    # a sweep and plotdata embed the test split in 2-D, which needs 3
+    # samples; 2 classes of 5 leave 2, and the grid stops before any of
+    # its experiments runs
+    built = []
+    monkeypatch.setattr(harness, "build_dataset", built.append)
+    out = str(tmp_path / "out")
+    assert run(verb + ["--output-dir", out] + TWO_TEST_SAMPLES) == 1
+    assert built == []
+    assert capsys.readouterr().err == (
+        f"error: {what} embeds a test split of 2 samples (dataset.classes = 2, "
+        "dataset.per_class = 5); its 2-D embedding needs at least 3\n")
+    assert not os.path.exists(out)
+
+
+def test_fusion_grid_on_an_unembeddable_test_split_runs(tmp_path):
+    # fusion embeds nothing, so the same base config is fine for it
+    out = str(tmp_path / "out")
+    assert run(["grid", "--experiments", "fusion", "--output-dir", out]
+               + TWO_TEST_SAMPLES) == 0
+    assert os.path.exists(os.path.join(out, "fusion", "metrics.csv"))
+
+
 @pytest.mark.parametrize("kind,reason", [
     ("missing", "No such file or directory"),
     ("directory", "Is a directory"),

@@ -437,7 +437,9 @@ def test_horn_schunck_swap_antisymmetry():
     mag = np.hypot(fwd.u, fwd.v)
     sel = mag > 0.3 * mag.max()
     resid = np.abs(fwd.u[sel] + bwd.u[sel]).mean()
-    assert resid <= 0.25
+    # relative to the flow: the gradients come from the first frame, so
+    # even the converged flows differ, by about 17% of |u| on this pair
+    assert resid <= 0.25 * np.abs(fwd.u[sel]).mean()
 
 
 def test_horn_schunck_validation():
@@ -455,20 +457,44 @@ def test_horn_schunck_validation():
         dp.horn_schunck(np.zeros((1, 2, 4, 4)), np.zeros((1, 2, 4, 4)))
 
 
-def reference_horn_schunck(a, b, lam=0.5, iters=100):
-    """One frame pair at a time, edge replication by np.pad: the
-    unbatched iteration the library must reproduce bit for bit."""
+def neighbor_mean(x):
+    """Mean of the four neighbours under edge replication by np.pad."""
+    p = np.pad(x, 1, mode="edge")
+    return (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:]) / 4.0
 
-    def neighbor_mean(x):
-        p = np.pad(x, 1, mode="edge")
-        return (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:]) / 4.0
 
+def plane_terms(a, b, lam):
     Ix = np.zeros_like(a)
     Iy = np.zeros_like(a)
     Ix[:, :-1] = a[:, 1:] - a[:, :-1]
     Iy[:-1, :] = a[1:, :] - a[:-1, :]
-    It = b - a
-    denom = lam ** 2 + Ix ** 2 + Iy ** 2
+    return Ix, Iy, b - a, lam ** 2 + Ix ** 2 + Iy ** 2
+
+
+def reference_horn_schunck(a, b, lam=0.5, iters=100):
+    """One frame pair at a time, red-black SOR with masked updates: each
+    sweep updates the cells with (row+col) even, then the others, from the
+    latest values. The unbatched iteration the library must reproduce bit
+    for bit."""
+    Ix, Iy, It, denom = plane_terms(a, b, lam)
+    rows, cols = np.indices(a.shape)
+    red = (rows + cols) % 2 == 0
+    u = np.zeros_like(a)
+    v = np.zeros_like(a)
+    for _ in range(iters):
+        for colour in (red, ~red):
+            ubar = neighbor_mean(u)
+            vbar = neighbor_mean(v)
+            t = (Ix * ubar + Iy * vbar + It) / denom
+            u = np.where(colour, u + dp._SOR_OMEGA * ((ubar - Ix * t) - u), u)
+            v = np.where(colour, v + dp._SOR_OMEGA * ((vbar - Iy * t) - v), v)
+    return u, v
+
+
+def reference_jacobi(a, b, lam=0.5, iters=100):
+    """The classic Horn-Schunck Jacobi iteration on one frame pair: every
+    cell from its neighbours' values of the previous sweep."""
+    Ix, Iy, It, denom = plane_terms(a, b, lam)
     u = np.zeros_like(a)
     v = np.zeros_like(a)
     for _ in range(iters):
@@ -508,7 +534,7 @@ def test_horn_schunck_stack_matches_per_frame(n):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (1, 5), (17, 23)])
 def test_horn_schunck_small_and_odd_planes_match_reference(shape):
-    # the flat-band sweep's ghost pixels must neither leak into the flow
+    # the bands' ghost and padding cells must neither leak into the flow
     # nor warn, down to a single pixel and one-row planes
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
     a, b = rng.random(shape), rng.random(shape)
@@ -516,6 +542,81 @@ def test_horn_schunck_small_and_odd_planes_match_reference(shape):
         flow = dp.horn_schunck(a, b, lam=lam, iters=iters)
         u, v = reference_horn_schunck(a, b, lam=lam, iters=iters)
         assert np.array_equal(flow.u, u) and np.array_equal(flow.v, v)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shape", [(3, 17, 23), (2, 32, 32), (3, 6, 5)])
+def test_horn_schunck_stack_of_odd_planes_matches_reference(shape):
+    # every plane of a block starts on a red cell, whatever the parity of
+    # its height and width
+    rng = np.random.default_rng(shape[1] * 100 + shape[2])
+    a, b = rng.random(shape), rng.random(shape)
+    flow = dp.horn_schunck(a, b, lam=0.7, iters=13)
+    for i in range(len(a)):
+        u, v = reference_horn_schunck(a[i], b[i], lam=0.7, iters=13)
+        assert np.array_equal(flow.u[i], u) and np.array_equal(flow.v[i], v)
+
+
+@pytest.mark.parametrize("shape", [(9, 12), (17, 23)])
+def test_sor_reaches_the_jacobi_fixed_point(shape):
+    rng = np.random.default_rng(shape[0])
+    a, b = rng.random(shape), rng.random(shape)
+    u, v = reference_jacobi(a, b, iters=4000)
+    # the Jacobi iterate has converged: one more sweep leaves it in place
+    u1, v1 = reference_jacobi(a, b, iters=4001)
+    assert max(np.abs(u1 - u).max(), np.abs(v1 - v).max()) < 1e-14
+    flow = dp.horn_schunck(a, b, iters=500)
+    assert max(np.abs(flow.u - u).max(), np.abs(flow.v - v).max()) < 1e-12
+
+
+def correlated_pairs(classes=16, per_class=1, size=32, seed=0):
+    """The gray planes gen_synthetic_dataset flows under correlated motion."""
+    data = dp.gen_synthetic_dataset(classes, per_class, size, motion="correlated",
+                                    seed=seed)
+    first = data.images.mean(axis=1)
+    angles = 2 * np.pi * data.labels / classes
+    second = np.stack([dp._shift_plane(p, 2.0 * np.cos(t), 2.0 * np.sin(t))
+                       for p, t in zip(first, angles)])
+    return first, second
+
+
+def test_dataset_sweeps_leave_no_more_energy_than_60_jacobi_sweeps():
+    first, second = correlated_pairs()
+    converged = dp.horn_schunck(first, second, iters=2000)
+    sor = dp.horn_schunck(first, second, iters=dp._FLOW_SWEEPS)
+    excess = {"sor": [], "jacobi": []}
+    for i, (a, b) in enumerate(zip(first, second)):
+        floor = dp.flow_energy(dp.FlowField(converged.u[i], converged.v[i]), a, b)
+        flows = {"sor": dp.FlowField(sor.u[i], sor.v[i]),
+                 "jacobi": dp.FlowField(*reference_jacobi(a, b, iters=60))}
+        for name, flow in flows.items():
+            excess[name].append(dp.flow_energy(flow, a, b) - floor)
+    assert min(min(e) for e in excess.values()) > 0
+    assert np.mean(excess["sor"]) <= np.mean(excess["jacobi"])
+
+
+def test_flow_energy_of_a_stack_sums_its_pairs():
+    # neighbours are taken within each plane, never across pairs
+    a, b = np.random.default_rng(6).random((2, 3, 8, 9))
+    flow = dp.horn_schunck(a, b, iters=20)
+    pairs = sum(dp.flow_energy(dp.FlowField(flow.u[i], flow.v[i]), a[i], b[i])
+                for i in range(3))
+    assert dp.flow_energy(flow, a, b) == pytest.approx(pairs, rel=1e-12)
+
+
+def test_flow_energy_is_stationary_at_the_converged_flow():
+    # the converged flow solves the Horn-Schunck equations, so every
+    # directional derivative of the objective vanishes there; the energy
+    # is quadratic, so central differences are exact up to rounding
+    rng = np.random.default_rng(4)
+    a, b = rng.random((2, 10, 13))
+    flow = dp.horn_schunck(a, b, lam=0.7, iters=500)
+    for _ in range(5):
+        du, dv = rng.normal(size=(2,) + a.shape)
+        h = 1e-3
+        plus = dp.flow_energy(dp.FlowField(flow.u + h * du, flow.v + h * dv), a, b, lam=0.7)
+        minus = dp.flow_energy(dp.FlowField(flow.u - h * du, flow.v - h * dv), a, b, lam=0.7)
+        assert abs(plus - minus) / (2 * h) < 1e-8
 
 
 def test_orientation_map_quadrants():
@@ -663,7 +764,8 @@ def test_gen_dataset_orientation_matches_per_record_flow(motion):
             shift = (int(round(2.0 * np.sin(angle))), int(round(2.0 * np.cos(angle))))
             shifted = dp.Frame(np.roll(frame.pixels, shift, axis=(1, 2)))
             want = dp.orientation_map(dp.horn_schunck(
-                frame.pixels.mean(axis=0), shifted.pixels.mean(axis=0), lam=0.5, iters=60))
+                frame.pixels.mean(axis=0), shifted.pixels.mean(axis=0), lam=0.5,
+                iters=dp._FLOW_SWEEPS))
             assert data.labels[i] == c
             assert np.array_equal(data.images[i], frame.pixels)
             assert np.array_equal(data.orientation[i], want.pixels)
