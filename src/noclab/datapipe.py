@@ -507,55 +507,52 @@ def _sor_block(a, b, lam, iters):
     pairs; returns the flow as one array (2, n, h, w) holding u and v."""
     Ix, Iy, It = _brightness_gradients(a, b)
     n, h, w = a.shape
-    # Plane i is the interior of tile i of one flat layout: R rows of
-    # pitch P, with a one-pixel ghost border. P is odd (w+2 or w+3) and R
-    # even (h+2 or h+3), so a cell's colour is the parity of its flat index
-    # k, which equals (row+col) % 2 within every tile. Red (even) and black
-    # (odd) cells live in two contiguous arrays, cell k at entry k//2 of its
-    # colour's. With B = (P+1)/2, the up, down, left and right neighbours
-    # of red cell m are the black cells m-B, m+B-1, m-1 and m; those of
-    # black cell m are the red cells m-B+1, m+B, m and m+1. So every op of a
-    # half-sweep is one contiguous pass, on u and v together, over the band
-    # [B, H-B) of its colour, which holds every interior cell and keeps each
-    # neighbour inside the arrays. The band also holds ghost and padding
-    # cells; there Ix, Iy and It are 0 and the denominator 1, so the update
-    # stays finite. The ghosts it writes are refreshed before an interior
-    # cell reads them, and no interior cell reads a corner or padding cell.
+    # u and v share one buffer: plane i is the interior of tile i, R rows
+    # of pitch P with a one-pixel ghost border. Copying the edge rows, then
+    # the full edge columns, into the border equals np.pad(mode="edge"):
+    # the Neumann boundary that keeps the iteration consistent with the
+    # interior-difference smoothness energy. P is odd (w+2 or w+3) and R
+    # even (h+2 or h+3), so a cell's colour, (row+col) % 2, is the parity
+    # of its flat index, and every plane starts on red.
     P, R = (w + 2) | 1, (h + 3) & ~1
-    H = n * R * P // 2
-    B = (P + 1) // 2
-    band = slice(B, H - B)
-    # Ix, Iy, It and the denominator in that layout, 0, 0, 0 and 1 outside
-    # the planes; then as [red, black][Ix, Iy, It, denominator] of the band
+    grid = np.zeros((2, n, R, P))
+    # A half-sweep runs on every other cell of the flat band [P+1, N-P-1),
+    # from its colour's first: the band starts at plane 0's first interior
+    # pixel and ends after the last plane's last one, so a cell's
+    # neighbours sit at -P, +P, -1 and +1 and stay inside the buffer. It
+    # also holds ghost and padding cells; there Ix, Iy and It are 0 and the
+    # denominator 1, so the update writes finite values that the next edge
+    # copy overwrites or that no interior cell reads.
+    N = n * R * P
+    m = (N - 2 * P - 2) // 2  # cells of each colour in the band
+    flat = grid.reshape(2, N)
+    starts = (P + 1, P + 2)  # red, black
+
+    def cells(x, start):
+        return x[..., start:start + 2 * m:2]
+
+    # Ix, Iy, It and the denominator in the layout, 0, 0, 0 and 1 around
+    # the planes, as contiguous [red, black] cells of the band
     terms = np.zeros((4, n, R, P))
     terms[3] = 1.0
     for out, term in zip(terms[..., 1:h + 1, 1:w + 1],
                          (Ix, Iy, It, lam ** 2 + Ix ** 2 + Iy ** 2)):
         out[...] = term
-    colours = np.moveaxis(terms.reshape(4, H, 2)[:, band], -1, 0).copy()
-
-    # The Neumann boundary, np.pad(mode="edge") bar the corners that no
-    # interior cell reads: each ghost copies its interior neighbour, which
-    # has the other colour. Before a colour's half-sweep, the other
-    # colour's ghosts are refreshed from this colour's cells.
-    rows, cols = np.arange(1, h + 1) * P, np.arange(1, w + 1)
-    tiles = np.arange(n)[:, None] * (R * P)
-    ghosts = (tiles + np.concatenate([cols, (h + 1) * P + cols, rows, rows + w + 1])).ravel()
-    sources = (tiles + np.concatenate([P + cols, h * P + cols, rows + 1, rows + w])).ravel()
-    state = np.zeros((2, 2, H))  # [red, black][u, v]
     halves = []
-    for colour, offsets in enumerate(((-B, B - 1, -1, 0), (1 - B, B, 0, 1))):
-        theirs = ghosts % 2 != colour
-        halves.append((ghosts[theirs] // 2, sources[theirs] // 2,
-                       [state[1 - colour, :, B + d:H - B + d] for d in offsets],
-                       state[colour, :, band], colours[colour, :2], *colours[colour, 2:]))
-    bar = np.empty((2, H - 2 * B))
+    for start in starts:
+        c = cells(terms.reshape(4, N), start).copy()
+        halves.append(([cells(flat, start + d) for d in (-P, P, -1, 1, 0)], c[:2], c[2], c[3]))
+    del terms, c
+    bar = np.empty((2, m))
     prod = np.empty_like(bar)
-    t = np.empty(H - 2 * B)
+    t = np.empty(m)
     for _ in range(iters):
-        for colour, (ghost, source, (up, down, left, right), flow, grads, It_c,
-                     denom) in enumerate(halves):
-            state[1 - colour][:, ghost] = state[colour][:, source]
+        for (up, down, left, right, flow), grads, It_c, denom in halves:
+            # the ghosts take the latest values of the other colour's half
+            grid[..., 0, :] = grid[..., 1, :]
+            grid[..., h + 1, :] = grid[..., h, :]
+            grid[..., 0] = grid[..., 1]
+            grid[..., w + 1] = grid[..., w]
             # every sum keeps the order of the per-plane expressions
             # ((up + down) + left + right) / 4, ((Ix*ubar + Iy*vbar) + It)
             # and u + omega * ((ubar - Ix*t) - u), so the flow is
@@ -574,7 +571,7 @@ def _sor_block(a, b, lam, iters):
             bar -= flow
             bar *= _SOR_OMEGA
             flow += bar
-    return np.stack(state, axis=-1).reshape(2, n, R, P)[..., 1:h + 1, 1:w + 1]
+    return grid[..., 1:h + 1, 1:w + 1]
 
 
 def horn_schunck(f1, f2, lam=0.5, iters=100):

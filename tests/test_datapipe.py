@@ -437,9 +437,15 @@ def test_horn_schunck_swap_antisymmetry():
     mag = np.hypot(fwd.u, fwd.v)
     sel = mag > 0.3 * mag.max()
     resid = np.abs(fwd.u[sel] + bwd.u[sel]).mean()
-    # relative to the flow: the gradients come from the first frame, so
-    # even the converged flows differ, by about 17% of |u| on this pair
-    assert resid <= 0.25 * np.abs(fwd.u[sel]).mean()
+    # the gradients come from the first frame, so even the converged
+    # flows are not exact opposites; 150 sweeps must leave the residual
+    # of the converged pair (about 0.304 on this pair)
+    fwd_u, fwd_v = reference_jacobi(f1, f2, iters=6000)
+    bwd_u, _ = reference_jacobi(f2, f1, iters=6000)
+    mag = np.hypot(fwd_u, fwd_v)
+    sel = mag > 0.3 * mag.max()
+    converged = np.abs(fwd_u[sel] + bwd_u[sel]).mean()
+    assert abs(resid - converged) <= 0.01
 
 
 def test_horn_schunck_validation():
@@ -534,7 +540,7 @@ def test_horn_schunck_stack_matches_per_frame(n):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (1, 5), (17, 23)])
 def test_horn_schunck_small_and_odd_planes_match_reference(shape):
-    # the bands' ghost and padding cells must neither leak into the flow
+    # the band's ghost and padding cells must neither leak into the flow
     # nor warn, down to a single pixel and one-row planes
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
     a, b = rng.random(shape), rng.random(shape)
