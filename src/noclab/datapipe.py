@@ -720,6 +720,59 @@ def _shift_plane(planes, dx, dy):
     return np.roll(planes, (int(round(dy)), int(round(dx))), axis=(-2, -1))
 
 
+# Frames per block of the synthetic stream: 32 default 3x32x32 frames are
+# 0.75 MB of pixels, and a block's render, flow, blur and backbone
+# temporaries stay a few MB whatever the dataset's size.
+FRAME_BLOCK = 32
+
+
+def synthetic_blocks(num_classes=16, per_class=100, size=32, motion=False, seed=0):
+    """The procedural dataset of `gen_synthetic_dataset` as a stream: an
+    iterator of `(images, orientation | None)` stacks, one per block of
+    FRAME_BLOCK consecutive rows (the last block may be shorter). The
+    arguments are checked at the call, before any block is made.
+
+    Row r holds class r // per_class. The rows are rendered in order from
+    one generator seeded with `seed`, a block crossing a class boundary
+    rendering each class's run of its rows in turn, so every pixel is the
+    same in any block layout.
+    """
+    if not (1 <= num_classes <= 16):
+        raise InvalidValue("num_classes must be in [1,16]")
+    if size < 16:
+        raise InvalidValue("size must be >= 16")
+    if motion not in (False, "correlated", "uncorrelated"):
+        raise InvalidValue(f"bad motion mode {motion!r}")
+    if not is_count(per_class):
+        raise InvalidValue(f"per_class must be >= 1 (an integer), got {per_class!r}")
+    return _render_blocks(num_classes, per_class, size, motion, np.random.default_rng(seed))
+
+
+def _render_blocks(num_classes, per_class, size, motion, rng):
+    n = num_classes * per_class
+    step = 2.0
+    for start in range(0, n, FRAME_BLOCK):
+        stop = min(start + FRAME_BLOCK, n)
+        images = np.empty((stop - start, 3, size, size))
+        orientation = np.empty((len(images), 1, size, size)) if motion else None
+        for c in range(start // per_class, (stop - 1) // per_class + 1):
+            rows = slice(max(start, c * per_class) - start, min(stop, (c + 1) * per_class) - start)
+            family = c % ((num_classes + 1) // 2) if motion == "correlated" else c
+            angles = _render_family(family, images[rows], rng, motion == "uncorrelated")
+            if not motion:
+                continue
+            first = images[rows].mean(axis=1)
+            if motion == "correlated":
+                angle = 2 * np.pi * c / num_classes
+                second = _shift_plane(first, step * np.cos(angle), step * np.sin(angle))
+            else:
+                second = np.stack([_shift_plane(p, step * np.cos(a), step * np.sin(a))
+                                   for p, a in zip(first, angles)])
+            flow = horn_schunck(first, second, lam=0.5, iters=_FLOW_SWEEPS)
+            orientation[rows, 0] = _orientation(flow.u, flow.v)  # in [0,1] by construction
+        yield images, orientation
+
+
 def gen_synthetic_dataset(num_classes=16, per_class=100, size=32, motion=False,
                           seed=0):
     """Procedural image/video dataset.
@@ -730,36 +783,16 @@ def gen_synthetic_dataset(num_classes=16, per_class=100, size=32, motion=False,
     flow-orientation map.
     motion="uncorrelated": distinct visuals, random motion direction.
 
-    Returns a Dataset; class c renders (and flows) its own rows
-    [c*per_class, (c+1)*per_class).
+    Returns a Dataset whose class c holds rows [c*per_class,
+    (c+1)*per_class): the blocks of `synthetic_blocks`, stacked.
     """
-    if not (1 <= num_classes <= 16):
-        raise InvalidValue("num_classes must be in [1,16]")
-    if size < 16:
-        raise InvalidValue("size must be >= 16")
-    if motion not in (False, "correlated", "uncorrelated"):
-        raise InvalidValue(f"bad motion mode {motion!r}")
-    if not is_count(per_class):
-        raise InvalidValue(f"per_class must be >= 1 (an integer), got {per_class!r}")
-    rng = np.random.default_rng(seed)
+    blocks = synthetic_blocks(num_classes, per_class, size, motion, seed)
     images = np.empty((num_classes * per_class, 3, size, size))
     orientation = np.empty((len(images), 1, size, size)) if motion else None
-    step = 2.0
-    for c in range(num_classes):
-        family = c % ((num_classes + 1) // 2) if motion == "correlated" else c
-        rows = slice(c * per_class, (c + 1) * per_class)
-        angles = _render_family(family, images[rows], rng, motion == "uncorrelated")
-        if not motion:
-            continue
-        first = images[rows].mean(axis=1)
-        if motion == "correlated":
-            angle = 2 * np.pi * c / num_classes
-            second = _shift_plane(first, step * np.cos(angle), step * np.sin(angle))
-        else:
-            second = np.stack([_shift_plane(p, step * np.cos(a), step * np.sin(a))
-                               for p, a in zip(first, angles)])
-        flow = horn_schunck(first, second, lam=0.5, iters=_FLOW_SWEEPS)
-        orientation[rows, 0] = _orientation(flow.u, flow.v)  # in [0,1] by construction
+    for start, (block, block_orientation) in zip(range(0, len(images), FRAME_BLOCK), blocks):
+        images[start:start + len(block)] = block
+        if motion:
+            orientation[start:start + len(block)] = block_orientation
     return Dataset(images, np.repeat(np.arange(num_classes), per_class), orientation)
 
 

@@ -195,7 +195,12 @@ def _layer_forward(layer, params, x, tape):
     elif kind == "fc":
         out, saved = x @ params[layer[1]] + params[layer[2]], x
     elif kind == "relu":
-        out, saved = ad._relu_fwd(x)
+        if tape is None:
+            # in place: every relu follows a conv or an fc, whose output
+            # is this call's own, never the caller's batch
+            out = np.maximum(x, 0.0, out=x)
+        else:
+            out, saved = ad._relu_fwd(x)
     elif kind == "flatten":
         out, saved = x.reshape(len(x), x.size // len(x)), x.shape
     else:

@@ -1,0 +1,54 @@
+"""Peak resident memory of each default experiment and of the default grid, as JSON.
+
+    PYTHONPATH=src python tests/peakmem.py
+
+Runs `noclab grid --seed 0` on each experiment alone, then on all four,
+each in a fresh interpreter with one BLAS thread and its output in a
+temporary directory, and prints {"<experiment>" | "grid": MB}: the
+child's own `ru_maxrss` (interpreter and imports included) when the
+run ends. It reports figures and checks nothing; pytest does not
+collect this file.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+# the child prints its own peak once the grid has run
+CHILD = (
+    "import resource, sys\n"
+    "from noclab import cli\n"
+    "if cli.main(sys.argv[1:]) != 0:\n"
+    "    sys.exit('noclab grid failed')\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)\n"
+)
+EXPERIMENTS = ("arch_sweep", "regime_sweep", "blur_combo", "fusion")
+
+
+def peak_mb(experiments):
+    """Own-process peak RSS, in MB, of one `noclab grid` over `experiments`
+    (None: all four) in a fresh interpreter."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as out_dir:
+        argv = ["grid", "--seed", "0", "--output-dir", out_dir]
+        if experiments:
+            argv += ["--experiments", experiments]
+        done = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env, check=True,
+                              stdout=subprocess.PIPE, text=True)
+    return round(float(done.stdout.splitlines()[-1]), 1)
+
+
+def main():
+    report = {exp: peak_mb(exp) for exp in EXPERIMENTS}
+    report["grid"] = peak_mb(None)
+    print(json.dumps(report, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

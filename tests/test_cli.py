@@ -143,6 +143,7 @@ def test_unusable_output_dir_fails_before_any_data(tmp_path, capsys, monkeypatch
     blocker.write_text("")
     out = str(blocker / "out" if below else blocker)
     monkeypatch.setattr(harness, "build_dataset", no_data)
+    monkeypatch.setattr(harness, "dataset_blocks", no_data)
     assert run([verb, "--output-dir", out] + SMALL) == 1
     assert capsys.readouterr().err == (f"error: cannot create output_dir {out}: "
                                        f"{blocker} is not a directory\n")
@@ -150,6 +151,7 @@ def test_unusable_output_dir_fails_before_any_data(tmp_path, capsys, monkeypatch
 
 def test_grid_rejects_duplicate_experiments(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(harness, "build_dataset", no_data)
+    monkeypatch.setattr(harness, "dataset_blocks", no_data)
     out = str(tmp_path / "grid")
     assert run(["grid", "--output-dir", out, "--experiments",
                 "arch_sweep,fusion,fusion"] + SMALL) == 1
@@ -235,6 +237,7 @@ def test_unembeddable_test_split_fails_before_any_data(
     # its experiments runs
     built = []
     monkeypatch.setattr(harness, "build_dataset", built.append)
+    monkeypatch.setattr(harness, "dataset_blocks", built.append)
     out = str(tmp_path / "out")
     assert run(verb + ["--output-dir", out] + TWO_TEST_SAMPLES) == 1
     assert built == []

@@ -751,18 +751,20 @@ def test_gen_dataset_motion_modes():
     assert data_u.orientation.shape == (8, 1, 16, 16)
 
 
-@pytest.mark.parametrize("motion", ["correlated", "uncorrelated"])
-def test_gen_dataset_orientation_matches_per_record_flow(motion):
-    num_classes, per_class, size, seed = 4, 5, 16, 3
-    data = dp.gen_synthetic_dataset(num_classes, per_class, size, motion=motion,
-                                    seed=seed)
-    # the generator's draws, replayed one sample at a time
+def replay_per_record(data, num_classes, per_class, size, seed, motion):
+    """Check a dataset against the generator's draws, replayed one sample
+    at a time."""
     rng = np.random.default_rng(seed)
     i = 0
     for c in range(num_classes):
         family = c % ((num_classes + 1) // 2) if motion == "correlated" else c
         for _ in range(per_class):
             frame = reference_render_class_image(family, size, rng)
+            assert data.labels[i] == c
+            assert np.array_equal(data.images[i], frame.pixels)
+            i += 1
+            if not motion:
+                continue
             if motion == "correlated":
                 angle = 2 * np.pi * c / num_classes
             else:
@@ -772,11 +774,34 @@ def test_gen_dataset_orientation_matches_per_record_flow(motion):
             want = dp.orientation_map(dp.horn_schunck(
                 frame.pixels.mean(axis=0), shifted.pixels.mean(axis=0), lam=0.5,
                 iters=dp._FLOW_SWEEPS))
-            assert data.labels[i] == c
-            assert np.array_equal(data.images[i], frame.pixels)
-            assert np.array_equal(data.orientation[i], want.pixels)
-            i += 1
+            assert np.array_equal(data.orientation[i - 1], want.pixels)
     assert i == len(data)
+
+
+@pytest.mark.parametrize("motion", ["correlated", "uncorrelated"])
+def test_gen_dataset_orientation_matches_per_record_flow(motion):
+    num_classes, per_class, size, seed = 4, 5, 16, 3
+    data = dp.gen_synthetic_dataset(num_classes, per_class, size, motion=motion,
+                                    seed=seed)
+    replay_per_record(data, num_classes, per_class, size, seed, motion)
+
+
+@pytest.mark.parametrize("motion", [False, "correlated", "uncorrelated"])
+def test_synthetic_blocks_cut_across_classes(motion):
+    # 3 classes of 13 rows: the first block ends 6 rows into class 2
+    num_classes, per_class, size, seed = 3, 13, 16, 2
+    blocks = list(dp.synthetic_blocks(num_classes, per_class, size, motion, seed))
+    assert [len(images) for images, _ in blocks] == [dp.FRAME_BLOCK, 39 - dp.FRAME_BLOCK]
+    images = np.concatenate([block for block, _ in blocks])
+    orientation = np.concatenate([o for _, o in blocks]) if motion else None
+    assert all((o is None) == (not motion) for _, o in blocks)
+    data = dp.Dataset(images, np.repeat(np.arange(num_classes), per_class), orientation)
+    replay_per_record(data, num_classes, per_class, size, seed, motion)
+
+
+def test_synthetic_blocks_check_arguments_at_the_call():
+    with pytest.raises(InvalidValue, match="per_class must be >= 1"):
+        dp.synthetic_blocks(4, 0, 16)
 
 
 def test_gen_dataset_deterministic():

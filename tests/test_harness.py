@@ -225,6 +225,30 @@ def test_extract_features_standardized(tmp_path):
     assert np.allclose(feats.std(axis=(1, 2, 3)), 1.0, atol=1e-6)
 
 
+def test_extract_features_of_no_frames():
+    from noclab import nets
+    bb = nets.build_backbone((3, 16, 16), 8, seed=0)
+    assert harness.extract_features(bb, np.zeros((0, 3, 16, 16))).shape == (0, 8, 2, 2)
+
+
+@pytest.mark.parametrize("arch_id", ["C0F3", "C1F3", "M1"])
+@pytest.mark.parametrize("tail", [0, 1, 2])
+def test_head_passes_in_batches_equal_one_pass(arch_id, tail):
+    from noclab import evaluate as ev
+    from noclab import nets
+    arch = nets.NocArch(arch_id, (16, 4, 4), 16, 1 / 32)
+    head = nets.build_noc(arch, seed=4)
+    X = np.random.default_rng(tail).normal(size=(2 * harness.HEAD_BATCH + tail, 16, 4, 4))
+    for stop in (None, -1):
+        assert np.array_equal(harness._head_rows(head, X, stop=stop),
+                              nets.infer(head, X, stop=stop))
+    assert np.array_equal(harness.head_embedding(head, X),
+                          ev.l2_normalize_rows(nets.infer(head, X, stop=-1)))
+    labels = np.arange(len(X)) % 16
+    assert harness.head_accuracy(head, X, labels) == 100.0 * float(
+        (nets.infer(head, X).argmax(axis=1) == labels).mean())
+
+
 def test_extract_features_independent_of_block_size():
     from noclab import nets
     frames = np.random.default_rng(9).random((23, 3, 16, 16))
@@ -317,19 +341,22 @@ def test_blur_combo_run(tmp_path):
 
 @pytest.mark.parametrize("kind", ["gaussian", "motion"])
 def test_blur_frames_draws_each_frame_in_turn(tmp_path, kind):
-    """One stacked blur equals a synth_blur call per frame, with sigma and
-    noise seed drawn frame after frame from the seed + 17 generator."""
+    """Stacks blurred in turn with one generator equal a synth_blur call per
+    frame, with sigma and noise seed drawn frame after frame from it."""
     from noclab import datapipe as dp
     cfg = small_cfg(tmp_path, **{"blur.kind": kind, "blur.length": 5})
     pixels = harness.build_dataset(cfg).images
-    out = harness._blur_frames(cfg, pixels)
     rng = np.random.default_rng(cfg.seed + 17)
+    out = np.concatenate([harness._blur_frames(cfg, pixels[a:b], rng)
+                          for a, b in ((0, 1), (1, 11), (11, len(pixels)))])
+    ref = np.random.default_rng(cfg.seed + 17)
     for frame, blurred in zip(pixels, out):
-        sigma = rng.uniform(cfg["blur.sigma_min"], cfg["blur.sigma_max"])
+        sigma = ref.uniform(cfg["blur.sigma_min"], cfg["blur.sigma_max"])
         one = dp.synth_blur(frame[None], kind=kind, sigma=sigma, length=5,
                             angle=cfg["blur.angle"], noise=cfg["blur.noise"],
-                            seed=int(rng.integers(1 << 31)))
+                            seed=int(ref.integers(1 << 31)))
         assert np.array_equal(one[0], blurred)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_blur_combo_all_matches_single_runs(tmp_path):
@@ -348,24 +375,66 @@ def test_blur_combo_all_matches_single_runs(tmp_path):
                 assert a.read() == b.read(), name
 
 
-@pytest.mark.parametrize("overrides,featurized,blurred", [
-    ({"experiment": "blur_combo", "combo": "B-B-B"}, 1, 1),  # no sharp features
-    ({"experiment": "blur_combo", "combo": "N-N-N"}, 1, 0),
-    ({"experiment": "blur_combo"}, 2, 1),
-    ({"experiment": "fusion", "dataset.motion": "correlated"}, 2, 0),
-    ({"experiment": "regime_sweep"}, 1, 0),
-    ({"experiment": "arch_sweep"}, 1, 0),
+@pytest.mark.parametrize("overrides,blurred,image_backbone,orientation_backbone", [
+    ({"experiment": "blur_combo", "combo": "B-B-B"}, 1, 1, 0),  # no sharp features
+    ({"experiment": "blur_combo", "combo": "N-N-N"}, 0, 1, 0),
+    ({"experiment": "blur_combo"}, 1, 2, 0),
+    ({"experiment": "fusion", "dataset.motion": "correlated"}, 0, 1, 1),
+    ({"experiment": "regime_sweep"}, 0, 1, 0),
+    ({"experiment": "arch_sweep"}, 0, 1, 0),
 ], ids=["B-B-B", "N-N-N", "all", "fusion", "regime_sweep", "arch_sweep"])
-def test_plan_featurizes_only_the_variants_it_reads(tmp_path, monkeypatch, overrides,
-                                                    featurized, blurred):
-    calls = {"extract_features": 0, "_blur_frames": 0}
-    for name in calls:
-        def counting(*args, _name=name, _real=getattr(harness, name), **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(harness, name, counting)
-    harness.run_experiment(small_cfg(tmp_path, **{"regime.name": "1LR", **overrides}))
-    assert calls == {"extract_features": featurized, "_blur_frames": blurred}
+def test_plan_featurizes_only_the_variants_it_reads(tmp_path, monkeypatch, overrides, blurred,
+                                                    image_backbone, orientation_backbone):
+    """Frames blurred, and frames through the image and the orientation
+    backbone, in units of the dataset's n frames."""
+    cfg = small_cfg(tmp_path, **{"regime.name": "1LR", **overrides})
+    image_weights = harness._backbone(cfg).params["conv0.w"]
+    frames = {"blurred": 0, "image_backbone": 0, "orientation_backbone": 0}
+    blur_frames, extract_features = harness._blur_frames, harness.extract_features
+
+    def counting_blur(cfg, pixels, rng):
+        frames["blurred"] += len(pixels)
+        return blur_frames(cfg, pixels, rng)
+
+    def counting_features(backbone, pixels, **kwargs):
+        image = np.array_equal(backbone.params["conv0.w"], image_weights)
+        frames["image_backbone" if image else "orientation_backbone"] += len(pixels)
+        return extract_features(backbone, pixels, **kwargs)
+
+    monkeypatch.setattr(harness, "_blur_frames", counting_blur)
+    monkeypatch.setattr(harness, "extract_features", counting_features)
+    harness.run_experiment(cfg)
+    n = cfg["dataset.classes"] * cfg["dataset.per_class"]
+    assert frames == {"blurred": blurred * n, "image_backbone": image_backbone * n,
+                      "orientation_backbone": orientation_backbone * n}
+
+
+@pytest.mark.parametrize("variant", ["N", "B"])
+def test_feature_stage_memory_does_not_grow_with_the_dataset(tmp_path, variant):
+    """The feature stage streams the frames in fixed blocks: above the
+    feature stacks it returns, its peak allocation is the same at 80 and
+    at 320 frames per class."""
+    import tracemalloc
+
+    def over_outputs(per_class):
+        cfg = small_cfg(tmp_path, **{"dataset.classes": 2, "dataset.per_class": per_class,
+                                     "experiment": "blur_combo",
+                                     "combo": f"{variant}-{variant}-{variant}"})
+        n = 2 * per_class
+        tracemalloc.start()
+        try:
+            feats = harness._features(cfg, n, harness.dataset_blocks(cfg), {variant})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - feats[variant].nbytes
+
+    over_outputs(80)  # the first run also allocates numpy's lasting caches
+    small, large = over_outputs(80), over_outputs(320)
+    # at 320 a whole-set 3x16x16 image stack would be 2.9 MB larger; both
+    # sizes fill every block with runs of the same classes, so the peaks
+    # differ by a few Python objects
+    assert large <= small + 16 * 1024, (small, large)
 
 
 def test_run_experiment_rejects_unusable_output_dir(tmp_path, monkeypatch):
@@ -373,6 +442,7 @@ def test_run_experiment_rejects_unusable_output_dir(tmp_path, monkeypatch):
         raise AssertionError("data built")
 
     monkeypatch.setattr(harness, "build_dataset", no_data)
+    monkeypatch.setattr(harness, "dataset_blocks", no_data)
     blocker = tmp_path / "file"
     blocker.write_text("")
     cfg = small_cfg(tmp_path)

@@ -55,6 +55,17 @@ def test_infer_reads_float64_input_in_place():
     assert np.array_equal(nets.infer(model, gray), nets.infer(model, gray.copy()))
 
 
+def test_infer_leaves_the_batch_unchanged():
+    # inference runs its relus in place, on the outputs of convs and fcs only
+    X = np.random.default_rng(2).normal(size=(4, 3, 16, 16))
+    models = [nets.build_noc(small_arch(a, (3, 16, 16)), seed=0) for a in nets.ARCH_IDS]
+    for model in models + [nets.build_backbone((3, 16, 16), 8, seed=0)]:
+        for stop in (None, -1, 1):
+            before = X.copy()
+            nets.infer(model, X, stop=stop)
+            assert np.array_equal(X, before)
+
+
 def test_forward_shape_mismatch():
     model = nets.build_noc(small_arch("C0F3"), seed=0)
     with pytest.raises(SizeMismatch):
