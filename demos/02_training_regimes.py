@@ -18,10 +18,10 @@ cfg = harness.parse_config(None, {
     "regime.iterations": 120, "seed": 0,
 })
 
-records = harness.build_dataset(cfg)
-feats, labels, tr, te = harness._prepare_features(cfg, records)
+feats, labels, tr, te = harness.split_features(cfg, {"N"})
+feats = feats["N"]
 arch = harness._head_arch(cfg, feats.shape[1:])
-print(f"dataset: {len(records)} samples, features {feats.shape[1:]}, "
+print(f"dataset: {len(labels)} samples, features {feats.shape[1:]}, "
       f"head {arch.arch_id} (fc width {arch.fc_width})")
 
 for regime in ("1LR", "2LR", "3LR"):

@@ -44,7 +44,7 @@ size = int(cfg["dataset.size"])
 channels = int(cfg["backbone.channels"])
 bi = nets.build_backbone((3, size, size), channels, seed=1)
 bo = nets.build_backbone((3, size, size), channels, seed=2)
-data = harness.build_dataset(cfg)
+data = dp.gen_synthetic_dataset(6, 30, size, motion="correlated", seed=0)
 f_rgb = harness.extract_features(bi, data.images[:3])
 f_orient = harness.extract_features(bo, np.repeat(data.orientation[:3], 3, axis=1))
 scale = cfg["fusion.orientation_scale"]

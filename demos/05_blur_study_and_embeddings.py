@@ -32,8 +32,8 @@ cfg = harness.parse_config(None, {
     "dataset.classes": 6, "dataset.per_class": 40, "seed": 0,
     "regime.name": "2LR", "regime.iterations": 120,
 })
-records = harness.build_dataset(cfg)
-feats, labels, tr, te = harness._prepare_features(cfg, records)
+feats, labels, tr, te = harness.split_features(cfg, {"N"})
+feats = feats["N"]
 arch = harness._head_arch(cfg, feats.shape[1:])
 head = harness.train_head(cfg, arch, feats[tr], labels[tr], "2LR", [])
 pen = harness.head_embedding(head, feats[te])

@@ -37,25 +37,27 @@ def cmd_gen(args):
     cfg = _load_config(args)
     out = cfg["output_dir"]
     harness.make_output_dir(out)
-    data = harness.build_dataset(cfg)
     rows = []
-    for i, (pixels, class_id) in enumerate(zip(data.images, data.labels)):
-        name = f"img_{i:05d}.ppm"
-        dp.write_ppm(dp.Frame(pixels), os.path.join(out, name))
-        if data.orientation is not None:
-            dp.write_pgm(dp.Frame(data.orientation[i]),
-                         os.path.join(out, f"orient_{i:05d}.pgm"))
-        # generated samples are all "normal" and in no partition
-        rows.append((name, int(class_id), "normal", ""))
+    for images, orientation in harness.dataset_blocks(cfg):
+        for k, pixels in enumerate(images):
+            i = len(rows)
+            name = f"img_{i:05d}.ppm"
+            dp.write_ppm(dp.Frame(pixels), os.path.join(out, name))
+            if orientation is not None:
+                dp.write_pgm(dp.Frame(orientation[k]),
+                             os.path.join(out, f"orient_{i:05d}.pgm"))
+            # generated samples are all "normal" and in no partition
+            rows.append((name, i // cfg["dataset.per_class"], "normal", ""))
     harness.emit_csv(rows, ("path", "class_id", "source", "partition"),
                      os.path.join(out, "manifest.csv"))
-    print(f"wrote {len(data)} samples to {out}")
+    print(f"wrote {len(rows)} samples to {out}")
 
 
 def _train_head(cfg, loss_rows):
-    """arch.arch_id's head trained under regime.name on a fresh dataset's
-    training split, with the test split's features and labels."""
-    feats, labels, tr, te = harness._prepare_features(cfg, harness.build_dataset(cfg))
+    """arch.arch_id's head trained under regime.name on the training split
+    of the sharp features, with the test split's features and labels."""
+    feats, labels, tr, te = harness.split_features(cfg, {"N"})
+    feats = feats["N"]
     arch = harness._head_arch(cfg, feats.shape[1:])
     head = harness.train_head(cfg, arch, feats[tr], labels[tr],
                               cfg["regime.name"], loss_rows)
@@ -116,8 +118,7 @@ def cmd_plotdata(args):
     head, X_test, y_test = _train_head(cfg, [])
     pen, rows = harness.pca_embedding(head, X_test, y_test, cfg.seed)
     harness.emit_csv(rows, harness.EMBEDDING_HEADER, os.path.join(out, "pca.csv"))
-    n = len(pen)
-    cap = min(n, 500)
+    cap = min(len(pen), 500)
     if cap < 16:  # smallest test split with a feasible perplexity (>= 5)
         print(f"wrote {out}/pca.csv; skipped t-SNE ({cap} points < 16)")
         return

@@ -486,8 +486,8 @@ def synth_blur(stack, kind="gaussian", sigma=2.0, length=9, angle=0.0,
 # were within the noise of 16.
 _FLOW_BLOCK = 16
 
-# The over-relaxation factor of the red-black sweep, and the sweeps
-# gen_synthetic_dataset runs on each frame pair.
+# The over-relaxation factor of the red-black sweep, and the sweeps the
+# synthetic stream runs on each frame pair.
 _SOR_OMEGA = 1.8
 _FLOW_SWEEPS = 15
 

@@ -243,21 +243,13 @@ def check_embeddable(cfg, what):
 # dataset plumbing
 
 
-def _dataset_args(cfg):
-    motion = cfg["dataset.motion"]
-    return dict(num_classes=cfg["dataset.classes"], per_class=cfg["dataset.per_class"],
-                size=cfg["dataset.size"], motion=False if motion == "none" else motion,
-                seed=cfg.seed)
-
-
-def build_dataset(cfg):
-    return dp.gen_synthetic_dataset(**_dataset_args(cfg))
-
-
 def dataset_blocks(cfg):
-    """The dataset of `build_dataset` as `datapipe.synthetic_blocks`
-    streams it: (images, orientation | None) a block of rows at a time."""
-    return dp.synthetic_blocks(**_dataset_args(cfg))
+    """The config's dataset, the one data source of every verb, as
+    `datapipe.synthetic_blocks` streams it a block of rows at a time."""
+    motion = cfg["dataset.motion"]
+    return dp.synthetic_blocks(cfg["dataset.classes"], cfg["dataset.per_class"],
+                               cfg["dataset.size"], False if motion == "none" else motion,
+                               cfg.seed)
 
 
 TEST_FRAC = 0.2  # share of each class held out for testing
@@ -406,15 +398,11 @@ class RunArtifact:
 def emit_table(artifact):
     """Aligned text table of the collected metrics, one row per
     (method, regime), accuracy to one decimal."""
-    rows = sorted(artifact.metrics_rows)
-    cells = [METRICS_HEADER] + [
-        (m, r, s, f"{a:.1f}", str(fa)) for m, r, s, a, fa in rows
-    ]
+    cells = [METRICS_HEADER] + [(m, r, s, f"{a:.1f}", str(fa))
+                                for m, r, s, a, fa in sorted(artifact.metrics_rows)]
     widths = [max(len(row[i]) for row in cells) for i in range(len(METRICS_HEADER))]
-    lines = []
-    for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
+                   for row in cells)
 
 
 def check_output_dir(path):
@@ -495,10 +483,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
 
     plan = _plan(cfg)
     variants = {v for _, _, net, data, _, _ in plan for v in (net, data)}
-    # class c holds per_class rows in turn
-    labels = np.repeat(np.arange(cfg["dataset.classes"]), cfg["dataset.per_class"])
-    tr, te = stratified_split(labels, TEST_FRAC, cfg.seed)
-    feats = _features(cfg, len(labels), dataset_blocks(cfg), variants)
+    feats, labels, tr, te = split_features(cfg, variants)
 
     # train every head, then fit all their SVMs in one stacked call, and
     # only then write: a head that fails to train leaves no artifact
@@ -549,6 +534,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
     return artifact
 
 
+def split_features(cfg, variants):
+    """The data stage of every run: `_features` of the streamed dataset by
+    variant name, the labels, and the stratified train and test indices."""
+    # class c holds per_class rows in turn
+    labels = np.repeat(np.arange(cfg["dataset.classes"]), cfg["dataset.per_class"])
+    tr, te = stratified_split(labels, TEST_FRAC, cfg.seed)
+    return _features(cfg, len(labels), dataset_blocks(cfg), variants), labels, tr, te
+
+
 def _backbone(cfg, seed_offset=1):
     size = cfg["dataset.size"]
     return nets.build_backbone((3, size, size), cfg["backbone.channels"],
@@ -595,13 +589,6 @@ def _features(cfg, n, blocks, variants):
             feats[v][start:start + len(images)] = block[v]
         start += len(images)
     return feats
-
-
-def _prepare_features(cfg, data):
-    """Backbone features of a Dataset's images, its labels and the split."""
-    train_idx, test_idx = stratified_split(data.labels, TEST_FRAC, cfg.seed)
-    feats = _features(cfg, len(data), [(data.images, None)], {"N"})["N"]
-    return feats, data.labels, train_idx, test_idx
 
 
 def _blur_frames(cfg, pixels, rng):

@@ -32,8 +32,8 @@ SEEDS3 = (0, 1, 2)
 
 def criterion_6(seed, _):
     cfg = harness.parse_config(None, {"seed": seed, "regime.iterations": 1000})
-    records = harness.build_dataset(cfg)
-    feats, labels, tr, _ = harness._prepare_features(cfg, records)
+    feats, labels, tr, _ = harness.split_features(cfg, {"N"})
+    feats = feats["N"]
     arch = harness._head_arch(cfg, feats.shape[1:])
     finals = {}
     for regime in ("2LR", "3LR"):

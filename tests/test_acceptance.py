@@ -184,8 +184,8 @@ def test_criterion_6_loss_ordering():
     for seed in SEEDS3:
         cfg = harness.parse_config(None, {"seed": seed,
                                           "regime.iterations": 1000})
-        records = harness.build_dataset(cfg)
-        feats, labels, tr, _ = harness._prepare_features(cfg, records)
+        feats, labels, tr, _ = harness.split_features(cfg, {"N"})
+        feats = feats["N"]
         arch = harness._head_arch(cfg, feats.shape[1:])
         finals = {}
         for regime in ("2LR", "3LR"):

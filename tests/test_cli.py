@@ -58,7 +58,7 @@ def test_gen_files_equal_the_dataset_rows(tmp_path):
                  "dataset.motion": "correlated"}
     assert run(["gen", "--output-dir", out]
                + [a for k, v in overrides.items() for a in ("--set", f"{k}={v}")]) == 0
-    data = harness.build_dataset(harness.parse_config(None, overrides))
+    data = dp.gen_synthetic_dataset(3, 3, 16, motion="correlated", seed=0)
     assert len(data) == 9
     lines = open(os.path.join(out, "manifest.csv")).read().splitlines()
     assert lines == ["path,class_id,source,partition"] + [
@@ -113,6 +113,32 @@ def test_plotdata_pca_equals_regime_sweep_embedding(tmp_path):
     assert pca.count(b"\n") == 1 + 4 * 2  # header + 2 test samples per class
 
 
+def test_train_equals_regime_sweep_head(tmp_path):
+    # train's head is arch.arch_id's under regime.name (C1F3 and 3LR by
+    # default), one of the heads regime_sweep trains on the same features
+    small = ["--seed", "3", "--set", "dataset.classes=4",
+             "--set", "dataset.per_class=10", "--set", "regime.iterations=5"]
+    tr, grid = str(tmp_path / "tr"), str(tmp_path / "grid")
+    assert run(["train", "--output-dir", tr] + small) == 0
+    assert run(["grid", "--output-dir", grid,
+                "--experiments", "regime_sweep"] + small) == 0
+    sweep = os.path.join(grid, "regime_sweep")
+    for name, swept in (("model_C1F3_3LR.noc", "model_C1F3_3LR.noc"),
+                        ("loss.csv", "loss_C1F3_3LR.csv")):
+        assert (open(os.path.join(tr, name), "rb").read()
+                == open(os.path.join(sweep, swept), "rb").read()), name
+
+
+def test_no_verb_builds_the_whole_dataset(tmp_path, monkeypatch):
+    # every verb streams its frames from harness.dataset_blocks
+    def whole_set(*args, **kwargs):
+        raise AssertionError("whole dataset built")
+
+    monkeypatch.setattr(dp, "gen_synthetic_dataset", whole_set)
+    for verb in ("gen", "train", "plotdata", "eval", "grid"):
+        assert run([verb, "--output-dir", str(tmp_path / verb)] + SMALL) == 0, verb
+
+
 def test_grid_runs_selected_experiments(tmp_path):
     out = str(tmp_path / "grid")
     assert run(["grid", "--output-dir", out,
@@ -142,7 +168,6 @@ def test_unusable_output_dir_fails_before_any_data(tmp_path, capsys, monkeypatch
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = str(blocker / "out" if below else blocker)
-    monkeypatch.setattr(harness, "build_dataset", no_data)
     monkeypatch.setattr(harness, "dataset_blocks", no_data)
     assert run([verb, "--output-dir", out] + SMALL) == 1
     assert capsys.readouterr().err == (f"error: cannot create output_dir {out}: "
@@ -150,7 +175,6 @@ def test_unusable_output_dir_fails_before_any_data(tmp_path, capsys, monkeypatch
 
 
 def test_grid_rejects_duplicate_experiments(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(harness, "build_dataset", no_data)
     monkeypatch.setattr(harness, "dataset_blocks", no_data)
     out = str(tmp_path / "grid")
     assert run(["grid", "--output-dir", out, "--experiments",
@@ -236,7 +260,6 @@ def test_unembeddable_test_split_fails_before_any_data(
     # samples; 2 classes of 5 leave 2, and the grid stops before any of
     # its experiments runs
     built = []
-    monkeypatch.setattr(harness, "build_dataset", built.append)
     monkeypatch.setattr(harness, "dataset_blocks", built.append)
     out = str(tmp_path / "out")
     assert run(verb + ["--output-dir", out] + TWO_TEST_SAMPLES) == 1

@@ -258,6 +258,22 @@ def test_tsne_separates_clusters_and_kl_nonincreasing():
     assert inter > 2 * intra
 
 
+def test_tsne_distances_take_bounded_memory():
+    """The squared distances are filled a block of rows at a time: one
+    block of all 40 rows of 4096-dim features would make a 52 MB
+    (40, 40, 4096) temporary."""
+    import tracemalloc
+
+    X = RNG.normal(size=(40, 4096))
+    tracemalloc.start()
+    try:
+        ev.tsne_embed(X, perplexity=5.0, iters=1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak
+
+
 def test_tsne_validation():
     X = RNG.normal(size=(30, 3))
     with pytest.raises(InvalidValue):

@@ -345,7 +345,7 @@ def test_blur_frames_draws_each_frame_in_turn(tmp_path, kind):
     frame, with sigma and noise seed drawn frame after frame from it."""
     from noclab import datapipe as dp
     cfg = small_cfg(tmp_path, **{"blur.kind": kind, "blur.length": 5})
-    pixels = harness.build_dataset(cfg).images
+    pixels = dp.gen_synthetic_dataset(3, 8, 16, seed=cfg.seed).images
     rng = np.random.default_rng(cfg.seed + 17)
     out = np.concatenate([harness._blur_frames(cfg, pixels[a:b], rng)
                           for a, b in ((0, 1), (1, 11), (11, len(pixels)))])
@@ -441,7 +441,6 @@ def test_run_experiment_rejects_unusable_output_dir(tmp_path, monkeypatch):
     def no_data(cfg):
         raise AssertionError("data built")
 
-    monkeypatch.setattr(harness, "build_dataset", no_data)
     monkeypatch.setattr(harness, "dataset_blocks", no_data)
     blocker = tmp_path / "file"
     blocker.write_text("")
