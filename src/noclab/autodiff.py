@@ -9,6 +9,8 @@ the graph and accumulates gradients into the leaves.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -119,15 +121,51 @@ def _matmul_bwd(g, a, b, need_a=True):
     return (g @ b.T if need_a else None), a.T @ g
 
 
+# Output rows shorter than this many values take `_im2col`'s gather: a
+# strided slice copy pays a fixed cost per output row, which a short row
+# cannot hide, while the gather pays per column entry. Medians of 11
+# interleaved blocks of a 3x3, pad-1 conv on one BLAS thread (2 vCPU),
+# slices -> gather, in us, by batch shape:
+#   (32,16,4,4) 140 -> 72, (11,16,4,4) 56 -> 28, (128,16,4,4) 657 -> 292,
+#   (32,16,2,2) 84 -> 25, (8,8,8,8) 44 -> 36; but (8,4,16,16) 57 -> 64
+#   and (8,3,32,32) 130 -> 202.
+# Over square (8, c, w, w) batches the gather's share of the slices' time
+# is 0.70 (c=4) and 1.07 (c=16) at w=9, 0.79 and 1.08 at w=10, 1.04 and
+# 1.16 at w=11: the crossover is a row of 9 or 10. So backbone layers
+# 1-2 (rows of 32 and 16) copy slices, and backbone layer 3 and every
+# head conv (rows of 8 and less) gather.
+_GATHER_BELOW_OW = 9
+
+
+@functools.lru_cache(maxsize=32)
+def _gather_index(c_in, hp, wp, kh, kw, stride, oh, ow):
+    """Flat index into one sample's padded input (c_in, hp, wp) of its
+    channel-major columns, shaped (c_in*kh*kw, oh*ow); read-only, as it
+    is shared by every call of one geometry."""
+    c, i, j, y, x = np.ix_(np.arange(c_in), np.arange(kh), np.arange(kw),
+                           np.arange(oh) * stride, np.arange(ow) * stride)
+    index = (c * hp + i + y) * wp + j + x
+    index = index.reshape(c_in * kh * kw, oh * ow)
+    index.flags.writeable = False
+    return index
+
+
 def _im2col(x, kh, kw, stride, pad):
     """Zero-padded input (b, c_in, h+2p, w+2p) and its channel-major
-    columns (b, c_in*kh*kw, oh*ow), plus the output size oh, ow. The
-    columns are filled by kh*kw strided slice copies of whole rows."""
+    columns (b, c_in*kh*kw, oh*ow), plus the output size oh, ow. Output
+    rows of _GATHER_BELOW_OW values or more are filled by kh*kw strided
+    slice copies of whole rows, shorter ones by one gather (`take`)
+    over the flattened padded input; both give the same columns."""
     b_, c_in, h, w = x.shape
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
-    xp = np.zeros((b_, c_in, h + 2 * pad, w + 2 * pad))
+    hp, wp = h + 2 * pad, w + 2 * pad
+    xp = np.zeros((b_, c_in, hp, wp))
     xp[:, :, pad:pad + h, pad:pad + w] = x
+    if ow < _GATHER_BELOW_OW:
+        index = _gather_index(c_in, hp, wp, kh, kw, stride, oh, ow)
+        # an explicit row length: a reshape to (0, -1) is ambiguous
+        return xp, xp.reshape(b_, c_in * hp * wp).take(index, axis=1), oh, ow
     cols = np.empty((b_, c_in, kh, kw, oh, ow))
     for i in range(kh):
         for j in range(kw):

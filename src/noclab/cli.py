@@ -116,8 +116,9 @@ def cmd_plotdata(args):
     out = cfg["output_dir"]
     harness.make_output_dir(out)
     head, X_test, y_test = _train_head(cfg, [])
-    pen, rows = harness.pca_embedding(head, X_test, y_test, cfg.seed)
-    harness.emit_csv(rows, harness.EMBEDDING_HEADER, os.path.join(out, "pca.csv"))
+    pen = harness.head_embedding(head, X_test)
+    harness.emit_csv(harness.pca_csv_rows(pen, y_test, cfg.seed), harness.EMBEDDING_HEADER,
+                     os.path.join(out, "pca.csv"))
     cap = min(len(pen), 500)
     if cap < 16:  # smallest test split with a feasible perplexity (>= 5)
         print(f"wrote {out}/pca.csv; skipped t-SNE ({cap} points < 16)")

@@ -737,14 +737,16 @@ def synthetic_blocks(num_classes=16, per_class=100, size=32, motion=False, seed=
     rendering each class's run of its rows in turn, so every pixel is the
     same in any block layout.
     """
-    if not (1 <= num_classes <= 16):
-        raise InvalidValue("num_classes must be in [1,16]")
-    if size < 16:
-        raise InvalidValue("size must be >= 16")
+    if not (is_count(num_classes) and num_classes <= 16):
+        raise InvalidValue(f"num_classes must be an integer in [1,16], got {num_classes!r}")
+    if not (is_count(size) and size >= 16):
+        raise InvalidValue(f"size must be an integer >= 16, got {size!r}")
     if motion not in (False, "correlated", "uncorrelated"):
         raise InvalidValue(f"bad motion mode {motion!r}")
     if not is_count(per_class):
         raise InvalidValue(f"per_class must be >= 1 (an integer), got {per_class!r}")
+    if not is_count(seed, least=0):
+        raise InvalidValue(f"seed must be an integer >= 0, got {seed!r}")
     return _render_blocks(num_classes, per_class, size, motion, np.random.default_rng(seed))
 
 

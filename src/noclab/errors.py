@@ -31,6 +31,6 @@ class ConfigError(NoclabError):
     """An experiment config file or override is invalid."""
 
 
-def is_count(value):
-    """Whether `value` is an integer >= 1 (a bool is no count)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+def is_count(value, least=1):
+    """Whether `value` is an integer >= `least` (a bool is no count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least

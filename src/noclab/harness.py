@@ -230,7 +230,7 @@ def check_experiment(cfg):
 
 def check_embeddable(cfg, what):
     """Raise ConfigError unless the test split has the 3 samples that
-    `pca_embedding`'s 2-D projection needs."""
+    `pca_csv_rows`' 2-D projection needs."""
     n_test = cfg["dataset.classes"] * _test_count(cfg["dataset.per_class"])
     if n_test < 3:
         raise ConfigError(
@@ -311,11 +311,15 @@ def _head_arch(cfg, input_shape, arch_id=None):
     )
 
 
-def train_head(cfg, arch, X, labels, regime, loss_rows):
-    """Train one head on precomputed features under a named regime."""
-    return optim.train(nets.build_noc(arch, seed=cfg.seed), X, labels, regime,
-                       cfg.hyper(), cfg["regime.partitions"], seed=cfg.seed,
-                       loss_trace=loss_rows)
+def train_head(cfg, arch, X, labels, regime, loss_rows, init=None):
+    """Train one head on precomputed features under a named regime, from
+    `init`, the initial head `nets.build_noc(arch, seed=cfg.seed)` if the
+    caller has built it already: training leaves it unchanged, so heads
+    of one arch can share it."""
+    if init is None:
+        init = nets.build_noc(arch, seed=cfg.seed)
+    return optim.train(init, X, labels, regime, cfg.hyper(), cfg["regime.partitions"],
+                       seed=cfg.seed, loss_trace=loss_rows)
 
 
 # Rows per head pass outside training: 128 rows of C1F3's conv columns
@@ -323,20 +327,36 @@ def train_head(cfg, arch, X, labels, regime, loss_rows):
 HEAD_BATCH = 128
 
 
-def _head_rows(head, X, stop=None):
-    """`nets.infer(head, X, stop)` run HEAD_BATCH rows at a time, with the
-    same bits. A pass never takes one row of a longer X: numpy multiplies
-    a single row as a matrix-vector product, whose sums may round
-    otherwise, so a 1-row remainder joins the batch before it."""
+def _head_rows(head, X, start=None, stop=None):
+    """`nets.infer(head, X, stop, start)` run HEAD_BATCH rows at a time,
+    with the same bits. A pass never takes one row of a longer X: numpy
+    multiplies a single row as a matrix-vector product, whose sums may
+    round otherwise, so a 1-row remainder joins the batch before it."""
     X = np.asarray(X, dtype=np.float64)
     cuts = list(range(0, max(len(X) - 1, 1), HEAD_BATCH)) + [len(X)]
-    parts = [nets.infer(head, X[a:b], stop=stop) for a, b in zip(cuts, cuts[1:])]
+    parts = [nets.infer(head, X[a:b], stop=stop, start=start)
+             for a, b in zip(cuts, cuts[1:])]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def head_accuracy(head, X, labels):
-    logits = _head_rows(head, X)
+def _head_outputs(head, X):
+    """X's penultimate features through `head` and its logits, from one
+    pass of X through the head: the logits are the head's last layer on
+    the penultimate rows, in the same batches, so both have the bits of
+    their own passes."""
+    pen = _head_rows(head, X, stop=-1)
+    return pen, _head_rows(head, pen, start=-1)
+
+
+def _accuracy(logits, labels):
+    """Percentage of rows whose largest logit is at their label."""
+    if len(logits) == 0:
+        raise InvalidValue("accuracy of no samples")
     return 100.0 * float((logits.argmax(axis=1) == np.asarray(labels)).mean())
+
+
+def head_accuracy(head, X, labels):
+    return _accuracy(_head_rows(head, X), labels)
 
 
 def head_embedding(head, X):
@@ -345,11 +365,10 @@ def head_embedding(head, X):
     return ev.l2_normalize_rows(_head_rows(head, X, stop=-1))
 
 
-def pca_embedding(head, X, labels, seed):
-    """`head_embedding` of X, and the CSV rows of its 2-D PCA projection."""
-    pen = head_embedding(head, X)
-    coords, _, _ = ev.pca_project(pen, 2, seed=seed)
-    return pen, embedding_csv_rows(coords, labels)
+def pca_csv_rows(embedding, labels, seed):
+    """The CSV rows of the 2-D PCA projection of `head_embedding` rows."""
+    coords, _, _ = ev.pca_project(embedding, 2, seed=seed)
+    return embedding_csv_rows(coords, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -487,33 +506,39 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
 
     # train every head, then fit all their SVMs in one stacked call, and
     # only then write: a head that fails to train leaves no artifact
+    inits = {}  # arch -> its initial head, which training leaves unchanged
     heads = {}  # (net, arch_id, regime) -> (head, loss CSV rows)
     for _, _, net, _, arch_id, regime in plan:
         if (net, arch_id, regime) not in heads:
             X, loss_rows = feats[net], []
-            head = train_head(cfg, _head_arch(cfg, X.shape[1:], arch_id), X[tr],
-                              labels[tr], regime, loss_rows)
+            arch = _head_arch(cfg, X.shape[1:], arch_id)
+            if arch not in inits:
+                inits[arch] = nets.build_noc(arch, seed=cfg.seed)
+            head = train_head(cfg, arch, X[tr], labels[tr], regime, loss_rows, inits[arch])
             heads[net, arch_id, regime] = head, loss_csv_rows(loss_rows)
     ftr = np.stack([head_embedding(head, feats[net][tr])
                     for (net, _, _), (head, _) in heads.items()])
     svms = dict(zip(heads, ev.svm_train(ftr, labels[tr], c_reg=cfg["svm.c_reg"],
                                         epochs=cfg["svm.epochs"], seed=cfg.seed)))
+    # one pass of each row's head over its test split gives the embedding
+    # its SVM (and a sweep's PCA) reads and the logits of its net accuracy
+    tested = []
+    for _, _, net, data, arch_id, regime in plan:
+        pen, logits = _head_outputs(heads[net, arch_id, regime][0], feats[data][te])
+        tested.append((ev.l2_normalize_rows(pen), logits))
     if cfg["experiment"].endswith("_sweep"):
         # first, so that an embedding that fails leaves no artifact
-        _, _, net, data, arch_id, regime = plan[-1]
-        _, rows = pca_embedding(heads[net, arch_id, regime][0], feats[data][te],
-                                labels[te], cfg.seed)
-        artifact.emit("embedding.csv", rows, EMBEDDING_HEADER)
+        artifact.emit("embedding.csv", pca_csv_rows(tested[-1][0], labels[te], cfg.seed),
+                      EMBEDDING_HEADER)
     k = cfg["dataset.classes"]
-    for method, tag, net, data, arch_id, regime in plan:
+    for (method, tag, net, _, arch_id, regime), (embedding, logits) in zip(plan, tested):
         head, loss_csv = heads[net, arch_id, regime]
-        X_eval = feats[data][te]
         artifact.emit(f"loss_{tag}.csv", loss_csv, LOSS_HEADER)
-        pred = ev.svm_predict(svms[net, arch_id, regime], head_embedding(head, X_eval))
+        pred = ev.svm_predict(svms[net, arch_id, regime], embedding)
         metrics = ev.compute_metrics(pred, labels[te], background_class=k - 1,
                                      num_classes=k)
         artifact.metrics_rows.append((method, regime, "net",
-                                      head_accuracy(head, X_eval, labels[te]), 0))
+                                      _accuracy(logits, labels[te]), 0))
         artifact.metrics_rows.append((method, regime, "svm", metrics.accuracy,
                                       metrics.false_alarms))
         confusion = metrics.confusion

@@ -202,7 +202,8 @@ def _layer_forward(layer, params, x, tape):
         else:
             out, saved = ad._relu_fwd(x)
     elif kind == "flatten":
-        out, saved = x.reshape(len(x), x.size // len(x)), x.shape
+        # an explicit row length: x.size // len(x) divides by zero on no rows
+        out, saved = x.reshape(len(x), int(np.prod(x.shape[1:]))), x.shape
     else:
         raise InvalidValue(f"unknown layer kind {kind!r}")
     if tape is not None:
@@ -210,12 +211,12 @@ def _layer_forward(layer, params, x, tape):
     return out
 
 
-def _chain_forward(model: Model, params, x, tape=None, stop=None):
-    """Run layers [0, stop) of the model's chain on the ndarray batch x,
-    with `params` (name -> ndarray); a first-layer conv reads a prepared
-    (cols, oh, ow) in place of x. When `tape` is a list, each layer
-    appends what `_chain_backward` reads for it."""
-    for layer in model.layers[:stop]:
+def _chain_forward(model: Model, params, x, tape=None, start=None, stop=None):
+    """Run layers [start, stop) of the model's chain on the ndarray batch
+    x, with `params` (name -> ndarray); a first-layer conv reads a
+    prepared (cols, oh, ow) in place of x. When `tape` is a list, each
+    layer appends what `_chain_backward` reads for it."""
+    for layer in model.layers[start:stop]:
         x = _layer_forward(layer, params, x, tape)
     return x
 
@@ -252,16 +253,21 @@ def _chain_backward(model: Model, params, tape, g, to_input=False):
     return grads, (g if to_input else None)
 
 
-def infer(model: Model, X, stop=None) -> np.ndarray:
-    """Run layers [0, stop) of the model on the batch X (leading batch
-    dim), with no gradient: the logits by default. Every head ends
+def infer(model: Model, X, stop=None, start=None) -> np.ndarray:
+    """Run layers [start, stop) of the model on the batch X (leading
+    batch dim), with no gradient: the logits by default. Every head ends
     (relu, fc), so stop=-1 gives its penultimate features, one row per
-    sample. float64 input is read in place, never copied. Non-finite
-    output, say from finite but huge parameters, raises InvalidValue."""
+    sample, and start=-1 maps those rows to the logits. X is checked
+    against the model's input shape when the pass starts at layer 0.
+    float64 input is read in place, never copied. Non-finite output, say
+    from finite but huge parameters, raises InvalidValue."""
     X = np.asarray(X, dtype=np.float64)
-    _check_input(model, X.shape)
+    if not start:
+        _check_input(model, X.shape)
+    elif model.layers[start][0] == "relu":
+        X = X.copy()  # inference's relu works in place
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _chain_forward(model, model.params, X, stop=stop)
+        out = _chain_forward(model, model.params, X, start=start, stop=stop)
     if not np.isfinite(out).all():
         raise InvalidValue(f"{model.arch_id} output non-finite: its parameters overflow it")
     return out

@@ -15,7 +15,12 @@ thread variables before numpy loads):
   5-epoch and 1-epoch fits divided by the 4n steps between them;
 - `flow_sweep_us`: one red-black sweep of `datapipe.horn_schunck` over a
   block of `datapipe._FLOW_BLOCK` frame pairs of 32x32, timed as the
-  difference between a 16-sweep and a 1-sweep call divided by 15.
+  difference between a 16-sweep and a 1-sweep call divided by 15;
+- `im2col_us`: `autodiff._im2col` of a 3x3, pad-1 conv, by batch shape:
+  a head's training batch (32,16,4,4) and inference batch (128,16,4,4),
+  and the backbone's three layers on 8 frames (8,3,32,32), (8,4,16,16)
+  and (8,8,8,8). The first two and the last take the gather, the other
+  two the slice copies (`autodiff._GATHER_BELOW_OW`).
 
 Each figure is the median of `--repeats` timed blocks. It reports
 costs and checks nothing; pytest does not collect this file.
@@ -36,7 +41,7 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from noclab import datapipe, evaluate, harness, nets, optim  # noqa: E402
+from noclab import autodiff, datapipe, evaluate, harness, nets, optim  # noqa: E402
 
 
 def median_us(fn, repeats, calls):
@@ -98,6 +103,20 @@ def flow_sweep_cost(cfg, repeats, sweeps=16):
     return (calls[sweeps] - calls[1]) / (sweeps - 1)
 
 
+IM2COL_SHAPES = ((32, 16, 4, 4), (128, 16, 4, 4), (8, 3, 32, 32), (8, 4, 16, 16),
+                 (8, 8, 8, 8))
+
+
+def im2col_costs(repeats):
+    rng = np.random.default_rng(3)
+    costs = {}
+    for shape in IM2COL_SHAPES:
+        x = rng.normal(size=shape)
+        costs["x".join(map(str, shape))] = median_us(
+            lambda: autodiff._im2col(x, 3, 3, 1, 1), repeats, 50)
+    return costs
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeats", type=int, default=7)
@@ -108,6 +127,7 @@ def main(argv=None):
     report = {"update_us": update, "loss_and_grads_us": loss,
               "svm_step_us": svm_step_costs(cfg, args.repeats),
               "flow_sweep_us": flow_sweep_cost(cfg, args.repeats),
+              "im2col_us": im2col_costs(args.repeats),
               "numpy": np.__version__}
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:

@@ -257,6 +257,55 @@ def test_conv_kernels_match_loop_convolution():
     assert cases >= 45
 
 
+def _im2col_cases():
+    """(x shape, kh, kw, stride, pad): output rows just below and at the
+    gather's bound, stride 2, pads 0 and 2, one channel, no rows, one
+    row, and non-square planes."""
+    edge = ad._GATHER_BELOW_OW
+    return [((4, 3, edge - 1, edge - 1), 3, 3, 1, 1),
+            ((4, 3, edge, edge), 3, 3, 1, 1),
+            ((4, 3, edge + 1, edge + 1), 3, 3, 1, 1),
+            ((5, 16, 4, 4), 3, 3, 1, 1),
+            ((3, 4, 9, 9), 3, 3, 2, 1),
+            ((3, 4, 6, 6), 3, 3, 1, 0),
+            ((3, 4, 6, 6), 3, 3, 1, 2),
+            ((3, 1, 5, 5), 3, 3, 1, 1),
+            ((0, 16, 4, 4), 3, 3, 1, 1),
+            ((1, 16, 4, 4), 3, 3, 1, 1),
+            ((2, 3, 5, 7), 3, 2, 1, 1),
+            ((2, 3, 7, 4), 2, 3, 2, 0)]
+
+
+@pytest.mark.parametrize("shape,kh,kw,stride,pad", _im2col_cases())
+def test_im2col_gather_equals_slices(shape, kh, kw, stride, pad, monkeypatch):
+    x = np.random.default_rng(len(shape) + sum(shape)).normal(size=shape)
+    monkeypatch.setattr(ad, "_GATHER_BELOW_OW", 0)  # every row by slices
+    xp, cols, oh, ow = ad._im2col(x, kh, kw, stride, pad)
+    monkeypatch.setattr(ad, "_GATHER_BELOW_OW", 1 << 30)  # every row by gather
+    g_xp, g_cols, g_oh, g_ow = ad._im2col(x, kh, kw, stride, pad)
+    assert (g_oh, g_ow) == (oh, ow)
+    assert np.array_equal(g_xp, xp)
+    assert g_cols.shape == cols.shape == (shape[0], shape[1] * kh * kw, oh * ow)
+    assert np.array_equal(g_cols, cols)
+    assert g_cols.flags.c_contiguous
+
+
+def test_im2col_path_follows_the_output_row_length(monkeypatch):
+    edge = ad._GATHER_BELOW_OW
+    gathered = []
+    index = ad._gather_index
+
+    def spy(*geometry):
+        gathered.append(geometry[-1])  # ow
+        return index(*geometry)
+
+    monkeypatch.setattr(ad, "_gather_index", spy)
+    for w in (edge - 1, edge, 2 * edge):
+        for c in (1, 8):
+            ad._im2col(np.zeros((2, c, 3, w)), 3, 3, 1, 1)
+    assert gathered == [edge - 1, edge - 1]
+
+
 def test_conv_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
     for (b, c_in, h, w, c_out, kh, kw), stride, pad in _conv_cases():

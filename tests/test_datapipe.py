@@ -804,6 +804,37 @@ def test_synthetic_blocks_check_arguments_at_the_call():
         dp.synthetic_blocks(4, 0, 16)
 
 
+@pytest.mark.parametrize("make", [dp.synthetic_blocks, dp.gen_synthetic_dataset],
+                         ids=["synthetic_blocks", "gen_synthetic_dataset"])
+@pytest.mark.parametrize("kwargs,message", [
+    ({"num_classes": 4.0}, "num_classes must be an integer"),
+    ({"num_classes": True}, "num_classes must be an integer"),
+    ({"num_classes": 0}, "num_classes must be an integer"),
+    ({"num_classes": 17}, "num_classes must be an integer"),
+    ({"size": 32.0}, "size must be an integer"),
+    ({"size": True}, "size must be an integer"),
+    ({"size": 8}, "size must be an integer"),
+    ({"seed": -1}, "seed must be an integer >= 0"),
+    ({"seed": 1.5}, "seed must be an integer >= 0"),
+    ({"seed": True}, "seed must be an integer >= 0"),
+    ({"seed": None}, "seed must be an integer >= 0"),
+])
+def test_synthetic_data_argument_types_checked_at_the_call(make, kwargs, message,
+                                                           monkeypatch):
+    def no_block(*args):
+        raise AssertionError("a block was made")
+
+    monkeypatch.setattr(dp, "_render_family", no_block)
+    with pytest.raises(InvalidValue, match=message):
+        make(**{"num_classes": 2, "per_class": 1, "size": 16, **kwargs})
+
+
+def test_synthetic_data_takes_numpy_integers():
+    a = dp.gen_synthetic_dataset(np.int64(2), np.int64(2), np.int64(16), seed=np.int64(3))
+    b = dp.gen_synthetic_dataset(2, 2, 16, seed=3)
+    assert np.array_equal(a.images, b.images)
+
+
 def test_gen_dataset_deterministic():
     a = dp.gen_synthetic_dataset(3, 2, 16, seed=5)
     b = dp.gen_synthetic_dataset(3, 2, 16, seed=5)

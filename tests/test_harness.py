@@ -247,6 +247,9 @@ def test_head_passes_in_batches_equal_one_pass(arch_id, tail):
     labels = np.arange(len(X)) % 16
     assert harness.head_accuracy(head, X, labels) == 100.0 * float(
         (nets.infer(head, X).argmax(axis=1) == labels).mean())
+    pen, logits = harness._head_outputs(head, X)
+    assert np.array_equal(pen, nets.infer(head, X, stop=-1))
+    assert np.array_equal(logits, nets.infer(head, X))
 
 
 def test_extract_features_independent_of_block_size():
@@ -407,6 +410,56 @@ def test_plan_featurizes_only_the_variants_it_reads(tmp_path, monkeypatch, overr
     n = cfg["dataset.classes"] * cfg["dataset.per_class"]
     assert frames == {"blurred": blurred * n, "image_backbone": image_backbone * n,
                       "orientation_backbone": orientation_backbone * n}
+
+
+@pytest.mark.parametrize("overrides,builds,heads", [
+    ({"experiment": "regime_sweep"}, 1, 3),
+    ({"experiment": "fusion", "dataset.motion": "correlated"}, 1, 2),
+    ({"experiment": "blur_combo"}, 1, 2),
+    ({"experiment": "arch_sweep"}, 3, 3),
+], ids=["regime_sweep", "fusion", "blur_combo", "arch_sweep"])
+def test_run_does_head_work_once(tmp_path, monkeypatch, overrides, builds, heads):
+    """One initial head is built per architecture, and each trained head
+    takes its training split once (for its SVM) and each test split it
+    is scored on once (embedding and logits from the same pass)."""
+    from noclab import nets
+    cfg = small_cfg(tmp_path, **overrides)
+    build_noc, infer = nets.build_noc, nets.infer
+    built, rows = [], {}  # initial heads built; head -> input rows passed through it
+
+    def counting_build(arch, seed):
+        built.append(arch)
+        return build_noc(arch, seed)
+
+    def counting_infer(model, X, *args, **kwargs):
+        if model.arch_id != "backbone" and not kwargs.get("start"):
+            rows[id(model)] = rows.get(id(model), 0) + len(X)
+        return infer(model, X, *args, **kwargs)
+
+    monkeypatch.setattr(nets, "build_noc", counting_build)
+    monkeypatch.setattr(nets, "infer", counting_infer)
+    art = harness.run_experiment(cfg)
+    assert len(built) == builds
+    n_test = cfg["dataset.classes"] * harness._test_count(cfg["dataset.per_class"])
+    n_train = cfg["dataset.classes"] * cfg["dataset.per_class"] - n_test
+    rows_scored = len(art.metrics_rows) // 2
+    assert len(rows) == heads
+    assert sum(rows.values()) == heads * n_train + rows_scored * n_test
+
+
+@pytest.mark.parametrize("arch_id", ["C0F3", "C1F3", "M1"])
+def test_head_passes_of_no_rows(arch_id):
+    from noclab import nets
+    arch = nets.NocArch(arch_id, (16, 4, 4), 16, 1 / 32)
+    head = nets.build_noc(arch, seed=4)
+    X = np.zeros((0, 16, 4, 4))
+    assert harness._head_rows(head, X).shape == (0, 16)
+    assert harness._head_rows(head, X, stop=-1).shape == (0, arch.fc_width)
+    assert harness.head_embedding(head, X).shape == (0, arch.fc_width)
+    pen, logits = harness._head_outputs(head, X)
+    assert pen.shape == (0, arch.fc_width) and logits.shape == (0, 16)
+    with pytest.raises(InvalidValue, match="no samples"):
+        harness.head_accuracy(head, X, np.zeros(0, dtype=int))
 
 
 @pytest.mark.parametrize("variant", ["N", "B"])

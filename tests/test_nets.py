@@ -66,6 +66,28 @@ def test_infer_leaves_the_batch_unchanged():
             assert np.array_equal(X, before)
 
 
+@pytest.mark.parametrize("arch_id", nets.ARCH_IDS)
+@pytest.mark.parametrize("stop", [None, -1])
+def test_infer_of_no_rows(arch_id, stop):
+    arch = nets.NocArch(arch_id, (16, 4, 4), 16, 1 / 32)
+    model = nets.build_noc(arch, seed=0)
+    width = 16 if stop is None else arch.fc_width
+    assert nets.infer(model, np.zeros((0, 16, 4, 4)), stop=stop).shape == (0, width)
+
+
+@pytest.mark.parametrize("arch_id", nets.ARCH_IDS)
+def test_infer_from_a_later_layer_continues_the_pass(arch_id):
+    model = nets.build_noc(small_arch(arch_id), seed=1)
+    X = np.random.default_rng(3).random((5, 3, 8, 8))
+    pen = nets.infer(model, X, stop=-1)
+    assert np.array_equal(nets.infer(model, pen, start=-1), nets.infer(model, X))
+    # a pass that starts at a relu leaves the caller's rows unchanged
+    pre_relu = nets.infer(model, X, stop=-2)
+    before = pre_relu.copy()
+    assert np.array_equal(nets.infer(model, pre_relu, start=-2), nets.infer(model, X))
+    assert np.array_equal(pre_relu, before)
+
+
 def test_forward_shape_mismatch():
     model = nets.build_noc(small_arch("C0F3"), seed=0)
     with pytest.raises(SizeMismatch):
