@@ -35,7 +35,8 @@ print(f"clip of {len(frames)} frames -> {len(keys)} key frames -> "
       f"{len(records)} sampled records")
 
 # --- blur synthesis ---------------------------------------------------------
-sharp = dp.Frame(dp.gen_synthetic_dataset(4, 1, 32, seed=1).images[0])
+images, _ = next(dp.synthetic_blocks(4, 1, 32, seed=1))
+sharp = dp.Frame(images[0])
 # the blur takes a stack of frames; one frame is a one-frame stack
 for kind in ("gaussian", "motion"):
     blurred = dp.synth_blur(sharp.pixels[None], kind=kind, sigma=2.0, length=9,

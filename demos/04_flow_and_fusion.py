@@ -44,9 +44,9 @@ size = int(cfg["dataset.size"])
 channels = int(cfg["backbone.channels"])
 bi = nets.build_backbone((3, size, size), channels, seed=1)
 bo = nets.build_backbone((3, size, size), channels, seed=2)
-data = dp.gen_synthetic_dataset(6, 30, size, motion="correlated", seed=0)
-f_rgb = harness.extract_features(bi, data.images[:3])
-f_orient = harness.extract_features(bo, np.repeat(data.orientation[:3], 3, axis=1))
+images, orientation = next(dp.synthetic_blocks(6, 30, size, "correlated", 0))
+f_rgb = harness.extract_features(bi, images[:3])
+f_orient = harness.extract_features(bo, np.repeat(orientation[:3], 3, axis=1))
 scale = cfg["fusion.orientation_scale"]
 fused = nets.fuse_sum(f_rgb, f_orient, scale)
 head = nets.build_noc(nets.NocArch("C1F3", fused.shape[1:], 6, 1 / 32), seed=0)

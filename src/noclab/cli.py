@@ -124,10 +124,13 @@ def cmd_plotdata(args):
         print(f"wrote {out}/pca.csv; skipped t-SNE ({cap} points < 16)")
         return
     perp = min(30.0, (cap - 1) / 3)
-    tsne_coords, _ = ev.tsne_embed(pen[:cap], perplexity=perp, iters=300,
+    # the test rows run class by class: an even stride over all of them
+    # embeds every class (and, under the cap, every row)
+    rows = [i * len(pen) // cap for i in range(cap)]
+    tsne_coords, _ = ev.tsne_embed(pen[rows], perplexity=perp, iters=300,
                                    seed=cfg.seed)
     harness.emit_csv(
-        harness.embedding_csv_rows(tsne_coords, y_test[:cap]),
+        harness.embedding_csv_rows(tsne_coords, y_test[rows]),
         harness.EMBEDDING_HEADER, os.path.join(out, "tsne.csv"))
     print(f"wrote {out}/pca.csv and {out}/tsne.csv")
 

@@ -10,6 +10,7 @@ channel-major as float64.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -86,17 +87,6 @@ class SampleRecord:
     class_id: int
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """A generated dataset as stacks, one row per sample."""
-    images: np.ndarray  # (n, 3, h, w), values in [0,1]
-    labels: np.ndarray  # (n,) class ids
-    orientation: np.ndarray | None = None  # (n, 1, h, w) flow-angle maps, with motion
-
-    def __len__(self):
-        return len(self.labels)
-
-
 # ---------------------------------------------------------------------------
 # DFT and spectral specification
 
@@ -111,6 +101,8 @@ def dft2d(plane, inverse=False):
     """Separable 2-D DFT, X(k) = sum_n x(n) exp(-2*pi*i*k*n/N) per axis;
     the inverse applies the conjugate kernel and 1/(h*w)."""
     x = np.asarray(plane)
+    if x.ndim != 2:
+        raise SizeMismatch(f"need a plane (h, w), got shape {x.shape}")
     h, w = x.shape
     out = _dft_matrix(h, inverse) @ x @ _dft_matrix(w, inverse)
     if inverse:
@@ -181,6 +173,8 @@ def kmeans(points, k, max_iters=100, seed=0):
     is repaired by grabbing the point farthest from its center.
     """
     X = np.asarray(points, dtype=np.float64)
+    if X.ndim != 2:
+        raise SizeMismatch(f"need points (n, dim), got shape {X.shape}")
     n = X.shape[0]
     if not is_count(k):
         raise InvalidValue(f"k must be >= 1 (an integer), got {k!r}")
@@ -225,6 +219,8 @@ def sample_dataset(clips, featurizer, per_cluster=1, seed=0, tau=None):
     frames are drawn per cluster."""
     if not clips:
         raise InvalidValue("no clips")
+    if not is_count(per_cluster):
+        raise InvalidValue(f"per_cluster must be >= 1 (an integer), got {per_cluster!r}")
     rng = np.random.default_rng(seed)
     records = []
     for clip in clips:
@@ -300,6 +296,12 @@ _DENSE_SPAN = 40
 def _blur_block(c, h, w):
     """Frames per dense blur block for frames of shape (c, h, w)."""
     return max(1, _BLUR_BLOCK_VALUES // (2 * c * h * w + h * h + w * w))
+
+
+def _is_real(value):
+    """Whether `value` is a finite real number (a bool is none)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _per_frame(value, n, name):
@@ -448,11 +450,14 @@ def synth_blur(stack, kind="gaussian", sigma=2.0, length=9, angle=0.0,
     if not np.isfinite(stack).all():
         raise InvalidValue("frame pixels must be finite")
     n, _, h, w = stack.shape
-    if not (np.isfinite(noise) and noise >= 0):
-        raise InvalidValue(f"noise must be finite and >= 0, got {noise}")
+    if not (_is_real(noise) and noise >= 0):
+        raise InvalidValue(f"noise must be finite and >= 0, got {noise!r}")
     seeds = _per_frame(seed, n, "seed")
+    for s in seeds:
+        if not (s is None or is_count(s, least=0)):
+            raise InvalidValue(f"seed must be an integer >= 0 or None, got {s!r}")
     if kind == "gaussian":
-        sigmas = np.array(_per_frame(sigma, n, "sigma"), dtype=np.float64)
+        sigmas = _floats(_per_frame(sigma, n, "sigma"), "sigma")
         for s in sigmas:
             if not (np.isfinite(s) and s > 0):
                 raise InvalidValue(f"sigma must be finite and positive, got {s}")
@@ -462,10 +467,11 @@ def synth_blur(stack, kind="gaussian", sigma=2.0, length=9, angle=0.0,
                 raise InvalidValue(f"sigma {s} is above the frame's larger side {max(h, w)}")
         out = _gaussian_blur(stack, sigmas)
     elif kind == "motion":
-        if not 1 <= length <= max(h, w):
-            raise InvalidValue(f"motion length must be in [1, {max(h, w)}], got {length}")
-        if not np.isfinite(angle):
-            raise InvalidValue(f"motion angle must be finite, got {angle}")
+        if not (is_count(length) and length <= max(h, w)):
+            raise InvalidValue(f"motion length must be an integer in [1, {max(h, w)}], "
+                               f"got {length!r}")
+        if not _is_real(angle):
+            raise InvalidValue(f"motion angle must be finite, got {angle!r}")
         out = _motion_blur(stack, _motion_kernel(length, angle))
     else:
         raise InvalidValue(f"unknown blur kind {kind!r}")
@@ -727,10 +733,16 @@ FRAME_BLOCK = 32
 
 
 def synthetic_blocks(num_classes=16, per_class=100, size=32, motion=False, seed=0):
-    """The procedural dataset of `gen_synthetic_dataset` as a stream: an
-    iterator of `(images, orientation | None)` stacks, one per block of
-    FRAME_BLOCK consecutive rows (the last block may be shorter). The
-    arguments are checked at the call, before any block is made.
+    """The procedural image/video dataset as a stream: an iterator of
+    `(images, orientation | None)` stacks, one per block of FRAME_BLOCK
+    consecutive rows (the last block may be shorter). The arguments are
+    checked at the call, before any block is made.
+
+    motion=False: one still frame per sample, all visual families distinct.
+    motion="correlated": classes share visual families in pairs and are
+    distinguished by motion direction; each sample carries the
+    flow-orientation map.
+    motion="uncorrelated": distinct visuals, random motion direction.
 
     Row r holds class r // per_class. The rows are rendered in order from
     one generator seeded with `seed`, a block crossing a class boundary
@@ -773,29 +785,6 @@ def _render_blocks(num_classes, per_class, size, motion, rng):
             flow = horn_schunck(first, second, lam=0.5, iters=_FLOW_SWEEPS)
             orientation[rows, 0] = _orientation(flow.u, flow.v)  # in [0,1] by construction
         yield images, orientation
-
-
-def gen_synthetic_dataset(num_classes=16, per_class=100, size=32, motion=False,
-                          seed=0):
-    """Procedural image/video dataset.
-
-    motion=False: one still frame per sample, all visual families distinct.
-    motion="correlated": classes share visual families in pairs and are
-    distinguished by motion direction; each sample carries the
-    flow-orientation map.
-    motion="uncorrelated": distinct visuals, random motion direction.
-
-    Returns a Dataset whose class c holds rows [c*per_class,
-    (c+1)*per_class): the blocks of `synthetic_blocks`, stacked.
-    """
-    blocks = synthetic_blocks(num_classes, per_class, size, motion, seed)
-    images = np.empty((num_classes * per_class, 3, size, size))
-    orientation = np.empty((len(images), 1, size, size)) if motion else None
-    for start, (block, block_orientation) in zip(range(0, len(images), FRAME_BLOCK), blocks):
-        images[start:start + len(block)] = block
-        if motion:
-            orientation[start:start + len(block)] = block_orientation
-    return Dataset(images, np.repeat(np.arange(num_classes), per_class), orientation)
 
 
 # ---------------------------------------------------------------------------

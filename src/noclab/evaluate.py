@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, SizeMismatch
+from .errors import InvalidValue, SizeMismatch, is_count
 
 
 @dataclass
@@ -29,6 +29,8 @@ class Metrics:
 
 def l2_normalize_rows(X):
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise SizeMismatch(f"need rows (n, dim), got shape {X.shape}")
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(X, axis=1, keepdims=True)
     if not np.isfinite(norms).all():
@@ -184,8 +186,11 @@ def compute_metrics(pred, truth, background_class=0, num_classes=None):
 
 
 def _finite_features(X):
-    """X as float64; one NaN or inf would turn every embedded point NaN."""
+    """X as float64 rows (n, dim); one NaN or inf would turn every
+    embedded point NaN."""
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise SizeMismatch(f"features to embed must be rows (n, dim), got shape {X.shape}")
     if not np.isfinite(X).all():
         raise InvalidValue("features to embed must be finite")
     return X
@@ -198,7 +203,7 @@ def pca_project(X, d, iters=200, seed=0):
     """
     X = _finite_features(X)
     n, dim = X.shape
-    if not (1 <= d <= dim) or n < d + 1:
+    if not (is_count(d) and d <= dim) or n < d + 1:
         raise InvalidValue("need 1 <= d <= dim and at least d+1 samples")
     mean = X.mean(axis=0)
     Xc = X - mean

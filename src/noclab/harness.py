@@ -278,23 +278,39 @@ def stratified_split(labels, test_frac=TEST_FRAC, seed=0):
     return train, test
 
 
+# Rows per head pass outside training: 128 rows of C1F3's conv columns
+# are 2.4 MB, where the 1280 default training rows took 23.6 MB in one pass.
+HEAD_BATCH = 128
+
+
+def _infer_rows(model, X, batch=HEAD_BATCH, start=None, stop=None):
+    """`nets.infer(model, X, stop, start)` run `batch` rows at a time into
+    one array, with the same bits. A pass never takes one row of a longer
+    X: numpy multiplies a single row as a matrix-vector product, whose sums
+    may round otherwise, so a 1-row remainder joins the batch before it."""
+    X = np.asarray(X, dtype=np.float64)
+    cuts = list(range(0, max(len(X) - 1, 1), batch)) + [len(X)]
+    # the first pass, made even of no rows, gives the output's row shape
+    first = nets.infer(model, X[:cuts[1]], stop=stop, start=start)
+    out = np.empty((len(X),) + first.shape[1:])
+    out[:cuts[1]] = first
+    for a, b in zip(cuts[1:], cuts[2:]):
+        out[a:b] = nets.infer(model, X[a:b], stop=stop, start=start)
+    return out
+
+
 def extract_features(backbone, pixels, batch=8):
     """Frozen-backbone feature maps (n, c', h', w') of a stack of frame
     pixels (n, c, h, w).
 
-    The backbone runs `batch` frames at a time: every sample's
-    convolutions are its own gemms, so the features do not depend on
-    `batch`, and 8 frames ran as fast as 16 (17.03 against 16.88 ms on
+    The backbone runs `batch` frames at a time (`_infer_rows`): every
+    sample's convolutions are its own gemms, so the features do not depend
+    on `batch`, and 8 frames ran as fast as 16 (17.03 against 16.88 ms on
     160 default frames) with half the im2col columns. Each sample is
     standardized (zero mean, unit std) so the heads see patterns rather
     than global contrast or blur-induced scale shifts.
     """
-    X = np.asarray(pixels, dtype=np.float64)
-    first = nets.infer(backbone, X[:batch])  # of no frames, the shape (0, c', h', w')
-    feats = np.empty((len(X),) + first.shape[1:])
-    feats[:batch] = first
-    for i in range(batch, len(X), batch):
-        feats[i:i + batch] = nets.infer(backbone, X[i:i + batch])
+    feats = _infer_rows(backbone, pixels, batch)
     mean = feats.mean(axis=(1, 2, 3), keepdims=True)
     std = feats.std(axis=(1, 2, 3), keepdims=True)
     feats -= mean
@@ -322,30 +338,13 @@ def train_head(cfg, arch, X, labels, regime, loss_rows, init=None):
                        seed=cfg.seed, loss_trace=loss_rows)
 
 
-# Rows per head pass outside training: 128 rows of C1F3's conv columns
-# are 2.4 MB, where the 1280 default training rows took 23.6 MB in one pass.
-HEAD_BATCH = 128
-
-
-def _head_rows(head, X, start=None, stop=None):
-    """`nets.infer(head, X, stop, start)` run HEAD_BATCH rows at a time,
-    with the same bits. A pass never takes one row of a longer X: numpy
-    multiplies a single row as a matrix-vector product, whose sums may
-    round otherwise, so a 1-row remainder joins the batch before it."""
-    X = np.asarray(X, dtype=np.float64)
-    cuts = list(range(0, max(len(X) - 1, 1), HEAD_BATCH)) + [len(X)]
-    parts = [nets.infer(head, X[a:b], stop=stop, start=start)
-             for a, b in zip(cuts, cuts[1:])]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def _head_outputs(head, X):
     """X's penultimate features through `head` and its logits, from one
     pass of X through the head: the logits are the head's last layer on
     the penultimate rows, in the same batches, so both have the bits of
     their own passes."""
-    pen = _head_rows(head, X, stop=-1)
-    return pen, _head_rows(head, pen, start=-1)
+    pen = _infer_rows(head, X, stop=-1)
+    return pen, _infer_rows(head, pen, start=-1)
 
 
 def _accuracy(logits, labels):
@@ -356,13 +355,13 @@ def _accuracy(logits, labels):
 
 
 def head_accuracy(head, X, labels):
-    return _accuracy(_head_rows(head, X), labels)
+    return _accuracy(_infer_rows(head, X), labels)
 
 
 def head_embedding(head, X):
     """The features the SVM and the embeddings read: X's penultimate
     features through `head`, L2-normalized per row."""
-    return ev.l2_normalize_rows(_head_rows(head, X, stop=-1))
+    return ev.l2_normalize_rows(_infer_rows(head, X, stop=-1))
 
 
 def pca_csv_rows(embedding, labels, seed):

@@ -20,7 +20,10 @@ thread variables before numpy loads):
   a head's training batch (32,16,4,4) and inference batch (128,16,4,4),
   and the backbone's three layers on 8 frames (8,3,32,32), (8,4,16,16)
   and (8,8,8,8). The first two and the last take the gather, the other
-  two the slice copies (`autodiff._GATHER_BELOW_OW`).
+  two the slice copies (`autodiff._GATHER_BELOW_OW`);
+- `reference_us`: the benchmark's fixed piece of host work,
+  `perfbench/worker.py`'s `reference_s`, so that figures from runs on
+  hosts or host speed levels that differ can be compared as ratios to it.
 
 Each figure is the median of `--repeats` timed blocks. It reports
 costs and checks nothing; pytest does not collect this file.
@@ -42,6 +45,9 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 from noclab import autodiff, datapipe, evaluate, harness, nets, optim  # noqa: E402
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+from worker import reference_s  # noqa: E402
 
 
 def median_us(fn, repeats, calls):
@@ -128,6 +134,7 @@ def main(argv=None):
               "svm_step_us": svm_step_costs(cfg, args.repeats),
               "flow_sweep_us": flow_sweep_cost(cfg, args.repeats),
               "im2col_us": im2col_costs(args.repeats),
+              "reference_us": median_us(reference_s, args.repeats, 1),
               "numpy": np.__version__}
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from noclab import cli, harness, nets, optim
 from noclab import datapipe as dp
+from noclab import evaluate as ev
 from noclab.errors import ConfigError
 
 SMALL = [
@@ -58,17 +59,16 @@ def test_gen_files_equal_the_dataset_rows(tmp_path):
                  "dataset.motion": "correlated"}
     assert run(["gen", "--output-dir", out]
                + [a for k, v in overrides.items() for a in ("--set", f"{k}={v}")]) == 0
-    data = dp.gen_synthetic_dataset(3, 3, 16, motion="correlated", seed=0)
-    assert len(data) == 9
+    (images, orientation), = dp.synthetic_blocks(3, 3, 16, "correlated", 0)
     lines = open(os.path.join(out, "manifest.csv")).read().splitlines()
     assert lines == ["path,class_id,source,partition"] + [
-        f"img_{i:05d}.ppm,{c},normal," for i, c in enumerate(data.labels)]
-    for i in range(len(data)):
+        f"img_{i:05d}.ppm,{i // 3},normal," for i in range(9)]
+    for i in range(9):
         image = dp.read_ppm(os.path.join(out, f"img_{i:05d}.ppm"))
         orient = dp.read_pgm(os.path.join(out, f"orient_{i:05d}.pgm"))
-        assert np.array_equal(image.pixels, np.round(255 * data.images[i]) / 255)
-        assert np.array_equal(orient.pixels, np.round(255 * data.orientation[i]) / 255)
-    assert len(os.listdir(out)) == 1 + 2 * len(data)
+        assert np.array_equal(image.pixels, np.round(255 * images[i]) / 255)
+        assert np.array_equal(orient.pixels, np.round(255 * orientation[i]) / 255)
+    assert len(os.listdir(out)) == 1 + 2 * 9
 
 
 def test_train_writes_model_and_loss(tmp_path, capsys):
@@ -97,6 +97,32 @@ def test_plotdata_emits_embeddings(tmp_path):
         lines = open(os.path.join(out, name)).read().splitlines()
         assert lines[0] == "x,y,class_id,source"
         assert len(lines) > 1
+
+
+def test_plotdata_tsne_embeds_every_class(tmp_path, monkeypatch):
+    """t-SNE takes at most 500 of the class-sorted test rows, spread over
+    every class, and every row of a split of 500 or fewer."""
+    def no_tsne(X, **kwargs):
+        return np.zeros((len(X), 2)), []
+
+    monkeypatch.setattr(ev, "tsne_embed", no_tsne)
+
+    def class_ids(out, name):
+        with open(os.path.join(out, name)) as fh:
+            return [int(row["class_id"]) for row in csv.DictReader(fh)]
+
+    # 16 classes of 170 rows give 16 x 34 = 544 test rows; the first 500
+    # would leave class 15 out
+    big = str(tmp_path / "big")
+    assert run(["plotdata", "--output-dir", big, "--set", "dataset.classes=16",
+                "--set", "dataset.per_class=170", "--set", "dataset.size=16",
+                "--set", "regime.iterations=5"]) == 0
+    ids = class_ids(big, "tsne.csv")
+    assert len(ids) == 500 and set(ids) == set(range(16))
+    small = str(tmp_path / "small")
+    assert run(["plotdata", "--output-dir", small] + SMALL
+               + ["--set", "dataset.per_class=30"]) == 0
+    assert class_ids(small, "tsne.csv") == class_ids(small, "pca.csv")
 
 
 def test_plotdata_pca_equals_regime_sweep_embedding(tmp_path):
@@ -129,14 +155,42 @@ def test_train_equals_regime_sweep_head(tmp_path):
                 == open(os.path.join(sweep, swept), "rb").read()), name
 
 
-def test_no_verb_builds_the_whole_dataset(tmp_path, monkeypatch):
-    # every verb streams its frames from harness.dataset_blocks
-    def whole_set(*args, **kwargs):
-        raise AssertionError("whole dataset built")
+def test_every_verb_reads_one_stream(tmp_path, monkeypatch):
+    """A verb renders its frames only inside `dp.synthetic_blocks` streams,
+    one per experiment it runs, each read to its end in blocks of at most
+    FRAME_BLOCK rows, and uses each block before it asks for the next: no
+    whole-set stack is built."""
+    synthetic_blocks, render_family = dp.synthetic_blocks, dp._render_family
+    rendered, blocks = [0], []  # frames rendered; rows of each block per stream
 
-    monkeypatch.setattr(dp, "gen_synthetic_dataset", whole_set)
-    for verb in ("gen", "train", "plotdata", "eval", "grid"):
-        assert run([verb, "--output-dir", str(tmp_path / verb)] + SMALL) == 0, verb
+    def counting_render(family, out, *args, **kwargs):
+        rendered[0] += len(out)
+        return render_family(family, out, *args, **kwargs)
+
+    def spy(*args, **kwargs):
+        blocks.append([])
+        for images, orientation in synthetic_blocks(*args, **kwargs):
+            blocks[-1].append(len(images))
+            yield images, orientation
+            # a block kept past the next one turns NaN, which fails the run
+            for stack in (images, orientation):
+                if stack is not None:
+                    stack.fill(np.nan)
+
+    monkeypatch.setattr(dp, "_render_family", counting_render)
+    monkeypatch.setattr(dp, "synthetic_blocks", spy)
+    # 3 classes of 12 rows: more rows than one block holds
+    n = 36
+    assert n > dp.FRAME_BLOCK
+    for verb, streams in (("gen", 1), ("train", 1), ("plotdata", 1), ("eval", 1),
+                          ("grid", 4)):
+        rendered[0] = 0
+        blocks.clear()
+        assert run([verb, "--output-dir", str(tmp_path / verb)] + SMALL
+                   + ["--set", "dataset.per_class=12"]) == 0, verb
+        assert len(blocks) == streams, verb
+        assert all(sum(rows) == n and max(rows) <= dp.FRAME_BLOCK for rows in blocks), verb
+        assert rendered[0] == n * streams, verb
 
 
 def test_grid_runs_selected_experiments(tmp_path):

@@ -80,6 +80,12 @@ def test_dft_impulse_is_flat():
     assert np.allclose(dp.dft2d(x), 1.0)
 
 
+@pytest.mark.parametrize("plane", [np.arange(8.0), np.zeros((2, 4, 4)), 1.0])
+def test_dft_rejects_input_that_is_no_plane(plane):
+    with pytest.raises(SizeMismatch, match="need a plane"):
+        dp.dft2d(plane)
+
+
 def test_spectral_specify_dc_and_fixed_point():
     frame, base = rand_frame(seed=1), rand_frame(seed=2)
     out = dp.spectral_specify(frame, base, band=1)
@@ -144,6 +150,12 @@ def test_kmeans_rejects_non_count_max_iters(max_iters):
         dp.kmeans(pts, 2, max_iters=max_iters)
 
 
+@pytest.mark.parametrize("points", [np.arange(5.0), np.zeros((2, 3, 2)), 1.0])
+def test_kmeans_rejects_points_that_are_no_rows(points):
+    with pytest.raises(SizeMismatch, match="need points"):
+        dp.kmeans(points, 1)
+
+
 def test_sample_dataset_deterministic():
     clips = [dp.VideoClip([rand_frame(seed=i) for i in range(6)], label=0)]
     feat = lambda f: f.pixels.ravel()
@@ -154,6 +166,13 @@ def test_sample_dataset_deterministic():
         assert np.array_equal(ra.image.pixels, rb.image.pixels)
     with pytest.raises(InvalidValue):
         dp.sample_dataset([], feat)
+
+
+@pytest.mark.parametrize("per_cluster", [0, -1, 2.5])
+def test_sample_dataset_rejects_non_count_per_cluster(per_cluster):
+    clips = [dp.VideoClip([rand_frame(seed=i) for i in range(6)], label=0)]
+    with pytest.raises(InvalidValue, match="per_cluster must be >= 1"):
+        dp.sample_dataset(clips, lambda f: f.pixels.ravel(), per_cluster=per_cluster)
 
 
 def test_sample_dataset_dedupes_static_clip():
@@ -216,6 +235,28 @@ def test_blur_validation():
             dp.synth_blur(f, noise=noise, seed=0)
     with pytest.raises(InvalidValue):
         dp.synth_blur(f, kind="box")
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"seed": -1, "noise": 0.1}, "seed must be an integer >= 0"),
+    ({"seed": 1.5, "noise": 0.1}, "seed must be an integer >= 0"),
+    ({"seed": [0, 1.5], "noise": 0.1}, "seed must be an integer >= 0"),
+    ({"noise": "a"}, "noise must be finite"),
+    ({"noise": True}, "noise must be finite"),
+    ({"kind": "motion", "length": 2.5}, "motion length must be an integer"),
+    ({"kind": "motion", "angle": "a"}, "motion angle must be finite"),
+    ({"sigma": [1.0, "b"]}, "sigma is no float array"),
+], ids=["seed=-1", "seed=1.5", "seeds", "noise=a", "noise=True", "length=2.5", "angle=a",
+        "sigma=b"])
+def test_blur_arguments_checked_before_any_kernel(kwargs, message, monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran")
+
+    monkeypatch.setattr(dp, "_gaussian_blur", no_kernel)
+    monkeypatch.setattr(dp, "_motion_blur", no_kernel)
+    stack = np.random.default_rng(0).random((2, 3, 16, 16))
+    with pytest.raises(InvalidValue, match=message):
+        dp.synth_blur(stack, **kwargs)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -575,12 +616,21 @@ def test_sor_reaches_the_jacobi_fixed_point(shape):
     assert max(np.abs(flow.u - u).max(), np.abs(flow.v - v).max()) < 1e-12
 
 
+def stacked(*args, **kwargs):
+    """The (images, orientation | None) rows that
+    `dp.synthetic_blocks(*args, **kwargs)` streams, stacked."""
+    blocks = list(dp.synthetic_blocks(*args, **kwargs))
+    images = np.concatenate([images for images, _ in blocks])
+    if blocks[0][1] is None:
+        return images, None
+    return images, np.concatenate([orientation for _, orientation in blocks])
+
+
 def correlated_pairs(classes=16, per_class=1, size=32, seed=0):
-    """The gray planes gen_synthetic_dataset flows under correlated motion."""
-    data = dp.gen_synthetic_dataset(classes, per_class, size, motion="correlated",
-                                    seed=seed)
-    first = data.images.mean(axis=1)
-    angles = 2 * np.pi * data.labels / classes
+    """The gray planes synthetic_blocks flows under correlated motion."""
+    images, _ = stacked(classes, per_class, size, "correlated", seed)
+    first = images.mean(axis=1)
+    angles = 2 * np.pi * np.repeat(np.arange(classes), per_class) / classes
     second = np.stack([dp._shift_plane(p, 2.0 * np.cos(t), 2.0 * np.sin(t))
                        for p, t in zip(first, angles)])
     return first, second
@@ -735,33 +785,32 @@ def test_render_smoothing_matches_ndimage(size):
 
 
 def test_gen_dataset_shapes_and_labels():
-    data = dp.gen_synthetic_dataset(4, 3, 16, motion=False, seed=0)
-    assert len(data) == 12
-    assert data.images.shape == (12, 3, 16, 16)
+    images, orientation = stacked(4, 3, 16, False, 0)
+    assert images.shape == (12, 3, 16, 16)
+    assert orientation is None
     # class c holds rows [3c, 3c + 3)
-    assert data.labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
-    assert data.orientation is None
+    replay_per_record(images, np.repeat(np.arange(4), 3), orientation, 4, 3, 16, 0, False)
 
 
 def test_gen_dataset_motion_modes():
-    data = dp.gen_synthetic_dataset(4, 2, 16, motion="correlated", seed=0)
-    assert len(data) == 8
-    assert data.orientation.shape == (8, 1, 16, 16)
-    data_u = dp.gen_synthetic_dataset(4, 2, 16, motion="uncorrelated", seed=0)
-    assert data_u.orientation.shape == (8, 1, 16, 16)
+    _, orientation = stacked(4, 2, 16, "correlated", 0)
+    assert orientation.shape == (8, 1, 16, 16)
+    _, orientation_u = stacked(4, 2, 16, "uncorrelated", 0)
+    assert orientation_u.shape == (8, 1, 16, 16)
 
 
-def replay_per_record(data, num_classes, per_class, size, seed, motion):
-    """Check a dataset against the generator's draws, replayed one sample
-    at a time."""
+def replay_per_record(images, labels, orientation, num_classes, per_class, size, seed,
+                      motion):
+    """Check dataset rows (images, labels, orientation | None) against the
+    generator's draws, replayed one sample at a time."""
     rng = np.random.default_rng(seed)
     i = 0
     for c in range(num_classes):
         family = c % ((num_classes + 1) // 2) if motion == "correlated" else c
         for _ in range(per_class):
             frame = reference_render_class_image(family, size, rng)
-            assert data.labels[i] == c
-            assert np.array_equal(data.images[i], frame.pixels)
+            assert labels[i] == c
+            assert np.array_equal(images[i], frame.pixels)
             i += 1
             if not motion:
                 continue
@@ -774,16 +823,16 @@ def replay_per_record(data, num_classes, per_class, size, seed, motion):
             want = dp.orientation_map(dp.horn_schunck(
                 frame.pixels.mean(axis=0), shifted.pixels.mean(axis=0), lam=0.5,
                 iters=dp._FLOW_SWEEPS))
-            assert np.array_equal(data.orientation[i - 1], want.pixels)
-    assert i == len(data)
+            assert np.array_equal(orientation[i - 1], want.pixels)
+    assert i == len(images) == len(labels)
 
 
 @pytest.mark.parametrize("motion", ["correlated", "uncorrelated"])
 def test_gen_dataset_orientation_matches_per_record_flow(motion):
     num_classes, per_class, size, seed = 4, 5, 16, 3
-    data = dp.gen_synthetic_dataset(num_classes, per_class, size, motion=motion,
-                                    seed=seed)
-    replay_per_record(data, num_classes, per_class, size, seed, motion)
+    images, orientation = stacked(num_classes, per_class, size, motion, seed)
+    replay_per_record(images, np.repeat(np.arange(num_classes), per_class), orientation,
+                      num_classes, per_class, size, seed, motion)
 
 
 @pytest.mark.parametrize("motion", [False, "correlated", "uncorrelated"])
@@ -795,8 +844,8 @@ def test_synthetic_blocks_cut_across_classes(motion):
     images = np.concatenate([block for block, _ in blocks])
     orientation = np.concatenate([o for _, o in blocks]) if motion else None
     assert all((o is None) == (not motion) for _, o in blocks)
-    data = dp.Dataset(images, np.repeat(np.arange(num_classes), per_class), orientation)
-    replay_per_record(data, num_classes, per_class, size, seed, motion)
+    replay_per_record(images, np.repeat(np.arange(num_classes), per_class), orientation,
+                      num_classes, per_class, size, seed, motion)
 
 
 def test_synthetic_blocks_check_arguments_at_the_call():
@@ -804,8 +853,6 @@ def test_synthetic_blocks_check_arguments_at_the_call():
         dp.synthetic_blocks(4, 0, 16)
 
 
-@pytest.mark.parametrize("make", [dp.synthetic_blocks, dp.gen_synthetic_dataset],
-                         ids=["synthetic_blocks", "gen_synthetic_dataset"])
 @pytest.mark.parametrize("kwargs,message", [
     ({"num_classes": 4.0}, "num_classes must be an integer"),
     ({"num_classes": True}, "num_classes must be an integer"),
@@ -819,47 +866,45 @@ def test_synthetic_blocks_check_arguments_at_the_call():
     ({"seed": True}, "seed must be an integer >= 0"),
     ({"seed": None}, "seed must be an integer >= 0"),
 ])
-def test_synthetic_data_argument_types_checked_at_the_call(make, kwargs, message,
-                                                           monkeypatch):
+def test_synthetic_data_argument_types_checked_at_the_call(kwargs, message, monkeypatch):
     def no_block(*args):
         raise AssertionError("a block was made")
 
     monkeypatch.setattr(dp, "_render_family", no_block)
     with pytest.raises(InvalidValue, match=message):
-        make(**{"num_classes": 2, "per_class": 1, "size": 16, **kwargs})
+        dp.synthetic_blocks(**{"num_classes": 2, "per_class": 1, "size": 16, **kwargs})
 
 
 def test_synthetic_data_takes_numpy_integers():
-    a = dp.gen_synthetic_dataset(np.int64(2), np.int64(2), np.int64(16), seed=np.int64(3))
-    b = dp.gen_synthetic_dataset(2, 2, 16, seed=3)
-    assert np.array_equal(a.images, b.images)
+    a, _ = stacked(np.int64(2), np.int64(2), np.int64(16), seed=np.int64(3))
+    b, _ = stacked(2, 2, 16, seed=3)
+    assert np.array_equal(a, b)
 
 
 def test_gen_dataset_deterministic():
-    a = dp.gen_synthetic_dataset(3, 2, 16, seed=5)
-    b = dp.gen_synthetic_dataset(3, 2, 16, seed=5)
-    assert np.array_equal(a.images, b.images)
-    assert np.array_equal(a.labels, b.labels)
+    a, _ = stacked(3, 2, 16, seed=5)
+    b, _ = stacked(3, 2, 16, seed=5)
+    assert np.array_equal(a, b)
 
 
 def test_gen_dataset_validation():
     with pytest.raises(InvalidValue):
-        dp.gen_synthetic_dataset(17, 1, 16)
+        dp.synthetic_blocks(17, 1, 16)
     with pytest.raises(InvalidValue):
-        dp.gen_synthetic_dataset(4, 1, 8)
+        dp.synthetic_blocks(4, 1, 8)
     with pytest.raises(InvalidValue):
-        dp.gen_synthetic_dataset(4, 1, 16, motion="sideways")
+        dp.synthetic_blocks(4, 1, 16, motion="sideways")
     # motion modes are False, "correlated" or "uncorrelated" only
     for alias in (True, None):
         with pytest.raises(InvalidValue, match="bad motion mode"):
-            dp.gen_synthetic_dataset(4, 1, 16, motion=alias)
+            dp.synthetic_blocks(4, 1, 16, motion=alias)
 
 
 @pytest.mark.parametrize("per_class", [0, -1, 2.5, True])
 @pytest.mark.parametrize("motion", [False, "correlated", "uncorrelated"])
 def test_gen_dataset_rejects_empty_classes(per_class, motion):
     with pytest.raises(InvalidValue, match="per_class must be >= 1"):
-        dp.gen_synthetic_dataset(4, per_class, 16, motion=motion)
+        dp.synthetic_blocks(4, per_class, 16, motion=motion)
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,15 @@ def test_l2_normalize_rows():
     assert np.allclose(out[1], 0.0)  # zero row survives
 
 
+NO_ROWS = [np.arange(30.0), np.zeros((10, 3, 2)), 1.0]
+
+
+@pytest.mark.parametrize("X", NO_ROWS)
+def test_l2_normalize_rows_rejects_input_that_is_no_rows(X):
+    with pytest.raises(SizeMismatch, match="need rows"):
+        ev.l2_normalize_rows(X)
+
+
 # ---------------------------------------------------------------------------
 # PCA
 
@@ -237,6 +246,14 @@ def test_pca_validation():
         X[4, 1] = bad
         with pytest.raises(InvalidValue, match="finite"):
             ev.pca_project(X, 2)
+    with pytest.raises(InvalidValue, match="need 1 <= d"):
+        ev.pca_project(RNG.normal(size=(20, 3)), 1.5)
+
+
+@pytest.mark.parametrize("X", NO_ROWS)
+def test_pca_rejects_input_that_is_no_rows(X):
+    with pytest.raises(SizeMismatch, match="must be rows"):
+        ev.pca_project(X, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -287,3 +304,9 @@ def test_tsne_validation():
         X[4, 1] = bad
         with pytest.raises(InvalidValue, match="finite"):
             ev.tsne_embed(X, perplexity=5.0)
+
+
+@pytest.mark.parametrize("X", NO_ROWS)
+def test_tsne_rejects_input_that_is_no_rows(X):
+    with pytest.raises(SizeMismatch, match="must be rows"):
+        ev.tsne_embed(X, perplexity=5.0)

@@ -240,7 +240,7 @@ def test_head_passes_in_batches_equal_one_pass(arch_id, tail):
     head = nets.build_noc(arch, seed=4)
     X = np.random.default_rng(tail).normal(size=(2 * harness.HEAD_BATCH + tail, 16, 4, 4))
     for stop in (None, -1):
-        assert np.array_equal(harness._head_rows(head, X, stop=stop),
+        assert np.array_equal(harness._infer_rows(head, X, stop=stop),
                               nets.infer(head, X, stop=stop))
     assert np.array_equal(harness.head_embedding(head, X),
                           ev.l2_normalize_rows(nets.infer(head, X, stop=-1)))
@@ -250,6 +250,11 @@ def test_head_passes_in_batches_equal_one_pass(arch_id, tail):
     pen, logits = harness._head_outputs(head, X)
     assert np.array_equal(pen, nets.infer(head, X, stop=-1))
     assert np.array_equal(logits, nets.infer(head, X))
+    # the backbone's passes of extract_features
+    backbone = nets.build_backbone((3, 16, 16), 8, seed=4)
+    frames = np.random.default_rng(tail).random((2 * 8 + tail, 3, 16, 16))
+    assert np.array_equal(harness._infer_rows(backbone, frames, 8),
+                          nets.infer(backbone, frames))
 
 
 def test_extract_features_independent_of_block_size():
@@ -348,7 +353,7 @@ def test_blur_frames_draws_each_frame_in_turn(tmp_path, kind):
     frame, with sigma and noise seed drawn frame after frame from it."""
     from noclab import datapipe as dp
     cfg = small_cfg(tmp_path, **{"blur.kind": kind, "blur.length": 5})
-    pixels = dp.gen_synthetic_dataset(3, 8, 16, seed=cfg.seed).images
+    (pixels, _), = dp.synthetic_blocks(3, 8, 16, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 17)
     out = np.concatenate([harness._blur_frames(cfg, pixels[a:b], rng)
                           for a, b in ((0, 1), (1, 11), (11, len(pixels)))])
@@ -453,8 +458,8 @@ def test_head_passes_of_no_rows(arch_id):
     arch = nets.NocArch(arch_id, (16, 4, 4), 16, 1 / 32)
     head = nets.build_noc(arch, seed=4)
     X = np.zeros((0, 16, 4, 4))
-    assert harness._head_rows(head, X).shape == (0, 16)
-    assert harness._head_rows(head, X, stop=-1).shape == (0, arch.fc_width)
+    assert harness._infer_rows(head, X).shape == (0, 16)
+    assert harness._infer_rows(head, X, stop=-1).shape == (0, arch.fc_width)
     assert harness.head_embedding(head, X).shape == (0, arch.fc_width)
     pen, logits = harness._head_outputs(head, X)
     assert pen.shape == (0, arch.fc_width) and logits.shape == (0, 16)
