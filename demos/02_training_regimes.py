@@ -11,7 +11,7 @@ Run: python3 demos/02_training_regimes.py
 
 import numpy as np
 
-from noclab import harness
+from noclab import harness, nets
 
 cfg = harness.parse_config(None, {
     "dataset.classes": 6, "dataset.per_class": 30, "dataset.size": 16,
@@ -19,16 +19,16 @@ cfg = harness.parse_config(None, {
 })
 
 feats, labels, tr, te = harness.split_features(cfg, {"N"})
-feats = feats["N"]
-arch = harness._head_arch(cfg, feats.shape[1:])
-print(f"dataset: {len(labels)} samples, features {feats.shape[1:]}, "
-      f"head {arch.arch_id} (fc width {arch.fc_width})")
+print(f"dataset: {len(labels)} samples, features {feats['N'].shape[1:]}, "
+      f"head {cfg['arch.arch_id']} "
+      f"(fc width {nets.NocArch.scaled_fc_width(cfg['arch.width_scale'])})")
 
-for regime in ("1LR", "2LR", "3LR"):
-    rows = []
-    head = harness.train_head(cfg, arch, feats[tr], labels[tr], regime, rows)
+heads = harness.train_heads(cfg, feats, labels, tr,
+                            [("N", cfg["arch.arch_id"], r) for r in ("1LR", "2LR", "3LR")])
+for (_, _, regime), (head, rows) in heads.items():
     losses = [l for *_, l in rows]
-    acc = harness.head_accuracy(head, feats[te], labels[te])
+    _, logits = harness.head_outputs(head, feats["N"][te])
+    acc = harness.accuracy(logits, labels[te])
     print(f"{regime}: first-10 loss {np.mean(losses[:10]):.3f} -> "
           f"last-10 loss {np.mean(losses[-10:]):.3f}, test accuracy {acc:.1f}%")
 
@@ -36,8 +36,7 @@ for regime in ("1LR", "2LR", "3LR"):
 # restarting at 0; each partition's clone starts from the same
 # initialization and the final model is the mean. (1LR and 2LR chain one
 # model through the partitions and number steps on across them.)
-rows = []
-harness.train_head(cfg, arch, feats[tr], labels[tr], "3LR", rows)
+_, rows = heads["N", cfg["arch.arch_id"], "3LR"]
 parts = sorted({p for _, p, _, _ in rows})
 print(f"3LR trained {len(parts)} partition clones "
       f"({len(rows) // len(parts)} steps each) before averaging")

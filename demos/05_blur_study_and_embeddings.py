@@ -33,12 +33,11 @@ cfg = harness.parse_config(None, {
     "regime.name": "2LR", "regime.iterations": 120,
 })
 feats, labels, tr, te = harness.split_features(cfg, {"N"})
-feats = feats["N"]
-arch = harness._head_arch(cfg, feats.shape[1:])
-head = harness.train_head(cfg, arch, feats[tr], labels[tr], "2LR", [])
-pen = harness.head_embedding(head, feats[te])
+key = ("N", cfg["arch.arch_id"], "2LR")
+head, _ = harness.train_heads(cfg, feats, labels, tr, [key])[key]
+pen = harness.head_embedding(head, feats["N"][te])
 
-svm = ev.svm_train(harness.head_embedding(head, feats[tr]), labels[tr], epochs=10, seed=0)
+svm = ev.svm_train(harness.head_embedding(head, feats["N"][tr]), labels[tr], epochs=10, seed=0)
 pred = ev.svm_predict(svm, pen)
 metrics = ev.compute_metrics(pred, labels[te], background_class=5, num_classes=6)
 print(f"\nSVM on penultimate features: accuracy {metrics.accuracy:.1f}%, "

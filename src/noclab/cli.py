@@ -53,30 +53,27 @@ def cmd_gen(args):
     print(f"wrote {len(rows)} samples to {out}")
 
 
-def _train_head(cfg, loss_rows):
+def _train_head(cfg):
     """arch.arch_id's head trained under regime.name on the training split
-    of the sharp features, with the test split's features and labels."""
+    of the sharp features, its loss rows, its `head_outputs` on the test
+    split and the test labels."""
     feats, labels, tr, te = harness.split_features(cfg, {"N"})
-    feats = feats["N"]
-    arch = harness._head_arch(cfg, feats.shape[1:])
-    head = harness.train_head(cfg, arch, feats[tr], labels[tr],
-                              cfg["regime.name"], loss_rows)
-    return head, feats[te], labels[te]
+    key = ("N", cfg["arch.arch_id"], cfg["regime.name"])
+    head, loss_rows = harness.train_heads(cfg, feats, labels, tr, [key])[key]
+    return head, loss_rows, harness.head_outputs(head, feats["N"][te]), labels[te]
 
 
 def cmd_train(args):
     cfg = _load_config(args)
-    loss_rows = []
-    head, X_test, y_test = _train_head(cfg, loss_rows)
+    head, loss_rows, (_, logits), y_test = _train_head(cfg)
     out = cfg["output_dir"]
     harness.make_output_dir(out)
     mpath = os.path.join(out, f"model_{cfg['arch.arch_id']}_{cfg['regime.name']}.noc")
     nets.save_model(head, mpath)
     harness.emit_csv(harness.loss_csv_rows(loss_rows), harness.LOSS_HEADER,
                      os.path.join(out, "loss.csv"))
-    acc = harness.head_accuracy(head, X_test, y_test)
     print(f"trained {cfg['arch.arch_id']} with {cfg['regime.name']}; "
-          f"test accuracy {acc:.1f}; model at {mpath}")
+          f"test accuracy {harness.accuracy(logits, y_test):.1f}; model at {mpath}")
 
 
 def cmd_eval(args):
@@ -97,13 +94,13 @@ def cmd_grid(args):
     for exp in experiments:
         if experiments.count(exp) > 1:
             raise ConfigError(f"experiment {exp!r} listed twice in --experiments")
-        sub = dict(cfg.values)
-        sub["experiment"] = exp
-        sub["output_dir"] = os.path.join(base_out, exp)
-        if exp == "fusion" and sub["dataset.motion"] == "none":
-            sub["dataset.motion"] = "correlated"
-        subcfgs.append(harness.parse_config(None, sub))
-        harness.check_experiment(subcfgs[-1])
+        motion = cfg["dataset.motion"]
+        if exp == "fusion" and motion == "none":
+            motion = "correlated"
+        subcfgs.append(harness.ExperimentConfig({
+            **cfg.values, "experiment": exp, "output_dir": os.path.join(base_out, exp),
+            "dataset.motion": motion}))
+        harness.check_config(subcfgs[-1])
     for exp, subcfg in zip(experiments, subcfgs):
         artifact = harness.run_experiment(subcfg)
         print(f"[{exp}] artifacts in {artifact.output_dir}")
@@ -115,8 +112,7 @@ def cmd_plotdata(args):
     harness.check_embeddable(cfg, "plotdata")
     out = cfg["output_dir"]
     harness.make_output_dir(out)
-    head, X_test, y_test = _train_head(cfg, [])
-    pen = harness.head_embedding(head, X_test)
+    _, _, (pen, _), y_test = _train_head(cfg)
     harness.emit_csv(harness.pca_csv_rows(pen, y_test, cfg.seed), harness.EMBEDDING_HEADER,
                      os.path.join(out, "pca.csv"))
     cap = min(len(pen), 500)

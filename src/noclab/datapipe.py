@@ -10,13 +10,12 @@ channel-major as float64.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, SizeMismatch, is_count
+from .errors import InvalidValue, SizeMismatch, is_count, is_real
 
 # ---------------------------------------------------------------------------
 # core containers
@@ -60,7 +59,6 @@ def _floats(value, name):
 @dataclass
 class VideoClip:
     frames: list  # of Frame, uniform geometry
-    fps: float = 30.0
     label: int = 0
 
     def __post_init__(self):
@@ -120,8 +118,8 @@ def spectral_specify(frame: Frame, base: Frame, band=8):
     """
     if frame.pixels.shape != base.pixels.shape:
         raise SizeMismatch("frame/base geometry mismatch")
-    if band < 1:
-        raise InvalidValue("band must be >= 1")
+    if not is_count(band):
+        raise InvalidValue(f"band must be >= 1 (an integer), got {band!r}")
     h, w = frame.height, frame.width
     fy = np.minimum(np.arange(h), h - np.arange(h))
     fx = np.minimum(np.arange(w), w - np.arange(w))
@@ -298,12 +296,6 @@ def _blur_block(c, h, w):
     return max(1, _BLUR_BLOCK_VALUES // (2 * c * h * w + h * h + w * w))
 
 
-def _is_real(value):
-    """Whether `value` is a finite real number (a bool is none)."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 def _per_frame(value, n, name):
     """`value` for each of `n` frames: a scalar (or None) applies to every
     frame, a sequence must hold one value per frame."""
@@ -450,7 +442,7 @@ def synth_blur(stack, kind="gaussian", sigma=2.0, length=9, angle=0.0,
     if not np.isfinite(stack).all():
         raise InvalidValue("frame pixels must be finite")
     n, _, h, w = stack.shape
-    if not (_is_real(noise) and noise >= 0):
+    if not (is_real(noise) and noise >= 0):
         raise InvalidValue(f"noise must be finite and >= 0, got {noise!r}")
     seeds = _per_frame(seed, n, "seed")
     for s in seeds:
@@ -470,7 +462,7 @@ def synth_blur(stack, kind="gaussian", sigma=2.0, length=9, angle=0.0,
         if not (is_count(length) and length <= max(h, w)):
             raise InvalidValue(f"motion length must be an integer in [1, {max(h, w)}], "
                                f"got {length!r}")
-        if not _is_real(angle):
+        if not is_real(angle):
             raise InvalidValue(f"motion angle must be finite, got {angle!r}")
         out = _motion_blur(stack, _motion_kernel(length, angle))
     else:

@@ -1,5 +1,7 @@
-"""Exception types shared across the library, and its count check."""
+"""Exception types shared across the library, and its count and real-number
+checks."""
 
+import math
 import numbers
 
 
@@ -34,3 +36,9 @@ class ConfigError(NoclabError):
 def is_count(value, least=1):
     """Whether `value` is an integer >= `least` (a bool is no count)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
+def is_real(value):
+    """Whether `value` is a finite real number (a bool is none)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))

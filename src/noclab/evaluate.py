@@ -3,13 +3,11 @@ false-alarm accounting, PCA, and exact t-SNE."""
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, SizeMismatch, is_count
+from .errors import InvalidValue, SizeMismatch, is_count, is_real
 
 
 @dataclass
@@ -22,7 +20,6 @@ class SvmModel:
 @dataclass
 class Metrics:
     accuracy: float  # percent
-    per_class: list  # (class, precision, recall)
     false_alarms: int
     confusion: np.ndarray  # (classes, classes), rows = truth
 
@@ -78,12 +75,10 @@ def svm_train(features, labels, c_reg=1.0, epochs=20, seed=0,
     classes = np.unique(y)
     if len(classes) < 2:
         raise InvalidValue("need at least two classes")
-    if not (isinstance(c_reg, numbers.Real) and 0 < c_reg < math.inf):
+    if not (is_real(c_reg) and c_reg > 0):
         raise InvalidValue(f"c_reg must be finite and positive, got {c_reg!r}")
     for name, value, least in (("epochs", epochs, 1), ("seed", seed, 0)):
-        # a bool is no integer here
-        if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-                and value >= least):
+        if not is_count(value, least):
             raise InvalidValue(f"{name} must be an integer >= {least}, got {value!r}")
     k = len(classes)
     rng = np.random.default_rng(seed)
@@ -167,18 +162,9 @@ def compute_metrics(pred, truth, background_class=0, num_classes=None):
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (truth, pred), 1)
     accuracy = 100.0 * np.trace(confusion) / max(1, len(truth))
-    per_class = []
-    for c in range(k):
-        tp = confusion[c, c]
-        predicted = confusion[:, c].sum()
-        actual = confusion[c, :].sum()
-        precision = tp / predicted if predicted else 0.0
-        recall = tp / actual if actual else 0.0
-        per_class.append((c, float(precision), float(recall)))
     fa = int(((truth == background_class) & (pred != background_class)).sum()
              + ((truth != background_class) & (pred == background_class)).sum())
-    return Metrics(accuracy=float(accuracy), per_class=per_class,
-                   false_alarms=fa, confusion=confusion)
+    return Metrics(accuracy=float(accuracy), false_alarms=fa, confusion=confusion)
 
 
 # ---------------------------------------------------------------------------

@@ -218,10 +218,18 @@ def _check_cross_keys(cfg, lines):
             + where("arch.width_scale", "dataset.classes"))
 
 
-def check_experiment(cfg):
-    """Checks that read `experiment`, made before it builds data. They are
-    not in parse_config: `grid` parses its base config before it sets each
-    run's experiment and each fusion run's motion."""
+def check_config(cfg):
+    """Every check a run makes before it builds data: each key alone, as
+    cfg.values may have been edited by hand since parse_config, the
+    cross-key checks, and the checks that read `experiment`. Those last
+    are not in parse_config: `grid` parses its base config before it sets
+    each run's experiment and each fusion run's motion."""
+    for key, value in cfg.values.items():
+        if key not in SCHEMA:
+            raise ConfigError(f"unknown key {key!r}")
+        _check_type(key, value)
+        _validate(key, value)
+    _check_cross_keys(cfg, {})
     if cfg["experiment"] == "fusion" and cfg["dataset.motion"] == "none":
         raise ConfigError("fusion experiment needs dataset.motion set")
     if cfg["experiment"].endswith("_sweep"):
@@ -255,22 +263,21 @@ def dataset_blocks(cfg):
 TEST_FRAC = 0.2  # share of each class held out for testing
 
 
-def _test_count(class_size, test_frac=TEST_FRAC):
+def _test_count(class_size):
     """Test samples a class of `class_size` gives to the stratified split."""
-    return max(1, int(round(class_size * test_frac)))
+    return max(1, int(round(class_size * TEST_FRAC)))
 
 
-def stratified_split(labels, test_frac=TEST_FRAC, seed=0):
-    """Disjoint stratified train/test index split."""
-    if not 0 < test_frac < 1:
-        raise InvalidValue(f"test_frac must be in (0, 1), got {test_frac}")
+def stratified_split(labels, seed=0):
+    """Disjoint stratified train/test index split, TEST_FRAC of each class
+    to the test side."""
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     train, test = [], []
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
         idx = idx[rng.permutation(len(idx))]
-        cut = _test_count(len(idx), test_frac)
+        cut = _test_count(len(idx))
         test.extend(idx[:cut])
         train.extend(idx[cut:])
     train = sorted(int(i) for i in train)
@@ -318,44 +325,46 @@ def extract_features(backbone, pixels, batch=8):
     return feats
 
 
-def _head_arch(cfg, input_shape, arch_id=None):
-    return nets.NocArch(
-        arch_id=arch_id or cfg["arch.arch_id"],
-        input_shape=tuple(input_shape),
-        num_classes=cfg["dataset.classes"],
-        width_scale=cfg["arch.width_scale"],
-    )
+def train_heads(cfg, feats, labels, tr, keys):
+    """The head stage of every run: for each distinct (net, arch_id,
+    regime) of `keys`, in order, a head of `arch_id` trained under
+    `regime` on the training rows `tr` of feature variant `net`.
+
+    Heads of one architecture start from one initial head,
+    `nets.build_noc(arch, seed=cfg.seed)`, which training leaves
+    unchanged. Returns {key: (head, loss rows (step, partition, alpha,
+    loss))}."""
+    inits = {}  # arch -> its initial head
+    heads = {}
+    for net, arch_id, regime in keys:
+        if (net, arch_id, regime) in heads:
+            continue
+        X = feats[net]
+        arch = nets.NocArch(arch_id, X.shape[1:], cfg["dataset.classes"],
+                            cfg["arch.width_scale"])
+        if arch not in inits:
+            inits[arch] = nets.build_noc(arch, seed=cfg.seed)
+        loss_rows = []
+        head = optim.train(inits[arch], X[tr], labels[tr], regime, cfg.hyper(),
+                           cfg["regime.partitions"], seed=cfg.seed, loss_trace=loss_rows)
+        heads[net, arch_id, regime] = head, loss_rows
+    return heads
 
 
-def train_head(cfg, arch, X, labels, regime, loss_rows, init=None):
-    """Train one head on precomputed features under a named regime, from
-    `init`, the initial head `nets.build_noc(arch, seed=cfg.seed)` if the
-    caller has built it already: training leaves it unchanged, so heads
-    of one arch can share it."""
-    if init is None:
-        init = nets.build_noc(arch, seed=cfg.seed)
-    return optim.train(init, X, labels, regime, cfg.hyper(), cfg["regime.partitions"],
-                       seed=cfg.seed, loss_trace=loss_rows)
-
-
-def _head_outputs(head, X):
-    """X's penultimate features through `head` and its logits, from one
+def head_outputs(head, X):
+    """`head_embedding(head, X)` and X's logits through `head`, from one
     pass of X through the head: the logits are the head's last layer on
     the penultimate rows, in the same batches, so both have the bits of
     their own passes."""
     pen = _infer_rows(head, X, stop=-1)
-    return pen, _infer_rows(head, pen, start=-1)
+    return ev.l2_normalize_rows(pen), _infer_rows(head, pen, start=-1)
 
 
-def _accuracy(logits, labels):
+def accuracy(logits, labels):
     """Percentage of rows whose largest logit is at their label."""
     if len(logits) == 0:
         raise InvalidValue("accuracy of no samples")
     return 100.0 * float((logits.argmax(axis=1) == np.asarray(labels)).mean())
-
-
-def head_accuracy(head, X, labels):
-    return _accuracy(_infer_rows(head, X), labels)
 
 
 def head_embedding(head, X):
@@ -486,14 +495,7 @@ def _plan(cfg):
 def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
     """Run the experiment's plan (`_plan`) over one dataset and write
     its artifacts into cfg["output_dir"]."""
-    # cfg.values may have been edited by hand since parse_config
-    for key, value in cfg.values.items():
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown key {key!r}")
-        _check_type(key, value)
-        _validate(key, value)
-    _check_cross_keys(cfg, {})
-    check_experiment(cfg)
+    check_config(cfg)
     out_dir = cfg["output_dir"]
     make_output_dir(out_dir)
     artifact = RunArtifact(output_dir=out_dir, metrics_rows=[])
@@ -505,39 +507,29 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
 
     # train every head, then fit all their SVMs in one stacked call, and
     # only then write: a head that fails to train leaves no artifact
-    inits = {}  # arch -> its initial head, which training leaves unchanged
-    heads = {}  # (net, arch_id, regime) -> (head, loss CSV rows)
-    for _, _, net, _, arch_id, regime in plan:
-        if (net, arch_id, regime) not in heads:
-            X, loss_rows = feats[net], []
-            arch = _head_arch(cfg, X.shape[1:], arch_id)
-            if arch not in inits:
-                inits[arch] = nets.build_noc(arch, seed=cfg.seed)
-            head = train_head(cfg, arch, X[tr], labels[tr], regime, loss_rows, inits[arch])
-            heads[net, arch_id, regime] = head, loss_csv_rows(loss_rows)
+    heads = train_heads(cfg, feats, labels, tr,
+                        [(net, arch_id, regime) for _, _, net, _, arch_id, regime in plan])
     ftr = np.stack([head_embedding(head, feats[net][tr])
                     for (net, _, _), (head, _) in heads.items()])
     svms = dict(zip(heads, ev.svm_train(ftr, labels[tr], c_reg=cfg["svm.c_reg"],
                                         epochs=cfg["svm.epochs"], seed=cfg.seed)))
     # one pass of each row's head over its test split gives the embedding
     # its SVM (and a sweep's PCA) reads and the logits of its net accuracy
-    tested = []
-    for _, _, net, data, arch_id, regime in plan:
-        pen, logits = _head_outputs(heads[net, arch_id, regime][0], feats[data][te])
-        tested.append((ev.l2_normalize_rows(pen), logits))
+    tested = [head_outputs(heads[net, arch_id, regime][0], feats[data][te])
+              for _, _, net, data, arch_id, regime in plan]
     if cfg["experiment"].endswith("_sweep"):
         # first, so that an embedding that fails leaves no artifact
         artifact.emit("embedding.csv", pca_csv_rows(tested[-1][0], labels[te], cfg.seed),
                       EMBEDDING_HEADER)
     k = cfg["dataset.classes"]
     for (method, tag, net, _, arch_id, regime), (embedding, logits) in zip(plan, tested):
-        head, loss_csv = heads[net, arch_id, regime]
-        artifact.emit(f"loss_{tag}.csv", loss_csv, LOSS_HEADER)
+        head, loss_rows = heads[net, arch_id, regime]
+        artifact.emit(f"loss_{tag}.csv", loss_csv_rows(loss_rows), LOSS_HEADER)
         pred = ev.svm_predict(svms[net, arch_id, regime], embedding)
         metrics = ev.compute_metrics(pred, labels[te], background_class=k - 1,
                                      num_classes=k)
         artifact.metrics_rows.append((method, regime, "net",
-                                      _accuracy(logits, labels[te]), 0))
+                                      accuracy(logits, labels[te]), 0))
         artifact.metrics_rows.append((method, regime, "svm", metrics.accuracy,
                                       metrics.false_alarms))
         confusion = metrics.confusion
@@ -563,7 +555,7 @@ def split_features(cfg, variants):
     variant name, the labels, and the stratified train and test indices."""
     # class c holds per_class rows in turn
     labels = np.repeat(np.arange(cfg["dataset.classes"]), cfg["dataset.per_class"])
-    tr, te = stratified_split(labels, TEST_FRAC, cfg.seed)
+    tr, te = stratified_split(labels, cfg.seed)
     return _features(cfg, len(labels), dataset_blocks(cfg), variants), labels, tr, te
 
 

@@ -20,13 +20,12 @@ standard_ewma=True for the conventional (1-gamma) weighting.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nets
-from .errors import ArchMismatch, InvalidPlan, InvalidValue, SizeMismatch, is_count
+from .errors import ArchMismatch, InvalidPlan, InvalidValue, SizeMismatch, is_count, is_real
 
 DEFAULT_BETA = 0.9
 DEFAULT_GAMMA = 0.9
@@ -87,17 +86,16 @@ def _check_shapes(theta, grad, *accs):
 
 
 def _check_alpha(alpha):
-    # NaN fails the comparison too
-    if not (isinstance(alpha, numbers.Real) and 0 < alpha < math.inf):
+    if not (is_real(alpha) and alpha > 0):
         raise InvalidValue(f"alpha must be positive and finite, got {alpha!r}")
 
 
 def _check_constants(**constants):
     """beta and gamma in the open unit interval, epsilon positive and
-    finite; NaN fails every comparison."""
+    finite."""
     for name, value in constants.items():
         top = math.inf if name == "epsilon" else 1
-        if not (isinstance(value, numbers.Real) and 0 < value < top):
+        if not (is_real(value) and 0 < value < top):
             raise InvalidValue(f"{name} must be in (0, {top}), got {value!r}")
 
 

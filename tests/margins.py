@@ -33,13 +33,10 @@ SEEDS3 = (0, 1, 2)
 def criterion_6(seed, _):
     cfg = harness.parse_config(None, {"seed": seed, "regime.iterations": 1000})
     feats, labels, tr, _ = harness.split_features(cfg, {"N"})
-    feats = feats["N"]
-    arch = harness._head_arch(cfg, feats.shape[1:])
-    finals = {}
-    for regime in ("2LR", "3LR"):
-        rows = []
-        harness.train_head(cfg, arch, feats[tr], labels[tr], regime, rows)
-        finals[regime] = float(np.mean([loss for *_, loss in rows][-500:]))
+    heads = harness.train_heads(cfg, feats, labels, tr,
+                                [("N", cfg["arch.arch_id"], r) for r in ("2LR", "3LR")])
+    finals = {regime: float(np.mean([loss for *_, loss in rows][-500:]))
+              for (_, _, regime), (_, rows) in heads.items()}
     return {"loss_2LR": finals["2LR"], "loss_3LR": finals["3LR"],
             "margins": {"3LR <= 2LR + 0.05": finals["2LR"] + 0.05 - finals["3LR"]}}
 

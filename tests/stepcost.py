@@ -72,7 +72,8 @@ def head_costs(cfg, repeats):
     hyper = cfg.hyper()
     update, loss = {}, {}
     for arch_id in nets.ARCH_IDS:
-        model = nets.build_noc(harness._head_arch(cfg, feat_shape, arch_id), seed=0)
+        model = nets.build_noc(nets.NocArch(arch_id, feat_shape, cfg["dataset.classes"],
+                                            cfg["arch.width_scale"]), seed=0)
         batch = nets.prepare_batch(model, X, labels)
         loss[arch_id] = median_us(
             lambda: nets.loss_and_grads(model, model.params, batch), repeats, 20)

@@ -185,13 +185,10 @@ def test_criterion_6_loss_ordering():
         cfg = harness.parse_config(None, {"seed": seed,
                                           "regime.iterations": 1000})
         feats, labels, tr, _ = harness.split_features(cfg, {"N"})
-        feats = feats["N"]
-        arch = harness._head_arch(cfg, feats.shape[1:])
-        finals = {}
-        for regime in ("2LR", "3LR"):
-            rows = []
-            harness.train_head(cfg, arch, feats[tr], labels[tr], regime, rows)
-            finals[regime] = float(np.mean([l for *_, l in rows][-500:]))
+        heads = harness.train_heads(cfg, feats, labels, tr,
+                                    [("N", cfg["arch.arch_id"], r) for r in ("2LR", "3LR")])
+        finals = {regime: float(np.mean([l for *_, l in rows][-500:]))
+                  for (_, _, regime), (_, rows) in heads.items()}
         flags.append(finals["3LR"] <= finals["2LR"] + 0.05)
         report.append(f"seed {seed}: 3LR {finals['3LR']:.4f} vs "
                       f"2LR {finals['2LR']:.4f}")

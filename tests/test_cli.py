@@ -193,6 +193,33 @@ def test_every_verb_reads_one_stream(tmp_path, monkeypatch):
         assert rendered[0] == n * streams, verb
 
 
+def test_every_verb_trains_heads_in_one_head_stage(tmp_path, monkeypatch):
+    """A verb trains heads only inside `harness.train_heads`, and calls it
+    once per experiment it runs."""
+    train_heads, train = harness.train_heads, optim.train
+    calls, inside = [0], [False]
+
+    def counting_train_heads(*args, **kwargs):
+        calls[0] += 1
+        inside[0] = True
+        try:
+            return train_heads(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def guarded_train(*args, **kwargs):
+        if not inside[0]:
+            raise AssertionError("a head trained outside harness.train_heads")
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_heads", counting_train_heads)
+    monkeypatch.setattr(optim, "train", guarded_train)
+    for verb, stages in (("train", 1), ("plotdata", 1), ("eval", 1), ("grid", 4)):
+        calls[0] = 0
+        assert run([verb, "--output-dir", str(tmp_path / verb)] + SMALL) == 0, verb
+        assert calls[0] == stages, verb
+
+
 def test_grid_runs_selected_experiments(tmp_path):
     out = str(tmp_path / "grid")
     assert run(["grid", "--output-dir", out,

@@ -98,8 +98,13 @@ def test_spectral_specify_dc_and_fixed_point():
 def test_spectral_specify_validation():
     with pytest.raises(SizeMismatch):
         dp.spectral_specify(rand_frame(h=8), rand_frame(h=9))
-    with pytest.raises(InvalidValue):
-        dp.spectral_specify(rand_frame(), rand_frame(), band=0)
+
+
+# "a" raised a bare TypeError, and 1.5 and True ran
+@pytest.mark.parametrize("band", ["a", 1.5, True, 0, None])
+def test_spectral_specify_rejects_bad_band(band):
+    with pytest.raises(InvalidValue, match="band must be >= 1"):
+        dp.spectral_specify(rand_frame(), rand_frame(), band=band)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,8 @@ def test_sgd_step_value_and_errors():
                                         alpha),
 ], ids=["sgd", "rmsprop", "covprecond"])
 def test_step_rules_reject_bad_alpha(step):
-    for alpha in (np.nan, np.inf, 0.0, -0.01, "0.1"):
+    # a bool is no number: alpha=True ran as 1.0
+    for alpha in (np.nan, np.inf, 0.0, -0.01, "0.1", True):
         with pytest.raises(InvalidValue, match="alpha must be positive and finite"):
             step(alpha)
 
@@ -132,6 +133,8 @@ def test_step_rules_leave_their_inputs_unchanged(rule):
     ("gamma", -0.1), ("gamma", 1.0), ("gamma", np.inf), ("gamma", np.nan),
     ("epsilon", -1.0), ("epsilon", 0.0), ("epsilon", np.inf), ("epsilon", np.nan),
     ("beta", "0.9"), ("gamma", None), ("epsilon", "1e-8"),
+    # a bool is no number: epsilon=True ran as 1.0
+    ("epsilon", True),
 ])
 def test_bad_rule_constants_raise(name, value):
     # beta=1.5 used to give NaN parameters with only a RuntimeWarning, a
