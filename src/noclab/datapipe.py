@@ -9,7 +9,6 @@ channel-major as float64.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -141,8 +140,8 @@ def spectral_specify(frame: Frame, base: Frame, band=8):
 def keyframe_select(clip: VideoClip, featurizer, tau):
     """Greedy selection: keep frame i when its feature is farther than tau
     from the last kept frame's feature. Frame 0 is always kept."""
-    if not 0 < tau < math.inf:
-        raise InvalidValue(f"tau must be positive and finite, got {tau}")
+    if not (is_real(tau) and tau > 0):
+        raise InvalidValue(f"tau must be positive and finite, got {tau!r}")
     feats = [np.asarray(featurizer(f), dtype=np.float64).ravel() for f in clip.frames]
     selected = [0]
     last = feats[0]
@@ -572,6 +571,11 @@ def _sor_block(a, b, lam, iters):
     return grid[..., 1:h + 1, 1:w + 1]
 
 
+def _check_lam(lam):
+    if not (is_real(lam) and lam > 0):
+        raise InvalidValue(f"lam must be positive and finite, got {lam!r}")
+
+
 def horn_schunck(f1, f2, lam=0.5, iters=100):
     """Classic dense optical flow, by red-black successive over-relaxation.
 
@@ -588,8 +592,7 @@ def horn_schunck(f1, f2, lam=0.5, iters=100):
         raise SizeMismatch("frame shapes differ")
     if a.ndim not in (2, 3):
         raise InvalidValue(f"need planes (h, w) or stacks (n, h, w), got {a.shape}")
-    if not 0 < lam < math.inf:
-        raise InvalidValue(f"lam must be positive and finite, got {lam}")
+    _check_lam(lam)
     if not is_count(iters):
         raise InvalidValue(f"iters must be an integer >= 1, got {iters!r}")
     stack_a, stack_b = (a, b) if a.ndim == 3 else (a[None], b[None])
@@ -605,6 +608,7 @@ def flow_energy(flow: FlowField, f1, f2, lam=0.5):
     lam^2/4 times the squared differences of u and v between neighbours
     within a plane; of a stack, the sum over its pairs. The flow
     horn_schunck converges to is its stationary point."""
+    _check_lam(lam)
     Ix, Iy, It = _brightness_gradients(_floats(f1, "f1"), _floats(f2, "f2"))
     u, v = flow.u, flow.v
     smooth = sum((np.diff(f, axis=axis) ** 2).sum() for f in (u, v) for axis in (-2, -1))

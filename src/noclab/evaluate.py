@@ -40,6 +40,14 @@ def svm_objective(w, b, X, y_signed, c_reg):
     return 0.5 * float(w @ w) + c_reg * float(np.maximum(0, margins).sum())
 
 
+def _check_counts(**counts):
+    """Each count an integer >= 1, a seed one >= 0."""
+    for name, value in counts.items():
+        least = 0 if name == "seed" else 1
+        if not is_count(value, least):
+            raise InvalidValue(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def svm_train(features, labels, c_reg=1.0, epochs=20, seed=0,
               track_objective=False):
     """One-vs-rest linear SVM by stochastic subgradient descent on
@@ -77,9 +85,7 @@ def svm_train(features, labels, c_reg=1.0, epochs=20, seed=0,
         raise InvalidValue("need at least two classes")
     if not (is_real(c_reg) and c_reg > 0):
         raise InvalidValue(f"c_reg must be finite and positive, got {c_reg!r}")
-    for name, value, least in (("epochs", epochs, 1), ("seed", seed, 0)):
-        if not is_count(value, least):
-            raise InvalidValue(f"{name} must be an integer >= {least}, got {value!r}")
+    _check_counts(epochs=epochs, seed=seed)
     k = len(classes)
     rng = np.random.default_rng(seed)
     perms = np.array([rng.permutation(n) for _ in range(k * epochs)]).reshape(
@@ -191,6 +197,7 @@ def pca_project(X, d, iters=200, seed=0):
     n, dim = X.shape
     if not (is_count(d) and d <= dim) or n < d + 1:
         raise InvalidValue("need 1 <= d <= dim and at least d+1 samples")
+    _check_counts(iters=iters, seed=seed)
     mean = X.mean(axis=0)
     Xc = X - mean
     cov = Xc.T @ Xc / (n - 1)
@@ -259,8 +266,11 @@ def tsne_embed(X, perplexity=20.0, iters=500, seed=0, learning_rate=100.0):
     n = X.shape[0]
     if n > 2000:
         raise InvalidValue("exact t-SNE capped at 2000 points")
-    if not (5 <= perplexity <= (n - 1) / 3):
-        raise InvalidValue(f"perplexity {perplexity} infeasible for n={n}")
+    if not (is_real(perplexity) and 5 <= perplexity <= (n - 1) / 3):
+        raise InvalidValue(f"perplexity {perplexity!r} infeasible for n={n}")
+    if not (is_real(learning_rate) and learning_rate > 0):
+        raise InvalidValue(f"learning_rate must be positive and finite, got {learning_rate!r}")
+    _check_counts(iters=iters, seed=seed)
     D2 = np.empty((n, n))
     rows = max(1, _TSNE_BLOCK_VALUES // max(1, X.size))
     for a in range(0, n, rows):

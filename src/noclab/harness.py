@@ -17,7 +17,7 @@ import numpy as np
 from . import datapipe as dp
 from . import evaluate as ev
 from . import nets, optim
-from .errors import ConfigError, InvalidValue
+from .errors import ConfigError, InvalidValue, SizeMismatch
 
 EXPERIMENTS = ("arch_sweep", "regime_sweep", "blur_combo", "fusion")
 COMBOS = ("N-N-N", "N-B-B", "B-N-N", "B-B-B")
@@ -57,16 +57,16 @@ SCHEMA = {
                          else f"{key} outside (0, 1]"),
     "backbone.channels": (16, _at_least(1)),
     "regime.name": ("3LR", _one_of(optim.REGIMES)),
-    "regime.alpha": (0.001, _positive),
-    "regime.alpha_start": (0.01, _positive),
-    "regime.alpha_end": (0.005, _positive),
-    "regime.beta": (0.9, _open_unit),
-    "regime.gamma": (0.9, _open_unit),
-    "regime.epsilon": (1e-8, _positive),
-    "regime.iterations": (150, _at_least(1)),
-    "regime.batch_size": (32, _at_least(1)),
+    "regime.alpha": (optim.Hyper.alpha, _positive),
+    "regime.alpha_start": (optim.Hyper.alpha_start, _positive),
+    "regime.alpha_end": (optim.Hyper.alpha_end, _positive),
+    "regime.beta": (optim.Hyper.beta, _open_unit),
+    "regime.gamma": (optim.Hyper.gamma, _open_unit),
+    "regime.epsilon": (optim.Hyper.epsilon, _positive),
+    "regime.iterations": (optim.Hyper.iterations, _at_least(1)),
+    "regime.batch_size": (optim.Hyper.batch_size, _at_least(1)),
     "regime.partitions": (3, _at_least(1)),
-    "regime.standard_ewma": (False, None),
+    "regime.standard_ewma": (optim.Hyper.standard_ewma, None),
     "blur.kind": ("gaussian", _one_of(("gaussian", "motion"))),
     "blur.sigma_min": (0.2, _positive),  # per-image sigma range for the blur combos;
     "blur.sigma_max": (3.0, _positive),  # set min == max to force a fixed sigma
@@ -364,6 +364,8 @@ def accuracy(logits, labels):
     """Percentage of rows whose largest logit is at their label."""
     if len(logits) == 0:
         raise InvalidValue("accuracy of no samples")
+    if len(logits) != len(labels):
+        raise SizeMismatch(f"{len(logits)} rows of logits vs {len(labels)} labels")
     return 100.0 * float((logits.argmax(axis=1) == np.asarray(labels)).mean())
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ArchMismatch, InvalidValue, SizeMismatch
+from .errors import ArchMismatch, InvalidValue, SizeMismatch, is_count, is_real
 
 ARCH_IDS = ("C0F3", "C1F3", "M1")
 
@@ -41,8 +41,10 @@ class NocArch:
     def __post_init__(self):
         if self.arch_id not in ARCH_IDS:
             raise InvalidValue(f"unknown arch_id {self.arch_id!r}")
-        if not (0 < self.width_scale <= 1):
-            raise InvalidValue("width_scale must be in (0, 1]")
+        if not (is_real(self.width_scale) and 0 < self.width_scale <= 1):
+            raise InvalidValue(f"width_scale must be in (0, 1], got {self.width_scale!r}")
+        if not is_count(self.num_classes, least=2):
+            raise InvalidValue(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
         if self.fc_width < self.num_classes:
             raise InvalidValue("scaled fc width below class count")
 

@@ -6,11 +6,11 @@ average (3LR).
 partitions) to a trained model: it deals the samples into partitions
 and chains (1LR, 2LR) or averages (3LR) the per-partition runs of
 `train_epoch`. Parameters and gradients are plain float64 arrays (a
-model's `params`, and what `nets.loss_and_grads` returns). Each rule's
-formula is one private in-place kernel: `train_epoch` runs it once per
-step over one flat vector of all the parameters, and the public step
-rules run it on copies, so they return new arrays and never write into
-the ones they are given.
+model's `params`, and what `nets.loss_and_grads` returns). `Rule` is
+the one update of each regime: it holds the regime's accumulators and
+updates a float64 array in place, and `train_epoch` runs one `Rule`
+over one flat vector of all the parameters. `Hyper` holds every
+regime default, which `harness.SCHEMA` reads.
 
 All preconditioning is elementwise (diagonal). The covariance
 accumulator uses the literal gamma*(1-gamma) variance factor; pass
@@ -27,11 +27,23 @@ import numpy as np
 from . import nets
 from .errors import ArchMismatch, InvalidPlan, InvalidValue, SizeMismatch, is_count, is_real
 
-DEFAULT_BETA = 0.9
-DEFAULT_GAMMA = 0.9
-DEFAULT_EPSILON = 1e-8
-
 REGIMES = ("1LR", "2LR", "3LR")
+
+
+@dataclass(frozen=True)
+class Hyper:
+    """Regime hyperparameters, the one home of their defaults: alpha_start
+    and alpha_end drive 1LR's schedule, alpha is the adaptive regimes' rate."""
+
+    alpha: float = 0.001
+    alpha_start: float = 0.01
+    alpha_end: float = 0.005
+    beta: float = 0.9
+    gamma: float = 0.9
+    epsilon: float = 1e-8
+    iterations: int = 150
+    batch_size: int = 32
+    standard_ewma: bool = False
 
 
 @dataclass(frozen=True)
@@ -41,70 +53,24 @@ class Schedule:
     total_steps: int
 
     def __post_init__(self):
-        if not (self.alpha_start >= self.alpha_end > 0):
-            raise InvalidValue("need alpha_start >= alpha_end > 0")
-        if self.total_steps <= 0:
-            raise InvalidValue("total_steps must be positive")
+        if not (is_real(self.alpha_start) and is_real(self.alpha_end)
+                and self.alpha_start >= self.alpha_end > 0):
+            raise InvalidValue(f"need finite alpha_start >= alpha_end > 0, got {self!r}")
+        if not is_count(self.total_steps):
+            raise InvalidValue(f"total_steps must be an integer >= 1, got {self.total_steps!r}")
 
 
 def schedule_alpha(s: Schedule, t: int) -> float:
     """Linear interpolation from alpha_start at t=0 to alpha_end at t=total_steps."""
-    if not (0 <= t <= s.total_steps):
-        raise InvalidValue(f"step {t} outside [0, {s.total_steps}]")
+    if not (is_count(t, least=0) and t <= s.total_steps):
+        raise InvalidValue(f"step {t!r} is no integer in [0, {s.total_steps}]")
     return s.alpha_start + (s.alpha_end - s.alpha_start) * t / s.total_steps
 
 
-@dataclass
-class PreconditionerState:
-    """Per-parameter accumulators for the adaptive step rules."""
-
-    psi: np.ndarray  # running mean of squared gradients
-    mu: np.ndarray  # running gradient mean
-    c2: np.ndarray  # running gradient variance
-    beta: float = DEFAULT_BETA
-    gamma: float = DEFAULT_GAMMA
-    epsilon: float = DEFAULT_EPSILON
-    standard_ewma: bool = False
-
-    @classmethod
-    def zeros_like(cls, theta, beta=DEFAULT_BETA, gamma=DEFAULT_GAMMA,
-                   epsilon=DEFAULT_EPSILON, standard_ewma=False):
-        z = np.zeros_like(theta, dtype=np.float64)
-        return cls(psi=z.copy(), mu=z.copy(), c2=z.copy(), beta=beta,
-                   gamma=gamma, epsilon=epsilon, standard_ewma=standard_ewma)
-
-
-def _check_shapes(theta, grad, *accs):
-    t = np.asarray(theta)
-    g = np.asarray(grad)
-    if t.shape != g.shape:
-        raise SizeMismatch(f"theta {t.shape} vs grad {g.shape}")
-    for a in accs:
-        if a.shape != t.shape:
-            raise SizeMismatch(f"accumulator {a.shape} vs theta {t.shape}")
-    return t, g
-
-
-def _check_alpha(alpha):
-    if not (is_real(alpha) and alpha > 0):
-        raise InvalidValue(f"alpha must be positive and finite, got {alpha!r}")
-
-
-def _check_constants(**constants):
-    """beta and gamma in the open unit interval, epsilon positive and
-    finite."""
-    for name, value in constants.items():
-        top = math.inf if name == "epsilon" else 1
-        if not (is_real(value) and 0 < value < top):
-            raise InvalidValue(f"{name} must be in (0, {top}), got {value!r}")
-
-
-# The in-place kernels: each rule's formula, written once. They update
-# theta and the accumulators in place from grad, through the scratch
-# arrays s1 and s2 (all of one shape). The expressions and their order
-# are those of the formulas in the public rules' docstrings, and every
-# operation is elementwise, so one flat run gives the same bits as the
-# public rules applied array by array.
+# The in-place kernels, each formula of `Rule`'s docstring written once
+# in its order of operations: they update theta and the accumulators from
+# grad through the scratch arrays s1 and s2 (all of one shape). Every
+# operation is elementwise: one flat run gives the bits of one per array.
 
 
 def _sgd_kernel(theta, grad, alpha, s1):
@@ -147,48 +113,53 @@ def _covprecond_kernel(theta, grad, mu, c2, alpha, gamma, epsilon,
     _precond_kernel(theta, grad, c2, alpha, epsilon, s1, s2)
 
 
-def _fresh(array):
-    """A float64 copy to update in place, leaving the caller's array as it was."""
-    return np.array(array, dtype=np.float64)
+class Rule:
+    """The update of one regime, which `step(grad, alpha)` makes in place
+    on the float64 array `theta`:
 
+    1LR  theta <- theta - alpha*g
+    2LR  psi <- beta*psi + (1-beta)*g^2
+         theta <- theta - alpha*g/(sqrt(psi)+eps)
+    3LR  c2 <- gamma*c2 + gamma*(1-gamma)*(g - mu)^2   (previous mu)
+         mu <- gamma*mu + (1-gamma)*g
+         theta <- theta - alpha*g/(sqrt(c2)+eps)
 
-def sgd_step(theta, grad, alpha):
-    """theta - alpha * grad."""
-    t, g = _check_shapes(theta, grad)
-    _check_alpha(alpha)
-    out = _fresh(t)
-    _sgd_kernel(out, g, alpha, np.empty_like(out))
-    return out
-
-
-def rmsprop_step(theta, grad, state: PreconditionerState, alpha):
-    """psi <- beta*psi + (1-beta)*g^2; theta <- theta - alpha*g/(sqrt(psi)+eps)."""
-    t, g = _check_shapes(theta, grad, state.psi)
-    _check_alpha(alpha)
-    _check_constants(beta=state.beta, epsilon=state.epsilon)
-    out, psi = _fresh(t), _fresh(state.psi)
-    _rmsprop_kernel(out, g, psi, alpha, state.beta, state.epsilon,
-                    np.empty_like(out), np.empty_like(out))
-    state.psi = psi
-    return out, state
-
-
-def covprecond_step(theta, grad, state: PreconditionerState, alpha):
-    """Covariance-preconditioned update.
-
-    c2 <- gamma*c2 + gamma*(1-gamma)*(g - mu)^2   (previous mu)
-    mu <- gamma*mu + (1-gamma)*g
-    theta <- theta - alpha*g/(sqrt(c2)+eps)
+    with hyper's beta, gamma and eps; hyper.standard_ewma weighs c2's
+    (g - mu)^2 by (1-gamma). The accumulators `psi` (2LR) and `mu`, `c2`
+    (3LR) start at zero, the others are None; they and two scratch
+    arrays are allocated here, so a step allocates nothing.
     """
-    t, g = _check_shapes(theta, grad, state.mu, state.c2)
-    _check_alpha(alpha)
-    _check_constants(gamma=state.gamma, epsilon=state.epsilon)
-    out, mu, c2 = _fresh(t), _fresh(state.mu), _fresh(state.c2)
-    _covprecond_kernel(out, g, mu, c2, alpha, state.gamma, state.epsilon,
-                       state.standard_ewma, np.empty_like(out), np.empty_like(out))
-    state.c2 = c2
-    state.mu = mu
-    return out, state
+
+    def __init__(self, regime, hyper: Hyper, theta):
+        if regime not in REGIMES:
+            raise InvalidValue(f"unknown regime {regime!r}")
+        for name, top in (("beta", 1), ("gamma", 1), ("epsilon", math.inf)):
+            value = getattr(hyper, name)
+            if not (is_real(value) and 0 < value < top):
+                raise InvalidValue(f"{name} must be in (0, {top}), got {value!r}")
+        if not (isinstance(theta, np.ndarray) and theta.dtype == np.float64):
+            raise InvalidValue(f"theta must be a float64 array, got {type(theta).__name__}")
+        self.regime, self.hyper, self.theta = regime, hyper, theta
+        self.psi = np.zeros_like(theta) if regime == "2LR" else None
+        self.mu, self.c2 = ((np.zeros_like(theta), np.zeros_like(theta))
+                            if regime == "3LR" else (None, None))
+        self._s1, self._s2 = np.empty_like(theta), np.empty_like(theta)
+
+    def step(self, grad, alpha):
+        """Update theta in place from `grad` (theta's shape) at rate `alpha`."""
+        if not (is_real(alpha) and alpha > 0):
+            raise InvalidValue(f"alpha must be positive and finite, got {alpha!r}")
+        grad = np.asarray(grad)
+        if grad.shape != self.theta.shape:
+            raise SizeMismatch(f"theta {self.theta.shape} vs grad {grad.shape}")
+        h, s1, s2 = self.hyper, self._s1, self._s2
+        if self.regime == "1LR":
+            _sgd_kernel(self.theta, grad, alpha, s1)
+        elif self.regime == "2LR":
+            _rmsprop_kernel(self.theta, grad, self.psi, alpha, h.beta, h.epsilon, s1, s2)
+        else:
+            _covprecond_kernel(self.theta, grad, self.mu, self.c2, alpha, h.gamma,
+                               h.epsilon, h.standard_ewma, s1, s2)
 
 
 def average_params(models):
@@ -196,33 +167,14 @@ def average_params(models):
     if not models:
         raise InvalidValue("no models to average")
     ref = models[0]
+    shapes = {n: p.shape for n, p in ref.params.items()}
+    for m in models:
+        if m.arch_id != ref.arch_id or {n: p.shape for n, p in m.params.items()} != shapes:
+            raise ArchMismatch("models differ in architecture or parameter shapes")
     out = ref.clone()
     for name in ref.params:
-        stack = []
-        for m in models:
-            if m.arch_id != ref.arch_id or set(m.params) != set(ref.params):
-                raise ArchMismatch("models differ in architecture")
-            if m.params[name].shape != ref.params[name].shape:
-                raise ArchMismatch(f"shape mismatch for {name!r}")
-            stack.append(m.params[name])
-        out.params[name] = np.mean(stack, axis=0)
+        out.params[name] = np.mean([m.params[name] for m in models], axis=0)
     return out
-
-
-@dataclass
-class Hyper:
-    """Regime hyperparameters; alpha_start/alpha_end drive 1LR's schedule,
-    alpha is the fixed rate of the adaptive regimes."""
-
-    alpha: float = 0.001
-    alpha_start: float = 0.01
-    alpha_end: float = 0.005
-    beta: float = DEFAULT_BETA
-    gamma: float = DEFAULT_GAMMA
-    epsilon: float = DEFAULT_EPSILON
-    iterations: int = 100
-    batch_size: int = 32
-    standard_ewma: bool = False
 
 
 def _flatten(params):
@@ -237,35 +189,6 @@ def _flatten(params):
     return theta, views
 
 
-def _flat_step(regime, hyper: Hyper, theta, names):
-    """One training step's update, `step(grads, alpha)`: it gathers
-    `grads` (name -> array, for each of `names` in the order `theta`
-    holds them) into one flat gradient vector and runs the regime's rule
-    over the flat parameter vector `theta` in place. The gradient vector,
-    the flat optimizer state and two scratch vectors are allocated here
-    once."""
-    grad, s1, s2 = (np.empty_like(theta) for _ in range(3))
-    if regime == "1LR":
-        def rule(alpha):
-            _sgd_kernel(theta, grad, alpha, s1)
-    elif regime == "2LR":
-        psi = np.zeros_like(theta)
-
-        def rule(alpha):
-            _rmsprop_kernel(theta, grad, psi, alpha, hyper.beta, hyper.epsilon, s1, s2)
-    else:
-        mu, c2 = np.zeros_like(theta), np.zeros_like(theta)
-
-        def rule(alpha):
-            _covprecond_kernel(theta, grad, mu, c2, alpha, hyper.gamma, hyper.epsilon,
-                               hyper.standard_ewma, s1, s2)
-
-    def step(grads, alpha):
-        np.concatenate([grads[n] for n in names], axis=None, out=grad)
-        rule(alpha)
-    return step
-
-
 def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
     """Train for `num_steps` minibatch steps (default hyper.iterations)
     under one regime; returns (model, loss trace rows).
@@ -274,27 +197,23 @@ def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
     The parameters are copied once into one flat float64 vector, and
     `nets.loss_and_grads` reads them through name -> views into it; each
     step gathers the gradients into one flat vector and runs the
-    regime's rule once, in place, over all of them. At the end the
+    regime's `Rule` once, in place, over all of them. At the end the
     model's params are replaced by those views. Raises InvalidValue as
     soon as a minibatch loss is not finite; numpy's overflow and
     invalid-value warnings are silenced so that this check is the one
     report of a diverging run.
     """
-    if regime not in REGIMES:
-        raise InvalidValue(f"unknown regime {regime!r}")
+    theta, params = _flatten(model.params)
+    rule = Rule(regime, hyper, theta)
     if not batches:
         raise InvalidValue("no batches")
     steps = hyper.iterations if num_steps is None else num_steps
     if not is_count(steps):
         raise InvalidValue(f"{'iterations' if num_steps is None else 'num_steps'} "
                            f"must be an integer >= 1, got {steps!r}")
-    _check_constants(beta=hyper.beta, gamma=hyper.gamma, epsilon=hyper.epsilon)
-    sched = None
-    if regime == "1LR":
-        sched = Schedule(hyper.alpha_start, hyper.alpha_end, steps)
+    sched = Schedule(hyper.alpha_start, hyper.alpha_end, steps) if regime == "1LR" else None
     prepared = [nets.prepare_batch(model, X, labels) for X, labels in batches]
-    theta, params = _flatten(model.params)
-    update = _flat_step(regime, hyper, theta, list(params))
+    names, grad = list(params), np.empty_like(theta)
     trace = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
@@ -302,8 +221,8 @@ def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
             if not np.isfinite(value):
                 raise InvalidValue(f"{regime} diverged at step {t}: loss {value}")
             alpha = hyper.alpha if sched is None else schedule_alpha(sched, t)
-            _check_alpha(alpha)
-            update(grads, alpha)
+            np.concatenate([grads[n] for n in names], axis=None, out=grad)
+            rule.step(grad, alpha)
             trace.append((t, 0, alpha, value))
     model.params.update(params)
     return model, trace
@@ -316,6 +235,8 @@ def make_batches(X, labels, batch_size, seed=0):
     X = np.asarray(X)
     if len(X) != len(labels):
         raise SizeMismatch(f"{len(X)} samples vs {len(labels)} labels")
+    if not is_count(seed, least=0):
+        raise InvalidValue(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(labels))
     X = X[order]

@@ -7,8 +7,8 @@ thread variables before numpy loads):
 
 - `update_us`: one training step's update for each regime and head
   (C0F3, C1F3, M1) on 16x4x4 backbone features: the gather of the
-  gradients into one flat vector and the regime's rule over it, as
-  `optim.train_epoch` runs them;
+  gradients into one flat vector and the regime's `optim.Rule.step`
+  over it, as `optim.train_epoch` runs them;
 - `loss_and_grads_us`: `nets.loss_and_grads` on a prepared batch of 32;
 - `svm_step_us`: one lock-step `evaluate.svm_train` step (16 classes,
   dim 128, n 1280) at 1 and 3 fits, timed as the difference between
@@ -80,9 +80,12 @@ def head_costs(cfg, repeats):
         _, grads = nets.loss_and_grads(model, model.params, batch)
         for regime in optim.REGIMES:
             theta, params = optim._flatten(model.params)
-            step = optim._flat_step(regime, hyper, theta, list(params))
-            update[f"{arch_id}/{regime}"] = median_us(
-                lambda: step(grads, hyper.alpha), repeats, 50)
+            rule, grad = optim.Rule(regime, hyper, theta), np.empty_like(theta)
+
+            def step():
+                np.concatenate([grads[n] for n in params], axis=None, out=grad)
+                rule.step(grad, hyper.alpha)
+            update[f"{arch_id}/{regime}"] = median_us(step, repeats, 50)
     return update, loss
 
 

@@ -86,15 +86,17 @@ def test_criterion_2_optimizer_oracles():
     theta_s = np.array([0.3])
     theta_r = np.array([0.3])
     theta_c = np.array([0.3])
-    st_r = optim.PreconditionerState.zeros_like(theta_r, beta=beta, epsilon=eps)
-    st_c = optim.PreconditionerState.zeros_like(theta_c, gamma=gamma, epsilon=eps)
+    hyper = optim.Hyper(beta=beta, gamma=gamma, epsilon=eps)
+    rule_s = optim.Rule("1LR", hyper, theta_s)
+    rule_r = optim.Rule("2LR", hyper, theta_r)
+    rule_c = optim.Rule("3LR", hyper, theta_c)
     for g in script:
-        theta_s = optim.sgd_step(theta_s, np.array([g]), alpha)
+        rule_s.step(np.array([g]), alpha)
         th_s -= alpha * g
-        theta_r, st_r = optim.rmsprop_step(theta_r, np.array([g]), st_r, alpha)
+        rule_r.step(np.array([g]), alpha)
         psi = beta * psi + (1 - beta) * g * g
         th_r -= alpha * g / (np.sqrt(psi) + eps)
-        theta_c, st_c = optim.covprecond_step(theta_c, np.array([g]), st_c, alpha)
+        rule_c.step(np.array([g]), alpha)
         c2 = gamma * c2 + gamma * (1 - gamma) * (g - mu) ** 2
         mu = gamma * mu + (1 - gamma) * g
         th_c -= alpha * g / (np.sqrt(c2) + eps)
@@ -156,13 +158,10 @@ def test_criterion_5_saddle_escape():
     def escape_steps(kind, seed, alpha=0.01, max_steps=50000):
         rng = np.random.default_rng(seed)
         theta = np.array([1.0, 1e-3])
-        state = optim.PreconditionerState.zeros_like(theta)
+        rule = optim.Rule("1LR" if kind == "sgd" else "3LR", optim.Hyper(), theta)
         for t in range(1, max_steps + 1):
             g = np.array([2 * theta[0], -2 * theta[1]]) + rng.normal(0, 0.1, 2)
-            if kind == "sgd":
-                theta = optim.sgd_step(theta, g, alpha)
-            else:
-                theta, state = optim.covprecond_step(theta, g, state, alpha)
+            rule.step(g, alpha)
             if abs(theta[1]) >= 1.0:
                 return t
         return max_steps

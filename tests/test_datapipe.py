@@ -126,7 +126,8 @@ def test_keyframe_select_scene_changes():
 def test_keyframe_select_huge_tau_and_validation():
     clip = dp.VideoClip([rand_frame(seed=i) for i in range(4)])
     assert dp.keyframe_select(clip, lambda f: f.pixels.ravel(), tau=1e9) == [0]
-    for tau in (0.0, np.nan, np.inf):
+    # tau="a" raised a bare TypeError
+    for tau in (0.0, np.nan, np.inf, "a", None, True):
         with pytest.raises(InvalidValue, match="tau"):
             dp.keyframe_select(clip, lambda f: f.pixels.ravel(), tau=tau)
 
@@ -494,10 +495,19 @@ def test_horn_schunck_swap_antisymmetry():
     assert abs(resid - converged) <= 0.01
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -0.5, "a", True])
+def test_flow_energy_rejects_bad_lam(lam):
+    # lam=nan returned a NaN energy
+    zeros = np.zeros((4, 4))
+    with pytest.raises(InvalidValue, match="lam must be positive and finite"):
+        dp.flow_energy(dp.FlowField(zeros, zeros), zeros, zeros, lam=lam)
+
+
 def test_horn_schunck_validation():
     with pytest.raises(SizeMismatch):
         dp.horn_schunck(np.zeros((4, 4)), np.zeros((5, 5)))
-    for lam in (0.0, np.nan, np.inf):
+    # lam="a" raised a bare TypeError and lam=True ran as 1.0
+    for lam in (0.0, np.nan, np.inf, "a", True, None):
         with pytest.raises(InvalidValue, match="lam"):
             dp.horn_schunck(np.zeros((4, 4)), np.zeros((4, 4)), lam=lam)
     for iters in (0, 2.5, True):

@@ -251,6 +251,16 @@ def test_pca_validation():
         ev.pca_project(RNG.normal(size=(20, 3)), 1.5)
 
 
+@pytest.mark.parametrize("arg,value", [
+    ("iters", 2.5), ("iters", 0), ("iters", True), ("seed", -1), ("seed", 1.5),
+    ("seed", "0"),
+])
+def test_pca_rejects_bad_counts(arg, value):
+    # iters=2.5 and seed=-1 raised a bare TypeError and ValueError
+    with pytest.raises(InvalidValue, match=f"{arg} must be an integer"):
+        ev.pca_project(RNG.normal(size=(20, 3)), 2, **{arg: value})
+
+
 @pytest.mark.parametrize("X", NO_ROWS)
 def test_pca_rejects_input_that_is_no_rows(X):
     with pytest.raises(SizeMismatch, match="must be rows"):
@@ -305,6 +315,20 @@ def test_tsne_validation():
         X[4, 1] = bad
         with pytest.raises(InvalidValue, match="finite"):
             ev.tsne_embed(X, perplexity=5.0)
+
+
+@pytest.mark.parametrize("arg,value,match", [
+    # learning_rate=nan returned NaN coordinates; the others raised bare
+    # TypeErrors and ValueErrors
+    ("learning_rate", np.nan, "learning_rate"), ("learning_rate", np.inf, "learning_rate"),
+    ("learning_rate", 0.0, "learning_rate"), ("learning_rate", "1", "learning_rate"),
+    ("iters", 2.5, "iters"), ("iters", 0, "iters"), ("perplexity", "a", "perplexity"),
+    ("perplexity", np.nan, "perplexity"), ("seed", -1, "seed"), ("seed", 1.5, "seed"),
+])
+def test_tsne_rejects_bad_arguments(arg, value, match):
+    args = {"perplexity": 5.0, "iters": 2, arg: value}
+    with pytest.raises(InvalidValue, match=match):
+        ev.tsne_embed(RNG.normal(size=(30, 3)), **args)
 
 
 @pytest.mark.parametrize("X", NO_ROWS)

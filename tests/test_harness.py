@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noclab import harness
-from noclab.errors import ConfigError, InvalidValue
+from noclab import harness, optim
+from noclab.errors import ConfigError, InvalidValue, SizeMismatch
 
 SMALL = {
     "dataset.classes": 3,
@@ -35,6 +35,12 @@ def test_defaults_complete():
     assert cfg["experiment"] == "regime_sweep"
     assert cfg["regime.name"] == "3LR"
     assert cfg.hyper().alpha_start == 0.01
+
+
+def test_config_regime_defaults_are_optim_defaults():
+    # the regime keys of SCHEMA read their defaults from optim.Hyper, which
+    # had drifted from them (100 iterations against the config's 150)
+    assert harness.parse_config().hyper() == optim.Hyper()
 
 
 def test_parse_config_file(tmp_path):
@@ -459,6 +465,13 @@ def test_head_passes_of_no_rows(arch_id):
     assert embedding.shape == (0, arch.fc_width) and logits.shape == (0, 16)
     with pytest.raises(InvalidValue, match="no samples"):
         harness.accuracy(logits, np.zeros(0, dtype=int))
+
+
+@pytest.mark.parametrize("n_labels", [3, 5])
+def test_accuracy_rejects_labels_of_another_length(n_labels):
+    # 3 labels for 4 rows raised a bare ValueError from the comparison
+    with pytest.raises(SizeMismatch, match="4 rows of logits vs"):
+        harness.accuracy(np.zeros((4, 2)), np.zeros(n_labels, dtype=int))
 
 
 @pytest.mark.parametrize("variant", ["N", "B"])

@@ -32,6 +32,19 @@ def test_arch_validation():
         nets.NocArch("C0F3", (3, 8, 8), 4000, width_scale=1 / 64)
 
 
+@pytest.mark.parametrize("num_classes,width_scale,match", [
+    # num_classes=2.5 raised a bare TypeError in build_noc, 0 built a
+    # head with no logits, and width_scale="a" raised a bare TypeError
+    (2.5, 0.5, "num_classes"), (0, 0.5, "num_classes"), (1, 0.5, "num_classes"),
+    (True, 0.5, "num_classes"), ("4", 0.5, "num_classes"),
+    (4, "a", "width_scale"), (4, np.nan, "width_scale"), (4, True, "width_scale"),
+    (4, None, "width_scale"),
+])
+def test_arch_rejects_bad_num_classes_and_width_scale(num_classes, width_scale, match):
+    with pytest.raises(InvalidValue, match=match):
+        nets.NocArch("C1F3", (3, 8, 8), num_classes, width_scale)
+
+
 @pytest.mark.parametrize("arch_id", nets.ARCH_IDS)
 def test_forward_shapes_and_penultimate(arch_id):
     arch = small_arch(arch_id)

@@ -1,5 +1,7 @@
-"""Unit tests for schedules, step rules, parameter averaging and the
+"""Unit tests for schedules, update rules, parameter averaging and the
 three training regimes."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,45 +34,82 @@ def test_schedule_validation():
         optim.schedule_alpha(s, 11)
 
 
-# ---------------------------------------------------------------------------
-# step rules against scalar recurrences
-
-
-def test_sgd_step_value_and_errors():
-    out = optim.sgd_step(np.array([1.0, 2.0]), np.array([0.5, -0.5]), 0.1)
-    assert np.allclose(out, [0.95, 2.05])
+@pytest.mark.parametrize("args", [
+    (np.inf, 0.005, 10),  # was accepted, and schedule_alpha returned NaN
+    (0.01, np.nan, 10),
+    ("a", 0.005, 10),  # raised a bare TypeError
+    (0.01, 0.005, 2.5),  # was accepted
+    (0.01, 0.005, True),
+    (0.01, 0.005, None),
+], ids=["inf_start", "nan_end", "str_start", "fractional_steps", "bool_steps",
+        "no_steps"])
+def test_schedule_rejects_bad_arguments(args):
     with pytest.raises(InvalidValue):
-        optim.sgd_step(np.array([1.0]), np.array([1.0]), 0.0)
+        optim.Schedule(*args)
+
+
+@pytest.mark.parametrize("t", [0.5, -1, True, "1", None])
+def test_schedule_alpha_rejects_non_integer_step(t):
+    # t=0.5 used to return an interpolated rate
+    with pytest.raises(InvalidValue):
+        optim.schedule_alpha(optim.Schedule(0.01, 0.005, 10), t)
+
+
+# ---------------------------------------------------------------------------
+# update rules against scalar recurrences
+
+
+def test_sgd_rule_value_and_errors():
+    theta = np.array([1.0, 2.0])
+    optim.Rule("1LR", optim.Hyper(), theta).step(np.array([0.5, -0.5]), 0.1)
+    assert np.allclose(theta, [0.95, 2.05])
+    with pytest.raises(InvalidValue):
+        optim.Rule("1LR", optim.Hyper(), np.array([1.0])).step(np.array([1.0]), 0.0)
     with pytest.raises(SizeMismatch):
-        optim.sgd_step(np.array([1.0]), np.array([1.0, 2.0]), 0.1)
+        optim.Rule("1LR", optim.Hyper(), np.array([1.0])).step(np.array([1.0, 2.0]), 0.1)
 
 
-@pytest.mark.parametrize("step", [
-    lambda alpha: optim.sgd_step(np.array([1.0]), np.array([1.0]), alpha),
-    lambda alpha: optim.rmsprop_step(np.array([1.0]), np.array([1.0]),
-                                     optim.PreconditionerState.zeros_like(np.zeros(1)),
-                                     alpha),
-    lambda alpha: optim.covprecond_step(np.array([1.0]), np.array([1.0]),
-                                        optim.PreconditionerState.zeros_like(np.zeros(1)),
-                                        alpha),
-], ids=["sgd", "rmsprop", "covprecond"])
-def test_step_rules_reject_bad_alpha(step):
+@pytest.mark.parametrize("regime", optim.REGIMES)
+def test_rule_rejects_bad_grad_shape_before_updating(regime):
+    theta = np.ones((2, 3))
+    rule = optim.Rule(regime, optim.Hyper(), theta)
+    for grad in (np.ones(6), np.ones((3, 2)), np.ones((2, 3, 1)), 1.0):
+        with pytest.raises(SizeMismatch):
+            rule.step(grad, 0.1)
+    assert np.array_equal(theta, np.ones((2, 3)))
+    assert all(acc is None or not acc.any() for acc in (rule.psi, rule.mu, rule.c2))
+
+
+@pytest.mark.parametrize("theta", [[1.0, 2.0], np.ones(3, dtype=np.float32),
+                                   np.arange(3), 1.0])
+def test_rule_rejects_theta_that_is_no_float64_array(theta):
+    # the rule updates theta in place: a list or another dtype would not
+    # be the caller's parameters
+    with pytest.raises(InvalidValue, match="theta must be a float64 array"):
+        optim.Rule("2LR", optim.Hyper(), theta)
+
+
+@pytest.mark.parametrize("regime", optim.REGIMES, ids=["sgd", "rmsprop", "covprecond"])
+def test_step_rules_reject_bad_alpha(regime):
+    rule = optim.Rule(regime, optim.Hyper(), np.array([1.0]))
     # a bool is no number: alpha=True ran as 1.0
     for alpha in (np.nan, np.inf, 0.0, -0.01, "0.1", True):
         with pytest.raises(InvalidValue, match="alpha must be positive and finite"):
-            step(alpha)
+            rule.step(np.array([1.0]), alpha)
+    assert rule.theta[0] == 1.0
 
 
 def test_rmsprop_matches_scalar_recurrence():
     beta, eps, alpha = 0.9, 1e-8, 0.01
     theta = np.array([0.3])
-    state = optim.PreconditionerState.zeros_like(theta, beta=beta, epsilon=eps)
+    rule = optim.Rule("2LR", optim.Hyper(beta=beta, epsilon=eps), theta)
     psi, th = 0.0, 0.3
     rng = np.random.default_rng(0)
     for _ in range(50):
         g = float(rng.normal())
-        theta, state = optim.rmsprop_step(theta, np.array([g]), state, alpha)
+        rule.step(np.array([g]), alpha)
         psi = beta * psi + (1 - beta) * g * g
+        assert rule.psi[0] == psi
         th = th - alpha * g / (np.sqrt(psi) + eps)
         assert abs(theta[0] - th) < 1e-12
 
@@ -79,16 +118,17 @@ def test_rmsprop_matches_scalar_recurrence():
 def test_covprecond_matches_scalar_recurrence(standard_ewma):
     gamma, eps, alpha = 0.9, 1e-8, 0.01
     theta = np.array([0.3])
-    state = optim.PreconditionerState.zeros_like(
-        theta, gamma=gamma, epsilon=eps, standard_ewma=standard_ewma)
+    rule = optim.Rule("3LR", optim.Hyper(gamma=gamma, epsilon=eps,
+                                         standard_ewma=standard_ewma), theta)
     mu, c2, th = 0.0, 0.0, 0.3
     var_w = (1 - gamma) if standard_ewma else gamma * (1 - gamma)
     rng = np.random.default_rng(1)
     for _ in range(50):
         g = float(rng.normal())
-        theta, state = optim.covprecond_step(theta, np.array([g]), state, alpha)
+        rule.step(np.array([g]), alpha)
         c2 = gamma * c2 + var_w * (g - mu) ** 2  # uses the previous mean
         mu = gamma * mu + (1 - gamma) * g
+        assert (rule.mu[0], rule.c2[0]) == (mu, c2)
         th = th - alpha * g / (np.sqrt(c2) + eps)
         assert abs(theta[0] - th) < 1e-12
 
@@ -97,35 +137,34 @@ def test_covprecond_matches_scalar_recurrence(standard_ewma):
 @given(st.floats(0.05, 0.95), st.lists(st.floats(-10, 10), min_size=1, max_size=20))
 def test_covprecond_accumulator_nonnegative(gamma, grads):
     theta = np.array([0.0])
-    state = optim.PreconditionerState.zeros_like(theta, gamma=gamma)
+    rule = optim.Rule("3LR", optim.Hyper(gamma=gamma), theta)
     for g in grads:
-        theta, state = optim.covprecond_step(theta, np.array([g]), state, 0.01)
-        assert state.c2[0] >= 0
+        rule.step(np.array([g]), 0.01)
+        assert rule.c2[0] >= 0
         assert np.isfinite(theta[0])
 
 
-@pytest.mark.parametrize("rule", ["sgd", "rmsprop", "covprecond"])
-def test_step_rules_leave_their_inputs_unchanged(rule):
-    # the public rules run the training kernels on copies
+@pytest.mark.parametrize("regime", optim.REGIMES)
+def test_rule_steps_in_place_without_allocating(regime):
+    # one step writes theta and the accumulators and allocates no array:
+    # a temporary the size of theta would show in the traced peak
     rng = np.random.default_rng(3)
-    theta, grad = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
-    state = optim.PreconditionerState.zeros_like(theta, standard_ewma=True)
-    for g in rng.normal(size=(3, 4, 5)):  # no accumulator left at zero
-        _, state = optim.rmsprop_step(theta, g, state, 0.01)
-        _, state = optim.covprecond_step(theta, g, state, 0.01)
-    before = {"theta": theta.copy(), "grad": grad.copy(), "psi": state.psi.copy(),
-              "mu": state.mu.copy(), "c2": state.c2.copy()}
-    inputs = {"theta": theta, "grad": grad, "psi": state.psi, "mu": state.mu,
-              "c2": state.c2}
-    if rule == "sgd":
-        out = optim.sgd_step(theta, grad, 0.1)
-    else:
-        step = optim.rmsprop_step if rule == "rmsprop" else optim.covprecond_step
-        out, state = step(theta, grad, state, 0.1)
-    for name, array in inputs.items():
-        assert np.array_equal(array, before[name]), name
-        assert not np.shares_memory(out, array), name
-    assert not np.array_equal(out, theta)
+    theta, grads = rng.normal(size=20000), rng.normal(size=(3, 20000))
+    start = theta.copy()
+    rule = optim.Rule(regime, optim.Hyper(), theta)
+    accs = [a for a in (rule.psi, rule.mu, rule.c2) if a is not None]
+    rule.step(grads[0], 0.01)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for g in grads[1:]:
+            rule.step(g, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < theta.nbytes // 4
+    assert rule.theta is theta and not np.array_equal(theta, start)
+    assert all(a.any() for a in accs)
 
 
 @pytest.mark.parametrize("name,value", [
@@ -141,12 +180,9 @@ def test_bad_rule_constants_raise(name, value):
     # negative epsilon trained, and gamma=nan read as a divergence
     constants = {name: value}
     match = f"{name} must be in"
-    state = optim.PreconditionerState.zeros_like(np.zeros(3), **constants)
-    rules = {"beta": [optim.rmsprop_step], "gamma": [optim.covprecond_step],
-             "epsilon": [optim.rmsprop_step, optim.covprecond_step]}[name]
-    for step in rules:
+    for regime in optim.REGIMES:
         with pytest.raises(InvalidValue, match=match):
-            step(np.ones(3), np.ones(3), state, 0.1)
+            optim.Rule(regime, optim.Hyper(**constants), np.ones(3))
     X, y = toy_data()
     batches = optim.make_batches(X, y, 16)
     for regime in optim.REGIMES:
@@ -231,7 +267,7 @@ def test_train_epoch_rejects_unknown_regime():
     X, y = toy_data()
     model = nets.build_noc(arch(), seed=0)
     batches = optim.make_batches(X, y, 16)
-    with pytest.raises(InvalidValue):
+    with pytest.raises(InvalidValue, match="unknown regime"):
         optim.train_epoch(model, batches, "4LR", optim.Hyper())
     with pytest.raises(InvalidValue):
         optim.train_epoch(model, [], "1LR", optim.Hyper())
@@ -401,16 +437,9 @@ def graph_loss(model, X, labels):
 def reference_train_epoch(model, batches, regime, hyper, num_steps):
     """The graph-path training loop: every step builds an autodiff graph
     over leaf Tensors of the parameters and runs `ad.backward` on its
-    loss."""
-    rule = {"1LR": lambda th, g, st, a: (optim.sgd_step(th, g, a), st),
-            "2LR": optim.rmsprop_step,
-            "3LR": optim.covprecond_step}[regime]
+    loss, and each parameter array has its own `optim.Rule`."""
     sched = optim.Schedule(hyper.alpha_start, hyper.alpha_end, num_steps)
-    states = {n: optim.PreconditionerState.zeros_like(p, beta=hyper.beta,
-                                                      gamma=hyper.gamma,
-                                                      epsilon=hyper.epsilon,
-                                                      standard_ewma=hyper.standard_ewma)
-              for n, p in model.params.items()}
+    rules = {n: optim.Rule(regime, hyper, p) for n, p in model.params.items()}
     trace = []
     for t in range(num_steps):
         X, labels = batches[t % len(batches)]
@@ -418,7 +447,7 @@ def reference_train_epoch(model, batches, regime, hyper, num_steps):
         ad.backward(loss)
         alpha = optim.schedule_alpha(sched, t) if regime == "1LR" else hyper.alpha
         for name, p in leaves.items():
-            model.params[name], states[name] = rule(p.data, p.grad, states[name], alpha)
+            rules[name].step(p.grad, alpha)
         trace.append((t, 0, alpha, loss.item()))
     return trace
 
@@ -585,3 +614,10 @@ def test_make_batches_covers_all_samples():
 def test_make_batches_rejects_bad_input(X, labels, batch_size, error):
     with pytest.raises(error):
         optim.make_batches(X, labels, batch_size)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+def test_make_batches_rejects_bad_seed(seed):
+    # -1 and 1.5 raised a bare ValueError and TypeError from numpy
+    with pytest.raises(InvalidValue, match="seed must be an integer >= 0"):
+        optim.make_batches(np.zeros((10, 2)), np.arange(10), 3, seed=seed)
