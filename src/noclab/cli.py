@@ -85,25 +85,11 @@ def cmd_eval(args):
 
 def cmd_grid(args):
     cfg = _load_config(args)
-    base_out = cfg["output_dir"]
     experiments = (args.experiments.split(",") if args.experiments
-                   else list(harness.EXPERIMENTS))
-    # validate every sub-config, the experiment name included, before any
-    # experiment makes data or a directory
-    subcfgs = []
-    for exp in experiments:
-        if experiments.count(exp) > 1:
-            raise ConfigError(f"experiment {exp!r} listed twice in --experiments")
-        motion = cfg["dataset.motion"]
-        if exp == "fusion" and motion == "none":
-            motion = "correlated"
-        subcfgs.append(harness.ExperimentConfig({
-            **cfg.values, "experiment": exp, "output_dir": os.path.join(base_out, exp),
-            "dataset.motion": motion}))
-        harness.check_config(subcfgs[-1])
-    for exp, subcfg in zip(experiments, subcfgs):
+                   else harness.EXPERIMENTS)
+    for subcfg in harness.grid_configs(cfg, experiments):
         artifact = harness.run_experiment(subcfg)
-        print(f"[{exp}] artifacts in {artifact.output_dir}")
+        print(f"[{subcfg['experiment']}] artifacts in {artifact.output_dir}")
 
 
 def cmd_plotdata(args):
@@ -113,7 +99,7 @@ def cmd_plotdata(args):
     out = cfg["output_dir"]
     harness.make_output_dir(out)
     _, _, (pen, _), y_test = _train_head(cfg)
-    harness.emit_csv(harness.pca_csv_rows(pen, y_test, cfg.seed), harness.EMBEDDING_HEADER,
+    harness.emit_csv(harness.pca_csv_rows(pen, y_test, cfg["seed"]), harness.EMBEDDING_HEADER,
                      os.path.join(out, "pca.csv"))
     cap = min(len(pen), 500)
     if cap < 16:  # smallest test split with a feasible perplexity (>= 5)
@@ -124,7 +110,7 @@ def cmd_plotdata(args):
     # embeds every class (and, under the cap, every row)
     rows = [i * len(pen) // cap for i in range(cap)]
     tsne_coords, _ = ev.tsne_embed(pen[rows], perplexity=perp, iters=300,
-                                   seed=cfg.seed)
+                                   seed=cfg["seed"])
     harness.emit_csv(
         harness.embedding_csv_rows(tsne_coords, y_test[rows]),
         harness.EMBEDDING_HEADER, os.path.join(out, "tsne.csv"))

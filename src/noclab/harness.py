@@ -82,20 +82,9 @@ SCHEMA = {
 DEFAULTS = {key: default for key, (default, _) in SCHEMA.items()}
 
 
-@dataclass
-class ExperimentConfig:
-    values: dict = field(default_factory=lambda: dict(DEFAULTS))
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    @property
-    def seed(self):
-        return self.values["seed"]
-
-    def hyper(self):
-        return optim.Hyper(**{f.name: self.values[f"regime.{f.name}"]
-                              for f in fields(optim.Hyper)})
+def hyper(cfg):
+    """The config's `regime.*` keys as an `optim.Hyper`."""
+    return optim.Hyper(**{f.name: cfg[f"regime.{f.name}"] for f in fields(optim.Hyper)})
 
 
 def _check_type(key, value):
@@ -148,8 +137,9 @@ def _validate(key, value, lineno=None):
 
 def parse_config(path=None, overrides=None):
     """Load a flat `key = value` config file; `#` starts a comment.
-    Overrides (a dict) beat file values; unknown keys are rejected."""
-    cfg = ExperimentConfig()
+    Overrides (a dict) beat file values; unknown keys are rejected. A
+    config is a dict of every SCHEMA key to its value."""
+    cfg = dict(DEFAULTS)
     lines = {}  # key -> file line that set it, unless an override beat it
     if path is not None:
         try:
@@ -171,12 +161,12 @@ def parse_config(path=None, overrides=None):
                 raise ConfigError(f"unknown key {key!r} (line {lineno})")
             if key in lines:
                 raise ConfigError(f"{key} set twice (line {lines[key]}, {lineno})")
-            cfg.values[key] = _validate(key, _coerce(key, raw, lineno), lineno)
+            cfg[key] = _validate(key, _coerce(key, raw, lineno), lineno)
             lines[key] = lineno
     for key, raw in (overrides or {}).items():
         if key not in DEFAULTS:
             raise ConfigError(f"unknown override key {key!r}")
-        cfg.values[key] = _validate(key, _coerce(key, raw))
+        cfg[key] = _validate(key, _coerce(key, raw))
         lines.pop(key, None)
     _check_cross_keys(cfg, lines)
     return cfg
@@ -220,11 +210,15 @@ def _check_cross_keys(cfg, lines):
 
 def check_config(cfg):
     """Every check a run makes before it builds data: each key alone, as
-    cfg.values may have been edited by hand since parse_config, the
+    the dict may have been edited by hand since parse_config, the
     cross-key checks, and the checks that read `experiment`. Those last
-    are not in parse_config: `grid` parses its base config before it sets
-    each run's experiment and each fusion run's motion."""
-    for key, value in cfg.values.items():
+    are not in parse_config: `grid` parses its base config before
+    `grid_configs` sets each run's experiment and each fusion run's
+    motion."""
+    for key in SCHEMA:
+        if key not in cfg:
+            raise ConfigError(f"missing key {key!r}")
+    for key, value in cfg.items():
         if key not in SCHEMA:
             raise ConfigError(f"unknown key {key!r}")
         _check_type(key, value)
@@ -234,6 +228,25 @@ def check_config(cfg):
         raise ConfigError("fusion experiment needs dataset.motion set")
     if cfg["experiment"].endswith("_sweep"):
         check_embeddable(cfg, cfg["experiment"])
+
+
+def grid_configs(cfg, experiments):
+    """The config of each of `grid`'s `experiments`, in order: `cfg` with
+    the experiment set and its output in <output_dir>/<experiment>.
+    Fusion, whose orientation stream needs motion, gets correlated
+    motion unless `cfg` sets one. Each is checked before any is
+    returned, so a bad one stops the grid before it makes data."""
+    subcfgs = []
+    for exp in experiments:
+        if experiments.count(exp) > 1:
+            raise ConfigError(f"experiment {exp!r} listed twice in --experiments")
+        motion = cfg["dataset.motion"]
+        if exp == "fusion" and motion == "none":
+            motion = "correlated"
+        subcfgs.append({**cfg, "experiment": exp, "dataset.motion": motion,
+                        "output_dir": os.path.join(cfg["output_dir"], exp)})
+        check_config(subcfgs[-1])
+    return subcfgs
 
 
 def check_embeddable(cfg, what):
@@ -257,7 +270,7 @@ def dataset_blocks(cfg):
     motion = cfg["dataset.motion"]
     return dp.synthetic_blocks(cfg["dataset.classes"], cfg["dataset.per_class"],
                                cfg["dataset.size"], False if motion == "none" else motion,
-                               cfg.seed)
+                               cfg["seed"])
 
 
 TEST_FRAC = 0.2  # share of each class held out for testing
@@ -331,7 +344,7 @@ def train_heads(cfg, feats, labels, tr, keys):
     `regime` on the training rows `tr` of feature variant `net`.
 
     Heads of one architecture start from one initial head,
-    `nets.build_noc(arch, seed=cfg.seed)`, which training leaves
+    `nets.build_noc(arch, seed=cfg["seed"])`, which training leaves
     unchanged. Returns {key: (head, loss rows (step, partition, alpha,
     loss))}."""
     inits = {}  # arch -> its initial head
@@ -343,10 +356,10 @@ def train_heads(cfg, feats, labels, tr, keys):
         arch = nets.NocArch(arch_id, X.shape[1:], cfg["dataset.classes"],
                             cfg["arch.width_scale"])
         if arch not in inits:
-            inits[arch] = nets.build_noc(arch, seed=cfg.seed)
+            inits[arch] = nets.build_noc(arch, seed=cfg["seed"])
         loss_rows = []
-        head = optim.train(inits[arch], X[tr], labels[tr], regime, cfg.hyper(),
-                           cfg["regime.partitions"], seed=cfg.seed, loss_trace=loss_rows)
+        head = optim.train(inits[arch], X[tr], labels[tr], regime, hyper(cfg),
+                           cfg["regime.partitions"], seed=cfg["seed"], loss_trace=loss_rows)
         heads[net, arch_id, regime] = head, loss_rows
     return heads
 
@@ -459,8 +472,8 @@ def make_output_dir(path):
 def _echo_config(cfg, artifact):
     path = artifact.path("config.txt")
     with open(path, "w") as fh:
-        for key in sorted(cfg.values):
-            fh.write(f"{key} = {cfg.values[key]}\n")
+        for key in sorted(cfg):
+            fh.write(f"{key} = {cfg[key]}\n")
     artifact.files["config.txt"] = path
 
 
@@ -494,7 +507,7 @@ def _plan(cfg):
     return [(a, f"{a}_{r}", "N", "N", a, r) for a in archs for r in regimes]
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
+def run_experiment(cfg) -> RunArtifact:
     """Run the experiment's plan (`_plan`) over one dataset and write
     its artifacts into cfg["output_dir"]."""
     check_config(cfg)
@@ -514,14 +527,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
     ftr = np.stack([head_embedding(head, feats[net][tr])
                     for (net, _, _), (head, _) in heads.items()])
     svms = dict(zip(heads, ev.svm_train(ftr, labels[tr], c_reg=cfg["svm.c_reg"],
-                                        epochs=cfg["svm.epochs"], seed=cfg.seed)))
+                                        epochs=cfg["svm.epochs"], seed=cfg["seed"])))
     # one pass of each row's head over its test split gives the embedding
     # its SVM (and a sweep's PCA) reads and the logits of its net accuracy
     tested = [head_outputs(heads[net, arch_id, regime][0], feats[data][te])
               for _, _, net, data, arch_id, regime in plan]
     if cfg["experiment"].endswith("_sweep"):
         # first, so that an embedding that fails leaves no artifact
-        artifact.emit("embedding.csv", pca_csv_rows(tested[-1][0], labels[te], cfg.seed),
+        artifact.emit("embedding.csv", pca_csv_rows(tested[-1][0], labels[te], cfg["seed"]),
                       EMBEDDING_HEADER)
     k = cfg["dataset.classes"]
     for (method, tag, net, _, arch_id, regime), (embedding, logits) in zip(plan, tested):
@@ -557,14 +570,14 @@ def split_features(cfg, variants):
     variant name, the labels, and the stratified train and test indices."""
     # class c holds per_class rows in turn
     labels = np.repeat(np.arange(cfg["dataset.classes"]), cfg["dataset.per_class"])
-    tr, te = stratified_split(labels, cfg.seed)
+    tr, te = stratified_split(labels, cfg["seed"])
     return _features(cfg, len(labels), dataset_blocks(cfg), variants), labels, tr, te
 
 
 def _backbone(cfg, seed_offset=1):
     size = cfg["dataset.size"]
     return nets.build_backbone((3, size, size), cfg["backbone.channels"],
-                               seed=cfg.seed + seed_offset)
+                               seed=cfg["seed"] + seed_offset)
 
 
 def _features(cfg, n, blocks, variants):
@@ -582,7 +595,7 @@ def _features(cfg, n, blocks, variants):
     backbone = _backbone(cfg)
     if "F" in variants:
         orientation_backbone = _backbone(cfg, 2)
-    blur_rng = np.random.default_rng(cfg.seed + 17)
+    blur_rng = np.random.default_rng(cfg["seed"] + 17)
     feats = {}
     start = 0
     for images, orientation in blocks:

@@ -31,6 +31,12 @@ FULL_CONV_MAPS = 64
 MAGIC = b"NOC1"
 
 
+def _check_input_shape(shape):
+    if not (isinstance(shape, tuple) and len(shape) == 3 and all(map(is_count, shape))):
+        raise InvalidValue("input_shape must be a tuple of 3 integers >= 1 "
+                           f"(channels, h, w), got {shape!r}")
+
+
 @dataclass(frozen=True)
 class NocArch:
     arch_id: str
@@ -41,6 +47,7 @@ class NocArch:
     def __post_init__(self):
         if self.arch_id not in ARCH_IDS:
             raise InvalidValue(f"unknown arch_id {self.arch_id!r}")
+        _check_input_shape(self.input_shape)
         if not (is_real(self.width_scale) and 0 < self.width_scale <= 1):
             raise InvalidValue(f"width_scale must be in (0, 1], got {self.width_scale!r}")
         if not is_count(self.num_classes, least=2):
@@ -94,9 +101,12 @@ def _build(arch_id, input_shape, spec, seed) -> Model:
     ("maxpool", window, stride), ("fc", n_out), ("relu",) or
     ("flatten",). Shapes are inferred from `input_shape`; a conv or pool
     that does not fit its input raises SizeMismatch. Weights are drawn
-    He-style in layer order from `seed`, biases are zero, and the i-th
-    parameterized layer is named conv<i> or fc<i>.
+    He-style in layer order from `seed` (an integer >= 0, else
+    InvalidValue), biases are zero, and the i-th parameterized layer is
+    named conv<i> or fc<i>.
     """
+    if not is_count(seed, least=0):
+        raise InvalidValue(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     shape = tuple(input_shape)
     layers, params = [], {}
@@ -150,6 +160,10 @@ def build_noc(arch: NocArch, seed: int) -> Model:
 
 def build_backbone(input_shape, feature_channels: int, seed: int) -> Model:
     """Small 3-block conv feature extractor with total downsampling 8."""
+    _check_input_shape(input_shape)
+    if not is_count(feature_channels):
+        raise InvalidValue(f"feature_channels must be an integer >= 1, "
+                           f"got {feature_channels!r}")
     _, h, w = input_shape
     if h < 16 or w < 16:
         raise SizeMismatch("backbone needs input at least 16x16")
@@ -336,9 +350,11 @@ def loss_and_grads(model: Model, params, batch: Minibatch):
 def fuse_sum(f_rgb: np.ndarray, f_orient: np.ndarray, scale: float) -> np.ndarray:
     """Sum fusion of two equally shaped feature stacks, f_rgb + scale *
     f_orient: the orientation stream is down-weighted so that an
-    uninformative one degrades the fused features only mildly.
-    Non-finite fused features, say from a huge scale, raise
-    InvalidValue."""
+    uninformative one degrades the fused features only mildly. A scale
+    that is no finite number, and non-finite fused features, say from a
+    huge scale, raise InvalidValue."""
+    if not is_real(scale):
+        raise InvalidValue(f"fusion scale must be a finite number, got {scale!r}")
     if f_rgb.shape != f_orient.shape:
         raise SizeMismatch(f"fusion shapes {f_rgb.shape} vs {f_orient.shape}")
     with np.errstate(over="ignore", invalid="ignore"):

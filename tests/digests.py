@@ -1,12 +1,12 @@
-"""sha256 of every file `noclab grid`, `noclab train` and `noclab plotdata`
-write, as JSON.
+"""sha256 of every file `noclab grid`, `noclab train`, `noclab plotdata`
+and `noclab gen` write, as JSON.
 
     PYTHONPATH=src python tests/digests.py [--set KEY=VALUE ...] [> digests.json]
 
-Runs the three verbs into a temporary directory with the same `--set`
+Runs the four verbs into a temporary directory with the same `--set`
 overrides passed through (the seed too: `--set seed=3`), and prints one
 entry per output file, sorted: "<experiment>/<file>" for the grid's
-files, "train/<file>" and "plotdata/<file>" for the other two.
+files, "<verb>/<file>" for the other three.
 `config.txt` is left out: it records the output directory. A refactor
 that should not move the results prints the same JSON before and
 after; run both sides with the same BLAS thread setting (for example
@@ -25,7 +25,7 @@ import tempfile
 
 from noclab import cli
 
-VERBS = ("grid", "train", "plotdata")
+VERBS = ("grid", "train", "plotdata", "gen")
 
 
 def digests(overrides=()):

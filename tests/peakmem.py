@@ -20,6 +20,8 @@ import subprocess
 import sys
 import tempfile
 
+from noclab.harness import EXPERIMENTS
+
 # the child prints its own peak once the verb has run
 CHILD = (
     "import resource, sys\n"
@@ -28,7 +30,6 @@ CHILD = (
     "    sys.exit('noclab ' + sys.argv[1] + ' failed')\n"
     "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)\n"
 )
-EXPERIMENTS = ("arch_sweep", "regime_sweep", "blur_combo", "fusion")
 VERBS = ("train", "plotdata", "gen")
 
 

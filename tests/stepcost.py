@@ -69,7 +69,7 @@ def head_costs(cfg, repeats):
     rng = np.random.default_rng(0)
     X = np.abs(rng.normal(size=(cfg["regime.batch_size"],) + feat_shape))
     labels = rng.integers(0, cfg["dataset.classes"], size=len(X))
-    hyper = cfg.hyper()
+    hyper = harness.hyper(cfg)
     update, loss = {}, {}
     for arch_id in nets.ARCH_IDS:
         model = nets.build_noc(nets.NocArch(arch_id, feat_shape, cfg["dataset.classes"],

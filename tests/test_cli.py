@@ -267,7 +267,7 @@ def test_grid_rejects_duplicate_experiments(tmp_path, capsys, monkeypatch):
 
 def test_run_experiment_rejects_unknown_experiment(tmp_path):
     cfg = harness.parse_config(None, {"output_dir": str(tmp_path / "run")})
-    cfg.values["experiment"] = "regime_swep"
+    cfg["experiment"] = "regime_swep"
     with pytest.raises(ConfigError):
         harness.run_experiment(cfg)
     assert not os.path.exists(cfg["output_dir"])

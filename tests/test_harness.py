@@ -34,13 +34,13 @@ def test_defaults_complete():
     cfg = harness.parse_config()
     assert cfg["experiment"] == "regime_sweep"
     assert cfg["regime.name"] == "3LR"
-    assert cfg.hyper().alpha_start == 0.01
+    assert harness.hyper(cfg).alpha_start == 0.01
 
 
 def test_config_regime_defaults_are_optim_defaults():
     # the regime keys of SCHEMA read their defaults from optim.Hyper, which
     # had drifted from them (100 iterations against the config's 150)
-    assert harness.parse_config().hyper() == optim.Hyper()
+    assert harness.hyper(harness.parse_config()) == optim.Hyper()
 
 
 def test_parse_config_file(tmp_path):
@@ -119,7 +119,7 @@ def test_parse_config_override_beats_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("seed = 3\n")
     cfg = harness.parse_config(str(p), {"seed": "9"})
-    assert cfg.seed == 9
+    assert cfg["seed"] == 9
     with pytest.raises(ConfigError):
         harness.parse_config(None, {"no.such": 1})
     # the sigma range is checked once every key is read, file or override
@@ -175,7 +175,7 @@ def test_default_config_echo(tmp_path):
     artifact = harness.RunArtifact(output_dir=str(tmp_path), metrics_rows=[])
     harness._echo_config(cfg, artifact)
     assert (tmp_path / "config.txt").read_text() == DEFAULT_CONFIG_TXT
-    assert repr(cfg.hyper()) == (
+    assert repr(harness.hyper(cfg)) == (
         "Hyper(alpha=0.001, alpha_start=0.01, alpha_end=0.005, beta=0.9, "
         "gamma=0.9, epsilon=1e-08, iterations=150, batch_size=32, "
         "standard_ewma=False)")
@@ -198,7 +198,7 @@ def test_parse_config_typed_overrides():
                                       "regime.standard_ewma": True,
                                       "regime.name": "2LR"})
     assert type(cfg["regime.alpha"]) is float and cfg["regime.alpha"] == 1.0
-    assert cfg.seed == 3 and cfg["regime.standard_ewma"] is True
+    assert cfg["seed"] == 3 and cfg["regime.standard_ewma"] is True
     assert cfg["regime.name"] == "2LR"
 
 
@@ -353,11 +353,11 @@ def test_blur_frames_draws_each_frame_in_turn(tmp_path, kind):
     frame, with sigma and noise seed drawn frame after frame from it."""
     from noclab import datapipe as dp
     cfg = small_cfg(tmp_path, **{"blur.kind": kind, "blur.length": 5})
-    (pixels, _), = dp.synthetic_blocks(3, 8, 16, seed=cfg.seed)
-    rng = np.random.default_rng(cfg.seed + 17)
+    (pixels, _), = dp.synthetic_blocks(3, 8, 16, seed=cfg["seed"])
+    rng = np.random.default_rng(cfg["seed"] + 17)
     out = np.concatenate([harness._blur_frames(cfg, pixels[a:b], rng)
                           for a, b in ((0, 1), (1, 11), (11, len(pixels)))])
-    ref = np.random.default_rng(cfg.seed + 17)
+    ref = np.random.default_rng(cfg["seed"] + 17)
     for frame, blurred in zip(pixels, out):
         sigma = ref.uniform(cfg["blur.sigma_min"], cfg["blur.sigma_max"])
         one = dp.synth_blur(frame[None], kind=kind, sigma=sigma, length=5,
@@ -510,7 +510,7 @@ def test_run_experiment_rejects_unusable_output_dir(tmp_path, monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("")
     cfg = small_cfg(tmp_path)
-    cfg.values["output_dir"] = str(blocker / "out")
+    cfg["output_dir"] = str(blocker / "out")
     with pytest.raises(ConfigError, match=r"^cannot create output_dir .*/file/out: "
                                           r"Not a directory$"):
         harness.run_experiment(cfg)
@@ -521,6 +521,49 @@ def test_fusion_requires_motion(tmp_path):
     with pytest.raises(ConfigError, match="fusion experiment needs dataset.motion"):
         harness.run_experiment(cfg)
     assert not (tmp_path / "out").exists()
+
+
+def test_check_config_rejects_a_missing_key():
+    cfg = harness.parse_config()
+    del cfg["svm.epochs"]
+    with pytest.raises(ConfigError, match=r"^missing key 'svm.epochs'$"):
+        harness.check_config(cfg)
+
+
+def test_grid_configs_set_experiment_output_dir_and_fusion_motion():
+    cfg = harness.parse_config(None, {"output_dir": "base"})
+    subcfgs = harness.grid_configs(cfg, harness.EXPERIMENTS)
+    assert [sub["experiment"] for sub in subcfgs] == list(harness.EXPERIMENTS)
+    for sub in subcfgs:
+        exp = sub["experiment"]
+        assert sub["output_dir"] == os.path.join("base", exp)
+        # fusion's orientation stream needs motion; the others keep none
+        assert sub["dataset.motion"] == ("correlated" if exp == "fusion" else "none")
+        assert sub == {**cfg, "experiment": exp, "output_dir": sub["output_dir"],
+                       "dataset.motion": sub["dataset.motion"]}
+    assert cfg == harness.parse_config(None, {"output_dir": "base"})
+
+
+@pytest.mark.parametrize("motion", ["correlated", "uncorrelated"])
+def test_grid_configs_keep_a_base_motion(motion):
+    cfg = harness.parse_config(None, {"dataset.motion": motion})
+    assert [sub["dataset.motion"] for sub in harness.grid_configs(cfg, harness.EXPERIMENTS)
+            ] == [motion] * len(harness.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("experiments,message", [
+    (["arch_sweep", "fusion", "fusion"],
+     r"^experiment 'fusion' listed twice in --experiments$"),
+    (["arch_sweep", "regime_swep"], r"^experiment: 'regime_swep' not one of "),
+])
+def test_grid_configs_reject_before_any_data(monkeypatch, experiments, message):
+    def no_data(cfg):
+        raise AssertionError("data built")
+
+    monkeypatch.setattr(harness, "dataset_blocks", no_data)
+    with pytest.raises(ConfigError, match=message):
+        for sub in harness.grid_configs(harness.parse_config(), experiments):
+            harness.run_experiment(sub)
 
 
 def test_run_experiment_checks_every_key(tmp_path):
@@ -535,7 +578,7 @@ def test_run_experiment_checks_every_key(tmp_path):
         ("combo", None, r"^combo: expected str, got None$"),
     ]:
         cfg = small_cfg(tmp_path)
-        cfg.values[key] = value
+        cfg[key] = value
         with pytest.raises(ConfigError, match=message):
             harness.run_experiment(cfg)
         assert not (tmp_path / "out").exists()

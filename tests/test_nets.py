@@ -46,6 +46,41 @@ def test_arch_rejects_bad_num_classes_and_width_scale(num_classes, width_scale, 
 
 
 @pytest.mark.parametrize("arch_id", nets.ARCH_IDS)
+@pytest.mark.parametrize("shape", [
+    # (3, 0, 8) raised a bare ZeroDivisionError in build_noc, and the
+    # others built a model (C0F3) or failed to unpack
+    (3, 0, 8), (3, 8), (3, 8.5, 8), (3, 8, 8, 1), [3, 8, 8],
+])
+def test_arch_rejects_bad_input_shape(arch_id, shape):
+    with pytest.raises(InvalidValue, match="input_shape"):
+        nets.build_noc(nets.NocArch(arch_id, shape, 4, 1 / 64), seed=0)
+
+
+@pytest.mark.parametrize("shape", [(0, 16, 16), (3, 16), (3, 16.5, 16), [3, 16, 16]])
+def test_backbone_rejects_bad_input_shape(shape):
+    # (0, 16, 16) raised a bare ZeroDivisionError, (3, 16) a bare
+    # ValueError, and the others built a model
+    with pytest.raises(InvalidValue, match="input_shape"):
+        nets.build_backbone(shape, 8, seed=0)
+
+
+@pytest.mark.parametrize("channels", [0, 2.5, -1, True, None])
+def test_backbone_rejects_bad_feature_channels(channels):
+    # 0 built a 0-channel conv; 2.5 raised a bare TypeError
+    with pytest.raises(InvalidValue, match="feature_channels"):
+        nets.build_backbone((3, 16, 16), channels, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, None, True])
+def test_builders_reject_a_seed_that_is_no_count(seed):
+    # -1 raised numpy's bare ValueError, and None built an unseeded model
+    with pytest.raises(InvalidValue, match="seed"):
+        nets.build_noc(small_arch("C0F3"), seed=seed)
+    with pytest.raises(InvalidValue, match="seed"):
+        nets.build_backbone((3, 16, 16), 8, seed=seed)
+
+
+@pytest.mark.parametrize("arch_id", nets.ARCH_IDS)
 def test_forward_shapes_and_penultimate(arch_id):
     arch = small_arch(arch_id)
     model = nets.build_noc(arch, seed=0)
@@ -201,6 +236,50 @@ def test_inference_maxpool_matches_argmax_pool(shape, window, stride):
         assert out.flags["C_CONTIGUOUS"]
 
 
+def _off_relu_kinks(model, X, rng, margin=1e-4):
+    """Redraw the model's biases until every relu input on X is at least
+    `margin` from 0: a finite difference across a kink measures neither
+    side's slope."""
+    relus = [i for i, layer in enumerate(model.layers) if layer[0] == "relu"]
+    for _ in range(100):
+        for name, p in model.params.items():
+            if name.endswith(".b"):
+                p[:] = rng.normal(0.0, 0.1, p.shape)
+        if all(np.abs(nets.infer(model, X, stop=i)).min() >= margin for i in relus):
+            return
+    raise AssertionError("no draw of biases clears the relu kinks")
+
+
+@pytest.mark.parametrize("arch_id", nets.ARCH_IDS)
+def test_loss_and_grads_match_central_differences(arch_id):
+    """Each parameter array's gradient from loss_and_grads at the default
+    grid's head shapes (features (16, 4, 4), width 1/32, 16 classes)
+    against central differences at a fixed sample of its coordinates,
+    by grad_check's metric |analytic - numeric| / max(1, |numeric|)."""
+    rng = np.random.default_rng(0)
+    model = nets.build_noc(nets.NocArch(arch_id, (16, 4, 4), 16, 1 / 32), seed=0)
+    X = rng.normal(size=(8, 16, 4, 4))
+    batch = nets.prepare_batch(model, X, rng.integers(0, 16, size=len(X)))
+    _off_relu_kinks(model, X, rng)
+    _, grads = nets.loss_and_grads(model, model.params, batch)
+    assert grads.keys() == model.params.keys()
+    eps = 1e-6
+    for name, p in model.params.items():
+        params = {**model.params, name: p.copy()}
+        flat = params[name].reshape(-1)  # a view: a write perturbs params[name]
+        sample = rng.choice(flat.size, min(flat.size, 6), replace=False)
+        assert np.any(grads[name].flat[sample] != 0), name
+        for i in sample:
+            flat[i] += eps
+            hi, _ = nets.loss_and_grads(model, params, batch)
+            flat[i] -= 2 * eps
+            lo, _ = nets.loss_and_grads(model, params, batch)
+            flat[i] = p.flat[i]
+            numeric = (hi - lo) / (2 * eps)
+            error = abs(grads[name].flat[i] - numeric) / max(1.0, abs(numeric))
+            assert error < 1e-4, (name, int(i), error)
+
+
 @pytest.mark.parametrize("arch_id", ["C1F3", "M1"])
 def test_prepared_first_conv_equals_unprepared(arch_id):
     model = nets.build_noc(small_arch(arch_id, classes=4, scale=1 / 16), seed=2)
@@ -229,6 +308,13 @@ def test_fuse_sum():
         nets.fuse_sum(a, np.ones((2, 5)), 0.3)
     with pytest.raises(InvalidValue, match="non-finite"):
         nets.fuse_sum(a, b, 1e308)
+
+
+@pytest.mark.parametrize("scale", ["a", None, True])
+def test_fuse_sum_rejects_a_scale_that_is_no_number(scale):
+    # "a" raised numpy's UFuncTypeError, None a bare TypeError
+    with pytest.raises(InvalidValue, match="scale"):
+        nets.fuse_sum(np.ones((2, 4)), np.ones((2, 4)), scale)
 
 
 def test_save_load_roundtrip(tmp_path):
