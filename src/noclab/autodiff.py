@@ -14,7 +14,7 @@ import functools
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidValue, NoTrace, SizeMismatch
+from .errors import InvalidValue, NoTrace, SizeMismatch, check_counts
 
 __all__ = [
     "Tensor",
@@ -121,6 +121,16 @@ def _matmul_bwd(g, a, b, need_a=True):
     return (g @ b.T if need_a else None), a.T @ g
 
 
+def _window(h, w, kh, kw, stride, pad=0):
+    """Output size (oh, ow) of a kh x kw window that slides by `stride`
+    over an h x w plane zero-padded by `pad` on each side. A window
+    larger than its padded plane raises SizeMismatch."""
+    hp, wp = h + 2 * pad, w + 2 * pad
+    if hp < kh or wp < kw:
+        raise SizeMismatch(f"{kh}x{kw} window larger than its padded input {hp}x{wp}")
+    return (hp - kh) // stride + 1, (wp - kw) // stride + 1
+
+
 # Output rows shorter than this many values take `_im2col`'s gather: a
 # strided slice copy pays a fixed cost per output row, which a short row
 # cannot hide, while the gather pays per column entry. Medians of 11
@@ -157,8 +167,7 @@ def _im2col(x, kh, kw, stride, pad):
     slice copies of whole rows, shorter ones by one gather (`take`)
     over the flattened padded input; both give the same columns."""
     b_, c_in, h, w = x.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
+    oh, ow = _window(h, w, kh, kw, stride, pad)
     hp, wp = h + 2 * pad, w + 2 * pad
     xp = np.zeros((b_, c_in, hp, wp))
     xp[:, :, pad:pad + h, pad:pad + w] = x
@@ -198,12 +207,26 @@ def _conv2d_bwd(g, cols, k, oh, ow, xp=None, stride=1, pad=0):
 def _maxpool2d_fwd(x, window, stride):
     """Per-window max of (b, c, h, w) and each window's row-major argmax."""
     b_, c, h, w = x.shape
-    oh = (h - window) // stride + 1
-    ow = (w - window) // stride + 1
+    oh, ow = _window(h, w, window, window, stride)
     win = sliding_window_view(x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
     flat = win.reshape(b_, c, oh, ow, window * window)
     arg = flat.argmax(axis=-1)  # first occurrence on ties
     return np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0], arg
+
+
+def _maxpool2d_values(x, window, stride):
+    """The per-window max of `_maxpool2d_fwd` without its argmax, for
+    inference: a running max over the window's strided slices. Its
+    values equal the argmax pool's up to the sign of a zero maximum."""
+    oh, ow = _window(x.shape[2], x.shape[3], window, window, stride)
+    views = [x[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride]
+             for i in range(window) for j in range(window)]
+    # C order like the argmax pool's output, whatever x's layout: later
+    # reductions over the features sum in memory order
+    out = views[0].copy(order="C")
+    for view in views[1:]:
+        np.maximum(out, view, out=out)
+    return out
 
 
 def _maxpool2d_bwd(g, x, arg, window, stride):
@@ -227,8 +250,11 @@ def _relu_bwd(g, mask):
 
 
 def _check_labels(labels, n, classes):
-    """Labels as int64, one per row, each in [0, classes)."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """Labels as int64, one per row, each an integer in [0, classes)."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise InvalidValue(f"labels must be integers, got dtype {labels.dtype}")
+    labels = labels.astype(np.int64, copy=False)
     if labels.shape != (n,):
         raise SizeMismatch(f"{n} rows but {labels.shape} labels")
     if np.any(labels < 0) or np.any(labels >= classes):
@@ -294,12 +320,8 @@ def conv2d(inp, kernels, bias, stride=1, pad=0):
         raise SizeMismatch(f"conv2d input {inp.shape} vs kernels {kernels.shape}")
     if bias.data.shape != (k.shape[0],):
         raise SizeMismatch(f"conv2d bias {bias.shape} vs {k.shape[0]} output maps")
-    kh, kw = k.shape[2:]
-    stride = int(stride)
-    pad = int(pad)
-    if x.shape[2] + 2 * pad < kh or x.shape[3] + 2 * pad < kw:
-        raise SizeMismatch("kernel larger than padded input")
-    xp, cols, oh, ow = _im2col(x, kh, kw, stride, pad)
+    check_counts(stride=stride, pad=pad)
+    xp, cols, oh, ow = _im2col(x, *k.shape[2:], stride, pad)
     out = _conv2d_fwd(cols, k, bias.data, oh, ow)
 
     def bwd(g, grads):
@@ -317,11 +339,7 @@ def conv2d(inp, kernels, bias, stride=1, pad=0):
 def maxpool2d(inp, window, stride):
     """Per-window max; ties route the gradient to the first position (row-major)."""
     x, squeeze = _as_batched(inp.data)
-    window = int(window)
-    stride = int(stride)
-    if x.shape[2] < window or x.shape[3] < window:
-        raise SizeMismatch(f"pool window {window} larger than input "
-                           f"{x.shape[2]}x{x.shape[3]}")
+    check_counts(window=window, stride=stride)
     out, arg = _maxpool2d_fwd(x, window, stride)
 
     def bwd(g, grads):

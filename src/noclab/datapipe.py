@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, SizeMismatch, is_count, is_real
+from .errors import InvalidValue, SizeMismatch, check_counts, is_count, is_real
 
 # ---------------------------------------------------------------------------
 # core containers
@@ -28,8 +28,8 @@ class Frame:
         p = np.asarray(self.pixels, dtype=np.float64)
         if p.ndim == 2:
             p = p[None]
-        if p.ndim != 3 or p.shape[0] not in (1, 3):
-            raise InvalidValue(f"frame must be (1|3, h, w), got {p.shape}")
+        if p.ndim != 3 or p.shape[0] not in (1, 3) or 0 in p.shape:
+            raise InvalidValue(f"frame must be (1|3, h, w) with h, w >= 1, got {p.shape}")
         # clipping would pass NaN through to the features
         if not np.isfinite(p).all():
             raise InvalidValue("frame pixels must be finite")
@@ -179,6 +179,7 @@ def kmeans(points, k, max_iters=100, seed=0):
         raise InvalidValue(f"k={k} exceeds distinct point count")
     if not is_count(max_iters):
         raise InvalidValue(f"max_iters must be >= 1 (an integer), got {max_iters!r}")
+    check_counts(seed=seed)
     rng = np.random.default_rng(seed)
 
     # k-means++ seeding
@@ -218,6 +219,7 @@ def sample_dataset(clips, featurizer, per_cluster=1, seed=0, tau=None):
         raise InvalidValue("no clips")
     if not is_count(per_cluster):
         raise InvalidValue(f"per_cluster must be >= 1 (an integer), got {per_cluster!r}")
+    check_counts(seed=seed)
     rng = np.random.default_rng(seed)
     records = []
     for clip in clips:
@@ -593,8 +595,7 @@ def horn_schunck(f1, f2, lam=0.5, iters=100):
     if a.ndim not in (2, 3):
         raise InvalidValue(f"need planes (h, w) or stacks (n, h, w), got {a.shape}")
     _check_lam(lam)
-    if not is_count(iters):
-        raise InvalidValue(f"iters must be an integer >= 1, got {iters!r}")
+    check_counts(iters=iters)
     stack_a, stack_b = (a, b) if a.ndim == 3 else (a[None], b[None])
     u, v = np.empty_like(stack_a), np.empty_like(stack_a)
     for s in range(0, len(stack_a), _FLOW_BLOCK):
@@ -753,8 +754,7 @@ def synthetic_blocks(num_classes=16, per_class=100, size=32, motion=False, seed=
         raise InvalidValue(f"bad motion mode {motion!r}")
     if not is_count(per_class):
         raise InvalidValue(f"per_class must be >= 1 (an integer), got {per_class!r}")
-    if not is_count(seed, least=0):
-        raise InvalidValue(f"seed must be an integer >= 0, got {seed!r}")
+    check_counts(seed=seed)
     return _render_blocks(num_classes, per_class, size, motion, np.random.default_rng(seed))
 
 

@@ -38,6 +38,15 @@ def is_count(value, least=1):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
+def check_counts(**counts):
+    """Raise InvalidValue unless each count is an integer >= 1, a seed or
+    a pad one >= 0."""
+    for name, value in counts.items():
+        least = 0 if name in ("seed", "pad") else 1
+        if not is_count(value, least):
+            raise InvalidValue(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def is_real(value):
     """Whether `value` is a finite real number (a bool is none)."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, SizeMismatch, is_count, is_real
+from .errors import InvalidValue, SizeMismatch, check_counts, is_count, is_real
 
 
 @dataclass
@@ -38,14 +38,6 @@ def l2_normalize_rows(X):
 def svm_objective(w, b, X, y_signed, c_reg):
     margins = 1 - y_signed * (X @ w + b)
     return 0.5 * float(w @ w) + c_reg * float(np.maximum(0, margins).sum())
-
-
-def _check_counts(**counts):
-    """Each count an integer >= 1, a seed one >= 0."""
-    for name, value in counts.items():
-        least = 0 if name == "seed" else 1
-        if not is_count(value, least):
-            raise InvalidValue(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def svm_train(features, labels, c_reg=1.0, epochs=20, seed=0,
@@ -85,7 +77,7 @@ def svm_train(features, labels, c_reg=1.0, epochs=20, seed=0,
         raise InvalidValue("need at least two classes")
     if not (is_real(c_reg) and c_reg > 0):
         raise InvalidValue(f"c_reg must be finite and positive, got {c_reg!r}")
-    _check_counts(epochs=epochs, seed=seed)
+    check_counts(epochs=epochs, seed=seed)
     k = len(classes)
     rng = np.random.default_rng(seed)
     perms = np.array([rng.permutation(n) for _ in range(k * epochs)]).reshape(
@@ -159,8 +151,9 @@ def compute_metrics(pred, truth, background_class=0, num_classes=None):
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
         raise SizeMismatch("pred/truth length mismatch")
-    k = int(num_classes if num_classes is not None
-            else max(pred.max(initial=0), truth.max(initial=0)) + 1)
+    if num_classes is not None:
+        check_counts(num_classes=num_classes)
+    k = num_classes or int(max(pred.max(initial=0), truth.max(initial=0))) + 1
     for name, labels in (("pred", pred), ("truth", truth)):
         if labels.dtype.kind not in "iu" or (
                 labels.size and not 0 <= labels.min() <= labels.max() < k):
@@ -197,7 +190,7 @@ def pca_project(X, d, iters=200, seed=0):
     n, dim = X.shape
     if not (is_count(d) and d <= dim) or n < d + 1:
         raise InvalidValue("need 1 <= d <= dim and at least d+1 samples")
-    _check_counts(iters=iters, seed=seed)
+    check_counts(iters=iters, seed=seed)
     mean = X.mean(axis=0)
     Xc = X - mean
     cov = Xc.T @ Xc / (n - 1)
@@ -270,7 +263,7 @@ def tsne_embed(X, perplexity=20.0, iters=500, seed=0, learning_rate=100.0):
         raise InvalidValue(f"perplexity {perplexity!r} infeasible for n={n}")
     if not (is_real(learning_rate) and learning_rate > 0):
         raise InvalidValue(f"learning_rate must be positive and finite, got {learning_rate!r}")
-    _check_counts(iters=iters, seed=seed)
+    check_counts(iters=iters, seed=seed)
     D2 = np.empty((n, n))
     rows = max(1, _TSNE_BLOCK_VALUES // max(1, X.size))
     for a in range(0, n, rows):

@@ -17,7 +17,7 @@ import numpy as np
 from . import datapipe as dp
 from . import evaluate as ev
 from . import nets, optim
-from .errors import ConfigError, InvalidValue, SizeMismatch
+from .errors import ConfigError, InvalidValue, SizeMismatch, check_counts
 
 EXPERIMENTS = ("arch_sweep", "regime_sweep", "blur_combo", "fusion")
 COMBOS = ("N-N-N", "N-B-B", "B-N-N", "B-B-B")
@@ -285,6 +285,7 @@ def stratified_split(labels, seed=0):
     """Disjoint stratified train/test index split, TEST_FRAC of each class
     to the test side."""
     labels = np.asarray(labels)
+    check_counts(seed=seed)
     rng = np.random.default_rng(seed)
     train, test = [], []
     for cls in np.unique(labels):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ArchMismatch, InvalidValue, SizeMismatch, is_count, is_real
+from .errors import ArchMismatch, InvalidValue, SizeMismatch, check_counts, is_count, is_real
 
 ARCH_IDS = ("C0F3", "C1F3", "M1")
 
@@ -105,8 +105,7 @@ def _build(arch_id, input_shape, spec, seed) -> Model:
     InvalidValue), biases are zero, and the i-th parameterized layer is
     named conv<i> or fc<i>.
     """
-    if not is_count(seed, least=0):
-        raise InvalidValue(f"seed must be an integer >= 0, got {seed!r}")
+    check_counts(seed=seed)
     rng = np.random.default_rng(seed)
     shape = tuple(input_shape)
     layers, params = [], {}
@@ -118,13 +117,10 @@ def _build(arch_id, input_shape, spec, seed) -> Model:
         if kind == "conv":
             _, c_out, stride, pad = entry
             c, h, w = shape
-            if h + 2 * pad < 3 or w + 2 * pad < 3:
-                raise SizeMismatch(f"input {h}x{w} too small for conv")
             params[wn] = _he_init(rng, (c_out, c, 3, 3), c * 9)
             params[bn] = np.zeros(c_out)
             layers.append(("conv", wn, bn, stride, pad))
-            shape = (c_out, (h + 2 * pad - 3) // stride + 1,
-                     (w + 2 * pad - 3) // stride + 1)
+            shape = (c_out, *ad._window(h, w, 3, 3, stride, pad))
         elif kind == "fc":
             (n_in,), n_out = shape, entry[1]  # an fc layer reads a flat input
             params[wn] = _he_init(rng, (n_in, n_out), n_in)
@@ -135,9 +131,7 @@ def _build(arch_id, input_shape, spec, seed) -> Model:
             if kind == "maxpool":
                 _, k, stride = entry
                 c, h, w = shape
-                if h < k or w < k:
-                    raise SizeMismatch(f"input {h}x{w} too small for {k}x{k} pool")
-                shape = (c, (h - k) // stride + 1, (w - k) // stride + 1)
+                shape = (c, *ad._window(h, w, k, k, stride))
             elif kind == "flatten":
                 shape = (int(np.prod(shape)),)
             layers.append(entry)
@@ -161,9 +155,7 @@ def build_noc(arch: NocArch, seed: int) -> Model:
 def build_backbone(input_shape, feature_channels: int, seed: int) -> Model:
     """Small 3-block conv feature extractor with total downsampling 8."""
     _check_input_shape(input_shape)
-    if not is_count(feature_channels):
-        raise InvalidValue(f"feature_channels must be an integer >= 1, "
-                           f"got {feature_channels!r}")
+    check_counts(feature_channels=feature_channels)
     _, h, w = input_shape
     if h < 16 or w < 16:
         raise SizeMismatch("backbone needs input at least 16x16")
@@ -189,22 +181,12 @@ def _layer_forward(layer, params, x, tape):
         if isinstance(x, tuple):  # prepared by prepare_batch
             xp, (cols, oh, ow) = None, x
         else:
-            xp, cols, oh, ow = ad._im2col(x, k.shape[2], k.shape[3], stride, pad)
+            xp, cols, oh, ow = ad._im2col(x, *k.shape[2:], stride, pad)
         out, saved = ad._conv2d_fwd(cols, k, params[bn], oh, ow), (xp, cols, oh, ow)
     elif kind == "maxpool":
         _, window, stride = layer
-        if tape is None:
-            # a running max over the window's strided slices; it equals the
-            # argmax pool's values, and only the backward reads the argmax
-            oh = (x.shape[2] - window) // stride + 1
-            ow = (x.shape[3] - window) // stride + 1
-            views = [x[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride]
-                     for i in range(window) for j in range(window)]
-            # C order like the argmax pool's output, whatever x's layout:
-            # later reductions over the features sum in memory order
-            out = views[0].copy(order="C")
-            for view in views[1:]:
-                np.maximum(out, view, out=out)
+        if tape is None:  # only the backward reads the argmax
+            out = ad._maxpool2d_values(x, window, stride)
         else:
             out, arg = ad._maxpool2d_fwd(x, window, stride)
             saved = (x, arg)
@@ -327,8 +309,7 @@ def prepare_batch(model: Model, X, labels) -> Minibatch:
     first = model.layers[0]
     if first[0] == "conv":
         _, wn, _, stride, pad = first
-        _, _, kh, kw = model.params[wn].shape
-        _, cols, oh, ow = ad._im2col(X, kh, kw, stride, pad)
+        _, cols, oh, ow = ad._im2col(X, *model.params[wn].shape[2:], stride, pad)
         return Minibatch((cols, oh, ow), labels)
     return Minibatch(X, labels)
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets
-from .errors import ArchMismatch, InvalidPlan, InvalidValue, SizeMismatch, is_count, is_real
+from .errors import (ArchMismatch, InvalidPlan, InvalidValue, SizeMismatch, check_counts,
+                     is_count, is_real)
 
 REGIMES = ("1LR", "2LR", "3LR")
 
@@ -56,8 +57,7 @@ class Schedule:
         if not (is_real(self.alpha_start) and is_real(self.alpha_end)
                 and self.alpha_start >= self.alpha_end > 0):
             raise InvalidValue(f"need finite alpha_start >= alpha_end > 0, got {self!r}")
-        if not is_count(self.total_steps):
-            raise InvalidValue(f"total_steps must be an integer >= 1, got {self.total_steps!r}")
+        check_counts(total_steps=self.total_steps)
 
 
 def schedule_alpha(s: Schedule, t: int) -> float:
@@ -208,9 +208,7 @@ def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
     if not batches:
         raise InvalidValue("no batches")
     steps = hyper.iterations if num_steps is None else num_steps
-    if not is_count(steps):
-        raise InvalidValue(f"{'iterations' if num_steps is None else 'num_steps'} "
-                           f"must be an integer >= 1, got {steps!r}")
+    check_counts(**{"iterations" if num_steps is None else "num_steps": steps})
     sched = Schedule(hyper.alpha_start, hyper.alpha_end, steps) if regime == "1LR" else None
     prepared = [nets.prepare_batch(model, X, labels) for X, labels in batches]
     names, grad = list(params), np.empty_like(theta)
@@ -230,13 +228,10 @@ def train_epoch(model, batches, regime: str, hyper: Hyper, num_steps=None):
 
 def make_batches(X, labels, batch_size, seed=0):
     """Shuffle once and split into minibatches (last one may be short)."""
-    if not is_count(batch_size):
-        raise InvalidValue(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    check_counts(batch_size=batch_size, seed=seed)
     X = np.asarray(X)
     if len(X) != len(labels):
         raise SizeMismatch(f"{len(X)} samples vs {len(labels)} labels")
-    if not is_count(seed, least=0):
-        raise InvalidValue(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(labels))
     X = X[order]

@@ -6,6 +6,7 @@ means the criterion does not hold.
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,7 +325,7 @@ def _run_twice(tmp_path, tag, overrides):
         for name in sorted(os.listdir(out)):
             # config.txt echoes output_dir, which legitimately differs
             if name.endswith((".csv", ".txt")) and name != "config.txt":
-                blob[name] = open(os.path.join(out, name), "rb").read()
+                blob[name] = Path(out, name).read_bytes()
         digests.append(blob)
     assert digests[0].keys() == digests[1].keys()
     for name in digests[0]:

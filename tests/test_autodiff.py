@@ -79,6 +79,32 @@ def test_maxpool_first_occurrence_ties():
     assert x.grad.sum() == 1.0
 
 
+@pytest.mark.parametrize("value", [0, 1.5, True, -1])
+def test_window_arguments_must_be_counts(value):
+    # 0 divided by zero, 1.5 and True ran as 1, and pad -2 failed in numpy
+    x = rand((1, 2, 6, 6))
+    k, b = rand((3, 2, 3, 3)), rand((3,))
+    with pytest.raises(InvalidValue, match="stride must be an integer >= 1"):
+        ad.conv2d(x, k, b, stride=value, pad=1)
+    with pytest.raises(InvalidValue, match="stride must be an integer >= 1"):
+        ad.maxpool2d(x, 2, value)
+    with pytest.raises(InvalidValue, match="window must be an integer >= 1"):
+        ad.maxpool2d(x, value, 2)
+    if value != 0:
+        with pytest.raises(InvalidValue, match="pad must be an integer >= 0"):
+            ad.conv2d(x, k, b, stride=1, pad=value)
+
+
+def test_window_larger_than_its_padded_input():
+    x = rand((1, 2, 2, 3))
+    with pytest.raises(SizeMismatch, match="^3x3 window larger than its padded input 2x3$"):
+        ad.conv2d(x, rand((1, 2, 3, 3)), rand((1,)), stride=1, pad=0)
+    assert ad.conv2d(x, rand((1, 2, 3, 3)), rand((1,)), stride=1, pad=1).shape == (1, 1, 2, 3)
+    with pytest.raises(SizeMismatch, match="^3x3 window larger than its padded input 2x3$"):
+        ad.maxpool2d(x, 3, 1)
+    assert ad._window(2, 3, 2, 2, 1) == (1, 2)
+
+
 def test_softmax_cross_entropy_uniform_logits():
     logits = ad.Tensor(np.zeros((5, 4)), requires_grad=True)
     loss = ad.softmax_cross_entropy(logits, np.zeros(5, dtype=int))
@@ -129,6 +155,19 @@ def test_grad_maxpool():
     assert ad.grad_check(lambda t: ad.tensor_sum(ad.maxpool2d(t, 2, 2)), x) < 1e-6
 
 
+def test_maxpool_backward_matches_central_differences():
+    """`_maxpool2d_bwd` at M1's pool in the default grid: 2 maps of 4x4,
+    window 2, stride 2, under a weighted sum of the pooled maps."""
+    rng = np.random.default_rng(8)
+    # distinct values 0.1 apart, so no finite difference crosses a tie
+    x = rng.permutation(3 * 2 * 4 * 4).reshape(3, 2, 4, 4) * 0.1
+    weight = rng.normal(size=(3, 2, 2, 2))
+    _, arg = ad._maxpool2d_fwd(x, 2, 2)
+    assert np.any(ad._maxpool2d_bwd(weight, x, arg, 2, 2))
+    loss = lambda t: ad.tensor_sum(ad.mul(ad.maxpool2d(t, 2, 2), ad.Tensor(weight)))
+    assert ad.grad_check(loss, ad.Tensor(x)) < 1e-4
+
+
 def test_grad_elementwise_chain():
     check(lambda t: ad.tensor_sum(ad.mul(ad.relu(t), t)), (3, 4))
     check(lambda t: ad.tensor_sum(ad.sub(ad.scale(t, 2.0), t)), (5,))
@@ -148,6 +187,13 @@ def test_grad_bias_broadcast_add():
     loss = ad.tensor_sum(ad.add(ad.Tensor(x.data), b))
     ad.backward(loss)
     assert np.allclose(b.grad, 4.0)
+
+
+@pytest.mark.parametrize("labels", [[1.7, 1.2], [1.0, 0.0], [True, False], ["1", "0"]])
+def test_softmax_cross_entropy_rejects_labels_that_are_no_integers(labels):
+    # [1.7, 1.2] returned the loss of labels [1, 1]
+    with pytest.raises(InvalidValue, match="labels must be integers"):
+        ad.softmax_cross_entropy(rand((2, 3)), labels)
 
 
 def test_grad_softmax_cross_entropy():

@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def test_gen_writes_images_and_manifest(tmp_path, capsys):
     assert "manifest.csv" in names
     ppms = [n for n in names if n.endswith(".ppm")]
     assert len(ppms) == 24
-    header = open(os.path.join(out, "manifest.csv")).readline().strip()
+    header = Path(out, "manifest.csv").read_text().splitlines()[0].strip()
     assert header == "path,class_id,source,partition"
 
 
@@ -60,7 +61,7 @@ def test_gen_files_equal_the_dataset_rows(tmp_path):
     assert run(["gen", "--output-dir", out]
                + [a for k, v in overrides.items() for a in ("--set", f"{k}={v}")]) == 0
     (images, orientation), = dp.synthetic_blocks(3, 3, 16, "correlated", 0)
-    lines = open(os.path.join(out, "manifest.csv")).read().splitlines()
+    lines = Path(out, "manifest.csv").read_text().splitlines()
     assert lines == ["path,class_id,source,partition"] + [
         f"img_{i:05d}.ppm,{i // 3},normal," for i in range(9)]
     for i in range(9):
@@ -94,7 +95,7 @@ def test_plotdata_emits_embeddings(tmp_path):
     assert run(["plotdata", "--output-dir", out, "--set", "regime.name=1LR"]
                + SMALL + ["--set", "dataset.per_class=30"]) == 0
     for name in ("pca.csv", "tsne.csv"):
-        lines = open(os.path.join(out, name)).read().splitlines()
+        lines = Path(out, name).read_text().splitlines()
         assert lines[0] == "x,y,class_id,source"
         assert len(lines) > 1
 
@@ -134,8 +135,8 @@ def test_plotdata_pca_equals_regime_sweep_embedding(tmp_path):
     assert run(["plotdata", "--output-dir", pd] + small) == 0
     assert run(["grid", "--output-dir", grid,
                 "--experiments", "regime_sweep"] + small) == 0
-    pca = open(os.path.join(pd, "pca.csv"), "rb").read()
-    assert pca == open(os.path.join(grid, "regime_sweep", "embedding.csv"), "rb").read()
+    pca = Path(pd, "pca.csv").read_bytes()
+    assert pca == Path(grid, "regime_sweep", "embedding.csv").read_bytes()
     assert pca.count(b"\n") == 1 + 4 * 2  # header + 2 test samples per class
 
 
@@ -151,8 +152,7 @@ def test_train_equals_regime_sweep_head(tmp_path):
     sweep = os.path.join(grid, "regime_sweep")
     for name, swept in (("model_C1F3_3LR.noc", "model_C1F3_3LR.noc"),
                         ("loss.csv", "loss_C1F3_3LR.csv")):
-        assert (open(os.path.join(tr, name), "rb").read()
-                == open(os.path.join(sweep, swept), "rb").read()), name
+        assert Path(tr, name).read_bytes() == Path(sweep, swept).read_bytes(), name
 
 
 def test_every_verb_reads_one_stream(tmp_path, monkeypatch):
@@ -415,8 +415,8 @@ def test_seed_changes_data(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     run(["gen", "--output-dir", a, "--seed", "1"] + SMALL)
     run(["gen", "--output-dir", b, "--seed", "2"] + SMALL)
-    fa = open(os.path.join(a, "img_00000.ppm"), "rb").read()
-    fb = open(os.path.join(b, "img_00000.ppm"), "rb").read()
+    fa = Path(a, "img_00000.ppm").read_bytes()
+    fb = Path(b, "img_00000.ppm").read_bytes()
     assert fa != fb
 
 

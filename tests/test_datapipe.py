@@ -37,6 +37,13 @@ def test_frame_rejects_bad_channel_count():
         dp.Frame(np.zeros((2, 4, 4)))
 
 
+@pytest.mark.parametrize("shape", [(3, 0, 4), (1, 4, 0), (0, 4)])
+def test_frame_rejects_zero_height_or_width(shape):
+    # (3, 0, 4) built a frame that write_ppm wrote and read_ppm rejected
+    with pytest.raises(InvalidValue, match="h, w >= 1"):
+        dp.Frame(np.zeros(shape))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_frame_rejects_non_finite_pixels(bad):
     pixels = np.full((3, 4, 4), 0.5)
@@ -156,6 +163,14 @@ def test_kmeans_rejects_non_count_max_iters(max_iters):
         dp.kmeans(pts, 2, max_iters=max_iters)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, True, None])
+def test_kmeans_rejects_a_seed_that_is_no_count(seed):
+    # -1 raised numpy's bare ValueError, and None ran unseeded
+    pts = np.arange(10.0).reshape(5, 2)
+    with pytest.raises(InvalidValue, match="seed must be an integer >= 0"):
+        dp.kmeans(pts, 2, seed=seed)
+
+
 @pytest.mark.parametrize("points", [np.arange(5.0), np.zeros((2, 3, 2)), 1.0])
 def test_kmeans_rejects_points_that_are_no_rows(points):
     with pytest.raises(SizeMismatch, match="need points"):
@@ -179,6 +194,13 @@ def test_sample_dataset_rejects_non_count_per_cluster(per_cluster):
     clips = [dp.VideoClip([rand_frame(seed=i) for i in range(6)], label=0)]
     with pytest.raises(InvalidValue, match="per_cluster must be >= 1"):
         dp.sample_dataset(clips, lambda f: f.pixels.ravel(), per_cluster=per_cluster)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, None])
+def test_sample_dataset_rejects_a_seed_that_is_no_count(seed):
+    clips = [dp.VideoClip([rand_frame(seed=i) for i in range(6)], label=0)]
+    with pytest.raises(InvalidValue, match="seed must be an integer >= 0"):
+        dp.sample_dataset(clips, lambda f: f.pixels.ravel(), seed=seed)
 
 
 def test_sample_dataset_dedupes_static_clip():

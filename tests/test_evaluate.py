@@ -200,6 +200,14 @@ def test_compute_metrics_validation():
     assert ev.compute_metrics(empty, empty, num_classes=2).confusion.sum() == 0
 
 
+@pytest.mark.parametrize("num_classes", ["a", 2.5, True, 0, np.float64(3.0)])
+def test_compute_metrics_rejects_a_class_count_that_is_no_count(num_classes):
+    # "a" raised a bare ValueError, 2.5 ran as 2 and True as 1
+    labels = np.array([0, 1, 0])
+    with pytest.raises(InvalidValue, match="num_classes must be an integer >= 1"):
+        ev.compute_metrics(labels, labels, num_classes=num_classes)
+
+
 def test_l2_normalize_rows():
     X = np.array([[3.0, 4.0], [0.0, 0.0]])
     out = ev.l2_normalize_rows(X)

@@ -215,6 +215,13 @@ def test_stratified_split_disjoint_and_stratified():
         assert sum(labels[i] == c for i in te) == 2
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, True, None])
+def test_stratified_split_rejects_a_seed_that_is_no_count(seed):
+    # -1 raised numpy's bare ValueError, and None split unseeded
+    with pytest.raises(InvalidValue, match="seed must be an integer >= 0"):
+        harness.stratified_split([0, 0, 1, 1], seed)
+
+
 def test_extract_features_standardized(tmp_path):
     from noclab import nets
     frames = np.stack([np.random.default_rng(i).random((3, 16, 16)) for i in range(4)])
@@ -301,7 +308,7 @@ def test_regime_sweep_artifacts(tmp_path):
                  "loss_C1F3_1LR.csv", "confusion_C1F3_3LR.csv",
                  "model_C1F3_2LR.noc", "embedding.csv"):
         assert os.path.exists(os.path.join(base, name)), name
-    rows = open(os.path.join(base, "metrics.csv")).read().splitlines()
+    rows = Path(base, "metrics.csv").read_text().splitlines()
     assert rows[0] == "method,regime,split,accuracy,false_alarms"
     assert len(rows) == 1 + 6  # three regimes x (net, svm)
 
@@ -592,7 +599,7 @@ def test_fusion_run(tmp_path):
     art = harness.run_experiment(cfg)
     methods = {m for m, *_ in art.metrics_rows}
     assert methods == {"rgb_only", "rgb_plus_orientation"}
-    manifest = open(art.path("manifest.csv")).read().splitlines()
+    manifest = Path(art.path("manifest.csv")).read_text().splitlines()
     for method in methods:
         name = f"model_{method}.noc"
         assert os.path.exists(art.path(name))
@@ -602,7 +609,7 @@ def test_fusion_run(tmp_path):
 def test_loss_csv_schema(tmp_path):
     cfg = small_cfg(tmp_path, **{"experiment": "regime_sweep"})
     art = harness.run_experiment(cfg)
-    lines = open(art.path("loss_C1F3_1LR.csv")).read().splitlines()
+    lines = Path(art.path("loss_C1F3_1LR.csv")).read_text().splitlines()
     assert lines[0] == "step,partition,alpha,loss"
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[2]) == 0.01

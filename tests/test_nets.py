@@ -217,6 +217,16 @@ def test_m1_too_small_to_pool():
     nets.build_noc(small_arch("C1F3", shape=(3, 1, 1)), seed=0)
 
 
+def test_builders_reject_a_window_larger_than_its_padded_input():
+    # the conv's message of conv2d, where each builder had its own
+    with pytest.raises(SizeMismatch, match="^2x2 window larger than its padded input 1x1$"):
+        nets.build_noc(small_arch("M1", shape=(3, 1, 1)), seed=0)
+    with pytest.raises(SizeMismatch, match="^3x3 window larger than its padded input 1x2$"):
+        nets._build("conv", (3, 1, 2), [("conv", 2, 1, 0)], seed=0)
+    with pytest.raises(SizeMismatch, match="^2x2 window larger than its padded input 2x1$"):
+        nets._build("pool", (3, 2, 1), [("maxpool", 2, 2)], seed=0)
+
+
 @pytest.mark.parametrize("shape,window,stride", [
     ((2, 3, 7, 9), 2, 2),  # odd sizes drop the last row and column
     ((2, 2, 8, 8), 3, 2),  # overlapping windows
@@ -278,6 +288,32 @@ def test_loss_and_grads_match_central_differences(arch_id):
             numeric = (hi - lo) / (2 * eps)
             error = abs(grads[name].flat[i] - numeric) / max(1.0, abs(numeric))
             assert error < 1e-4, (name, int(i), error)
+
+
+@pytest.mark.parametrize("arch_id", nets.ARCH_IDS)
+def test_input_gradient_matches_central_differences(arch_id):
+    """The batch's gradient from `_chain_backward(..., to_input=True)`, the
+    backward of `nets.forward`, at the default grid's head shapes against
+    central differences, by grad_check's metric."""
+    rng = np.random.default_rng(6)
+    model = nets.build_noc(nets.NocArch(arch_id, (16, 4, 4), 16, 1 / 32), seed=0)
+    X = rng.normal(size=(2, 16, 4, 4))
+    _off_relu_kinks(model, X, rng)
+    weight = rng.normal(size=(len(X), 16))
+    tape = []
+    nets._chain_forward(model, model.params, X, tape)
+    _, dx = nets._chain_backward(model, model.params, tape, weight, to_input=True)
+    assert dx.shape == X.shape and np.any(dx)
+    loss = lambda t: ad.tensor_sum(ad.mul(nets.forward(model, t), ad.Tensor(weight)))
+    assert ad.grad_check(loss, ad.Tensor(X)) < 1e-4
+
+
+@pytest.mark.parametrize("labels", [[0.5, 1.0], [True, False], np.array([1.0, 2.0])])
+def test_prepare_batch_rejects_labels_that_are_no_integers(labels):
+    # [0.5, 1.0] trained on labels [0, 1]
+    model = nets.build_noc(small_arch("C1F3"), seed=0)
+    with pytest.raises(InvalidValue, match="labels must be integers"):
+        nets.prepare_batch(model, np.zeros((2, 3, 8, 8)), labels)
 
 
 @pytest.mark.parametrize("arch_id", ["C1F3", "M1"])
