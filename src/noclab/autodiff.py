@@ -14,7 +14,7 @@ import functools
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidValue, NoTrace, SizeMismatch, check_counts
+from .errors import InvalidValue, NoTrace, SizeMismatch, check_counts, is_count, is_real
 
 __all__ = [
     "Tensor",
@@ -72,11 +72,18 @@ class Tensor:
         return self.requires_grad or self._backward_fn is not None
 
 
+def _shape(shape):
+    """`shape` as a tuple; raises InvalidValue unless each entry is an
+    integer >= 1."""
+    shape = tuple(shape)
+    if not all(map(is_count, shape)):
+        raise InvalidValue(f"shape entries must be integers >= 1, got {shape}")
+    return shape
+
+
 def tensor_create(shape, data, requires_grad=False):
     """Build a tensor from an explicit shape and flat row-major data list."""
-    shape = tuple(int(d) for d in shape)
-    if any(d <= 0 for d in shape):
-        raise InvalidValue(f"non-positive dimension in shape {shape}")
+    shape = _shape(shape)
     flat = np.asarray(data, dtype=np.float64).ravel()
     if int(np.prod(shape)) != flat.size:
         raise SizeMismatch(f"shape {shape} needs {int(np.prod(shape))} values, got {flat.size}")
@@ -300,23 +307,14 @@ def matmul(a, b):
 # convolution / pooling
 
 
-def _as_batched(x):
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise SizeMismatch(f"expected 3-d or 4-d input, got shape {x.shape}")
-
-
 def conv2d(inp, kernels, bias, stride=1, pad=0):
     """2-D cross-correlation (no kernel flip), zero padding.
 
-    inp: (c_in,h,w) or (b,c_in,h,w); kernels: (c_out,c_in,kh,kw);
-    bias: (c_out,). Output spatial size floor((h+2p-kh)/s)+1.
+    inp: a batch (b,c_in,h,w); kernels: (c_out,c_in,kh,kw); bias:
+    (c_out,). Output spatial size floor((h+2p-kh)/s)+1.
     """
-    x, squeeze = _as_batched(inp.data)
-    k = kernels.data
-    if k.ndim != 4 or x.shape[1] != k.shape[1]:
+    x, k = inp.data, kernels.data
+    if x.ndim != 4 or k.ndim != 4 or x.shape[1] != k.shape[1]:
         raise SizeMismatch(f"conv2d input {inp.shape} vs kernels {kernels.shape}")
     if bias.data.shape != (k.shape[0],):
         raise SizeMismatch(f"conv2d bias {bias.shape} vs {k.shape[0]} output maps")
@@ -330,25 +328,25 @@ def conv2d(inp, kernels, bias, stride=1, pad=0):
         _accum(bias, grads, db)
         _accum(kernels, grads, dk)
         if dx is not None:
-            _accum(inp, grads, dx[0] if squeeze else dx)
+            _accum(inp, grads, dx)
 
-    res = out[0] if squeeze else out
-    return _from_op(res, (inp, kernels, bias), bwd)
+    return _from_op(out, (inp, kernels, bias), bwd)
 
 
 def maxpool2d(inp, window, stride):
-    """Per-window max; ties route the gradient to the first position (row-major)."""
-    x, squeeze = _as_batched(inp.data)
+    """Per-window max over a batch (b,c,h,w); ties route the gradient to
+    the first position (row-major)."""
+    x = inp.data
+    if x.ndim != 4:
+        raise SizeMismatch(f"maxpool2d input must be a batch (b, c, h, w), got {inp.shape}")
     check_counts(window=window, stride=stride)
     out, arg = _maxpool2d_fwd(x, window, stride)
 
     def bwd(g, grads):
         if inp._needs_graph():
-            dx = _maxpool2d_bwd(g, x, arg, window, stride)
-            _accum(inp, grads, dx[0] if squeeze else dx)
+            _accum(inp, grads, _maxpool2d_bwd(g, x, arg, window, stride))
 
-    res = out[0] if squeeze else out
-    return _from_op(res, (inp,), bwd)
+    return _from_op(out, (inp,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +363,8 @@ def relu(x):
 
 
 def add(a, b):
-    """Elementwise sum. Also accepts a vector bias broadcast: (n,) added to
-    (..., n) rows, or (c,) added over the spatial dims of (c,h,w)/(b,c,h,w)."""
+    """Elementwise sum of two equal shapes, or a vector bias (n,) added to
+    every row of (..., n)."""
     if a.shape == b.shape:
         out = a.data + b.data
 
@@ -376,20 +374,11 @@ def add(a, b):
 
         return _from_op(out, (a, b), bwd)
 
-    # bias broadcast: smaller operand is a vector
     big, small = (a, b) if a.data.ndim > b.data.ndim else (b, a)
-    v = small.data
-    if v.ndim != 1:
+    if small.data.ndim != 1 or big.data.ndim < 2 or big.shape[-1] != small.size:
         raise SizeMismatch(f"add shape mismatch {a.shape} vs {b.shape}")
-    if big.shape[-1] == v.size and big.data.ndim >= 2 and big.shape[-1] == v.shape[0]:
-        out = big.data + v
-        sum_axes = tuple(range(big.data.ndim - 1))
-    elif big.data.ndim in (3, 4) and big.shape[-3] == v.size:
-        vshaped = v.reshape((v.size, 1, 1))
-        out = big.data + vshaped
-        sum_axes = (0, 2, 3) if big.data.ndim == 4 else (1, 2)
-    else:
-        raise SizeMismatch(f"add shape mismatch {a.shape} vs {b.shape}")
+    out = big.data + small.data
+    sum_axes = tuple(range(big.data.ndim - 1))
 
     def bwd(g, grads):
         _accum(big, grads, g)
@@ -423,7 +412,8 @@ def mul(a, b):
 
 
 def scale(x, alpha):
-    alpha = float(alpha)
+    if not is_real(alpha):
+        raise InvalidValue(f"scale factor must be a finite number, got {alpha!r}")
     out = x.data * alpha
 
     def bwd(g, grads):
@@ -465,7 +455,7 @@ def tensor_sum(x):
 
 
 def reshape(x, shape):
-    shape = tuple(int(d) for d in shape)
+    shape = _shape(shape)
     if int(np.prod(shape)) != x.size:
         raise SizeMismatch(f"cannot reshape {x.shape} to {shape}")
     out = x.data.reshape(shape)
@@ -539,7 +529,7 @@ def backward(root):
 def grad_check(f, x, eps=1e-5):
     """Max relative error between f's analytic gradient at x and central
     finite differences, |analytic - numeric| / max(1, |numeric|)."""
-    if not (0 < eps <= 1e-2):
+    if not (is_real(eps) and 0 < eps <= 1e-2):
         raise InvalidValue("eps out of (0, 1e-2]")
     probe = Tensor(x.data.copy(), requires_grad=True)
     out = f(probe)

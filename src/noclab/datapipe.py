@@ -14,10 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, SizeMismatch, check_counts, is_count, is_real
+from .errors import InvalidValue, SizeMismatch, check_counts, check_positive, is_count, is_real
 
 # ---------------------------------------------------------------------------
 # core containers
+
+
+def _floats(value, name):
+    """`value` as a float64 array; raises InvalidValue unless it is a
+    number array and every value is finite."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidValue(f"{name} is no float array: {type(value).__name__}") from None
+    if not np.isfinite(arr).all():
+        raise InvalidValue(f"{name} must be finite")
+    return arr
 
 
 @dataclass
@@ -25,14 +37,12 @@ class Frame:
     pixels: np.ndarray  # (channels, h, w), values in [0,1]
 
     def __post_init__(self):
-        p = np.asarray(self.pixels, dtype=np.float64)
+        # clipping would pass NaN through to the features
+        p = _floats(self.pixels, "frame pixels")
         if p.ndim == 2:
             p = p[None]
         if p.ndim != 3 or p.shape[0] not in (1, 3) or 0 in p.shape:
             raise InvalidValue(f"frame must be (1|3, h, w) with h, w >= 1, got {p.shape}")
-        # clipping would pass NaN through to the features
-        if not np.isfinite(p).all():
-            raise InvalidValue("frame pixels must be finite")
         self.pixels = np.clip(p, 0.0, 1.0)
 
     @property
@@ -46,13 +56,6 @@ class Frame:
     @property
     def width(self):
         return self.pixels.shape[2]
-
-
-def _floats(value, name):
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InvalidValue(f"{name} is no float array: {type(value).__name__}") from None
 
 
 @dataclass
@@ -117,8 +120,7 @@ def spectral_specify(frame: Frame, base: Frame, band=8):
     """
     if frame.pixels.shape != base.pixels.shape:
         raise SizeMismatch("frame/base geometry mismatch")
-    if not is_count(band):
-        raise InvalidValue(f"band must be >= 1 (an integer), got {band!r}")
+    check_counts(band=band)
     h, w = frame.height, frame.width
     fy = np.minimum(np.arange(h), h - np.arange(h))
     fx = np.minimum(np.arange(w), w - np.arange(w))
@@ -140,8 +142,7 @@ def spectral_specify(frame: Frame, base: Frame, band=8):
 def keyframe_select(clip: VideoClip, featurizer, tau):
     """Greedy selection: keep frame i when its feature is farther than tau
     from the last kept frame's feature. Frame 0 is always kept."""
-    if not (is_real(tau) and tau > 0):
-        raise InvalidValue(f"tau must be positive and finite, got {tau!r}")
+    check_positive(tau=tau)
     feats = [np.asarray(featurizer(f), dtype=np.float64).ravel() for f in clip.frames]
     selected = [0]
     last = feats[0]
@@ -173,13 +174,9 @@ def kmeans(points, k, max_iters=100, seed=0):
     if X.ndim != 2:
         raise SizeMismatch(f"need points (n, dim), got shape {X.shape}")
     n = X.shape[0]
-    if not is_count(k):
-        raise InvalidValue(f"k must be >= 1 (an integer), got {k!r}")
+    check_counts(k=k, max_iters=max_iters, seed=seed)
     if k > len(np.unique(X, axis=0)):
         raise InvalidValue(f"k={k} exceeds distinct point count")
-    if not is_count(max_iters):
-        raise InvalidValue(f"max_iters must be >= 1 (an integer), got {max_iters!r}")
-    check_counts(seed=seed)
     rng = np.random.default_rng(seed)
 
     # k-means++ seeding
@@ -217,9 +214,7 @@ def sample_dataset(clips, featurizer, per_cluster=1, seed=0, tau=None):
     frames are drawn per cluster."""
     if not clips:
         raise InvalidValue("no clips")
-    if not is_count(per_cluster):
-        raise InvalidValue(f"per_cluster must be >= 1 (an integer), got {per_cluster!r}")
-    check_counts(seed=seed)
+    check_counts(per_cluster=per_cluster, seed=seed)
     rng = np.random.default_rng(seed)
     records = []
     for clip in clips:
@@ -437,11 +432,9 @@ def synth_blur(stack, kind="gaussian", sigma=2.0, length=9, angle=0.0,
     destructive rather than a reversible linear map. Returns the blurred
     stack clamped to [0,1]; every argument is checked before any kernel.
     """
-    stack = _floats(stack, "blur input")
+    stack = _floats(stack, "frame pixels")
     if stack.ndim != 4 or stack.shape[1] not in (1, 3):
         raise InvalidValue(f"need a stack (n, 1|3, h, w), got {stack.shape}")
-    if not np.isfinite(stack).all():
-        raise InvalidValue("frame pixels must be finite")
     n, _, h, w = stack.shape
     if not (is_real(noise) and noise >= 0):
         raise InvalidValue(f"noise must be finite and >= 0, got {noise!r}")
@@ -452,8 +445,8 @@ def synth_blur(stack, kind="gaussian", sigma=2.0, length=9, angle=0.0,
     if kind == "gaussian":
         sigmas = _floats(_per_frame(sigma, n, "sigma"), "sigma")
         for s in sigmas:
-            if not (np.isfinite(s) and s > 0):
-                raise InvalidValue(f"sigma must be finite and positive, got {s}")
+            if not s > 0:
+                raise InvalidValue(f"sigma must be positive, got {s}")
             # a wider blur only flattens the frame, and a huge one would
             # build a vast kernel
             if s > max(h, w):
@@ -573,11 +566,6 @@ def _sor_block(a, b, lam, iters):
     return grid[..., 1:h + 1, 1:w + 1]
 
 
-def _check_lam(lam):
-    if not (is_real(lam) and lam > 0):
-        raise InvalidValue(f"lam must be positive and finite, got {lam!r}")
-
-
 def horn_schunck(f1, f2, lam=0.5, iters=100):
     """Classic dense optical flow, by red-black successive over-relaxation.
 
@@ -594,7 +582,7 @@ def horn_schunck(f1, f2, lam=0.5, iters=100):
         raise SizeMismatch("frame shapes differ")
     if a.ndim not in (2, 3):
         raise InvalidValue(f"need planes (h, w) or stacks (n, h, w), got {a.shape}")
-    _check_lam(lam)
+    check_positive(lam=lam)
     check_counts(iters=iters)
     stack_a, stack_b = (a, b) if a.ndim == 3 else (a[None], b[None])
     u, v = np.empty_like(stack_a), np.empty_like(stack_a)
@@ -609,7 +597,7 @@ def flow_energy(flow: FlowField, f1, f2, lam=0.5):
     lam^2/4 times the squared differences of u and v between neighbours
     within a plane; of a stack, the sum over its pairs. The flow
     horn_schunck converges to is its stationary point."""
-    _check_lam(lam)
+    check_positive(lam=lam)
     Ix, Iy, It = _brightness_gradients(_floats(f1, "f1"), _floats(f2, "f2"))
     u, v = flow.u, flow.v
     smooth = sum((np.diff(f, axis=axis) ** 2).sum() for f in (u, v) for axis in (-2, -1))
@@ -752,9 +740,7 @@ def synthetic_blocks(num_classes=16, per_class=100, size=32, motion=False, seed=
         raise InvalidValue(f"size must be an integer >= 16, got {size!r}")
     if motion not in (False, "correlated", "uncorrelated"):
         raise InvalidValue(f"bad motion mode {motion!r}")
-    if not is_count(per_class):
-        raise InvalidValue(f"per_class must be >= 1 (an integer), got {per_class!r}")
-    check_counts(seed=seed)
+    check_counts(per_class=per_class, seed=seed)
     return _render_blocks(num_classes, per_class, size, motion, np.random.default_rng(seed))
 
 

@@ -51,3 +51,10 @@ def is_real(value):
     """Whether `value` is a finite real number (a bool is none)."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value))
+
+
+def check_positive(**values):
+    """Raise InvalidValue unless each value is a finite real number > 0."""
+    for name, value in values.items():
+        if not (is_real(value) and value > 0):
+            raise InvalidValue(f"{name} must be positive and finite, got {value!r}")

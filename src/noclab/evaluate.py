@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, SizeMismatch, check_counts, is_count, is_real
+from .errors import InvalidValue, SizeMismatch, check_counts, check_positive, is_count, is_real
 
 
 @dataclass
@@ -75,8 +75,7 @@ def svm_train(features, labels, c_reg=1.0, epochs=20, seed=0,
     classes = np.unique(y)
     if len(classes) < 2:
         raise InvalidValue("need at least two classes")
-    if not (is_real(c_reg) and c_reg > 0):
-        raise InvalidValue(f"c_reg must be finite and positive, got {c_reg!r}")
+    check_positive(c_reg=c_reg)
     check_counts(epochs=epochs, seed=seed)
     k = len(classes)
     rng = np.random.default_rng(seed)
@@ -142,6 +141,8 @@ def svm_predict(model: SvmModel, features):
     if X.ndim != 2 or X.shape[1] != model.weights.shape[1]:
         raise SizeMismatch(f"features of shape {X.shape} vs model dim "
                            f"{model.weights.shape[1]}")
+    if not np.isfinite(X).all():
+        raise InvalidValue("features must be finite")
     scores = X @ model.weights.T + model.biases
     return model.classes[scores.argmax(axis=1)]  # argmax ties -> lowest index
 
@@ -261,8 +262,7 @@ def tsne_embed(X, perplexity=20.0, iters=500, seed=0, learning_rate=100.0):
         raise InvalidValue("exact t-SNE capped at 2000 points")
     if not (is_real(perplexity) and 5 <= perplexity <= (n - 1) / 3):
         raise InvalidValue(f"perplexity {perplexity!r} infeasible for n={n}")
-    if not (is_real(learning_rate) and learning_rate > 0):
-        raise InvalidValue(f"learning_rate must be positive and finite, got {learning_rate!r}")
+    check_positive(learning_rate=learning_rate)
     check_counts(iters=iters, seed=seed)
     D2 = np.empty((n, n))
     rows = max(1, _TSNE_BLOCK_VALUES // max(1, X.size))

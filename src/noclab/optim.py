@@ -26,7 +26,7 @@ import numpy as np
 
 from . import nets
 from .errors import (ArchMismatch, InvalidPlan, InvalidValue, SizeMismatch, check_counts,
-                     is_count, is_real)
+                     check_positive, is_count, is_real)
 
 REGIMES = ("1LR", "2LR", "3LR")
 
@@ -147,8 +147,7 @@ class Rule:
 
     def step(self, grad, alpha):
         """Update theta in place from `grad` (theta's shape) at rate `alpha`."""
-        if not (is_real(alpha) and alpha > 0):
-            raise InvalidValue(f"alpha must be positive and finite, got {alpha!r}")
+        check_positive(alpha=alpha)
         grad = np.asarray(grad)
         if grad.shape != self.theta.shape:
             raise SizeMismatch(f"theta {self.theta.shape} vs grad {grad.shape}")

@@ -34,6 +34,19 @@ def test_tensor_create_rejects_bad_shape():
         ad.tensor_create((2,), [1, np.nan])
 
 
+@pytest.mark.parametrize("shape", [(2.7, 2), (True, 4), (2, "2")])
+def test_shape_entries_must_be_integers(shape):
+    # (2.7, 2) built a (2, 2) tensor and (True, 4) a (1, 4) one
+    with pytest.raises(InvalidValue, match="shape entries must be integers >= 1"):
+        ad.tensor_create(shape, np.arange(4.0))
+    with pytest.raises(InvalidValue, match="shape entries must be integers >= 1"):
+        ad.reshape(rand((4,)), shape)
+
+
+def test_tensor_repr_names_shape_and_grad_flag():
+    assert repr(rand((2, 3))) == "Tensor(shape=(2, 3), requires_grad=True)"
+
+
 # ---------------------------------------------------------------------------
 # forward values against independent references
 
@@ -105,6 +118,30 @@ def test_window_larger_than_its_padded_input():
     assert ad._window(2, 3, 2, 2, 1) == (1, 2)
 
 
+@pytest.mark.parametrize("op,error", [
+    # a (c, h, w) input was run as a batch of one
+    (lambda: ad.conv2d(rand((2, 5, 5)), rand((1, 2, 3, 3)), rand((1,))), SizeMismatch),
+    (lambda: ad.maxpool2d(rand((1, 4, 4)), 2, 2), SizeMismatch),
+    # a (c,) vector was added over the channels of (b, c, h, w)
+    (lambda: ad.add(rand((2, 3, 4, 4)), rand((3,))), SizeMismatch),
+    (lambda: ad.add(rand((2, 3)), rand((3, 2))), SizeMismatch),
+    (lambda: ad.add(rand((2, 3)), rand((2,))), SizeMismatch),
+    (lambda: ad.sub(rand((2, 3)), rand((3, 2))), SizeMismatch),
+    (lambda: ad.mul(rand((2, 3)), rand((3,))), SizeMismatch),
+    (lambda: ad.div(rand((2, 3)), rand((2, 3, 1))), SizeMismatch),
+    (lambda: ad.conv2d(rand((1, 2, 5, 5)), rand((1, 3, 3, 3)), rand((1,))), SizeMismatch),
+    (lambda: ad.conv2d(rand((1, 2, 5, 5)), rand((1, 2, 3, 3)), rand((2,))), SizeMismatch),
+    (lambda: ad.reshape(rand((2, 3)), (4,)), SizeMismatch),
+    (lambda: ad.softmax_cross_entropy(rand((2, 3, 1)), [0, 1]), SizeMismatch),
+    (lambda: ad.sqrt(ad.Tensor([1.0, -1e-300])), InvalidValue),
+], ids=["conv2d_unbatched", "maxpool2d_unbatched", "add_channel_vector", "add", "add_row_vector",
+        "sub", "mul", "div", "conv2d_channels", "conv2d_bias", "reshape_size", "logits_3d",
+        "sqrt_negative"])
+def test_ops_reject_operands_they_cannot_take(op, error):
+    with pytest.raises(error):
+        op()
+
+
 def test_softmax_cross_entropy_uniform_logits():
     logits = ad.Tensor(np.zeros((5, 4)), requires_grad=True)
     loss = ad.softmax_cross_entropy(logits, np.zeros(5, dtype=int))
@@ -120,6 +157,13 @@ def test_relu_and_elementwise_values():
     assert np.allclose(ad.scale(y, -0.5).data, -0.5 * y.data)
 
 
+@pytest.mark.parametrize("alpha", ["a", True, np.nan, np.inf, None])
+def test_scale_factor_must_be_a_finite_number(alpha):
+    # "a" raised a bare ValueError, True scaled by 1.0 and NaN gave NaN values
+    with pytest.raises(InvalidValue, match="scale factor must be a finite number"):
+        ad.scale(rand((2,)), alpha)
+
+
 def test_relu_passes_nan_through():
     out, mask = ad._relu_fwd(np.array([np.nan, -1.0, 0.0, 3.0]))
     assert np.isnan(out[0]) and np.array_equal(out[1:], [0.0, 0.0, 3.0])
@@ -133,6 +177,13 @@ def test_relu_passes_nan_through():
 def check(f, shape, tol=1e-6):
     x = ad.Tensor(RNG.normal(size=shape))
     assert ad.grad_check(f, x) < tol
+
+
+@pytest.mark.parametrize("eps", ["a", None, np.nan, 0.0, -1e-5, 0.1])
+def test_grad_check_eps_must_be_a_number_in_range(eps):
+    # "a" raised a bare TypeError
+    with pytest.raises(InvalidValue, match=r"eps out of \(0, 1e-2\]"):
+        ad.grad_check(ad.tensor_sum, rand((2,)), eps=eps)
 
 
 def test_grad_matmul():

@@ -54,11 +54,23 @@ def test_frame_rejects_non_finite_pixels(bad):
         dp.Frame(pixels[1])
 
 
+@pytest.mark.parametrize("pixels", ["abc", [[0.5, "b"]], {"a": 1}])
+def test_frame_rejects_pixels_that_are_no_numbers(pixels):
+    # "abc" raised a bare ValueError
+    with pytest.raises(InvalidValue, match="frame pixels is no float array"):
+        dp.Frame(pixels)
+
+
 def test_clip_rejects_mixed_geometry():
     with pytest.raises(SizeMismatch):
         dp.VideoClip([rand_frame(h=8), rand_frame(h=9)])
     with pytest.raises(InvalidValue):
         dp.VideoClip([])
+
+
+def test_flow_field_planes_must_match():
+    with pytest.raises(SizeMismatch, match="flow planes differ in shape"):
+        dp.FlowField(np.zeros((4, 4)), np.zeros((4, 5)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -110,7 +122,7 @@ def test_spectral_specify_validation():
 # "a" raised a bare TypeError, and 1.5 and True ran
 @pytest.mark.parametrize("band", ["a", 1.5, True, 0, None])
 def test_spectral_specify_rejects_bad_band(band):
-    with pytest.raises(InvalidValue, match="band must be >= 1"):
+    with pytest.raises(InvalidValue, match="band must be an integer >= 1"):
         dp.spectral_specify(rand_frame(), rand_frame(), band=band)
 
 
@@ -149,17 +161,27 @@ def test_kmeans_recovers_separated_centers():
         dp.kmeans(np.zeros((5, 2)), 2)  # k exceeds distinct points
 
 
+def test_kmeans_repairs_an_empty_cluster():
+    # from this k-means++ seeding the second assignment leaves a cluster
+    # empty; its mean would be NaN, with a RuntimeWarning
+    pts = np.array([[4.0, 6.0], [4.0, 1.0], [5.0, 1.0], [8.0, 4.0], [6.0, 8.0],
+                    [8.0, 6.0], [9.0, 4.0], [8.0, 3.0], [5.0, 0.0], [1.0, 5.0]])
+    centers, assign, trace = dp.kmeans(pts, 4, seed=0)
+    assert sorted(set(assign.tolist())) == [0, 1, 2, 3]
+    assert np.isfinite(centers).all() and np.isfinite(trace).all()
+
+
 @pytest.mark.parametrize("k", [0, -1, 2.5, np.nan, True])
 def test_kmeans_rejects_nonpositive_k(k):
     pts = np.arange(10.0).reshape(5, 2)
-    with pytest.raises(InvalidValue, match="k must be >= 1"):
+    with pytest.raises(InvalidValue, match="k must be an integer >= 1"):
         dp.kmeans(pts, k)
 
 
 @pytest.mark.parametrize("max_iters", [0, 2.5, True])
 def test_kmeans_rejects_non_count_max_iters(max_iters):
     pts = np.arange(10.0).reshape(5, 2)
-    with pytest.raises(InvalidValue, match="max_iters must be >= 1"):
+    with pytest.raises(InvalidValue, match="max_iters must be an integer >= 1"):
         dp.kmeans(pts, 2, max_iters=max_iters)
 
 
@@ -189,10 +211,26 @@ def test_sample_dataset_deterministic():
         dp.sample_dataset([], feat)
 
 
+def test_sample_dataset_draws_per_cluster_frames_from_each_cluster():
+    # two scenes of five frames: tau 1.0 keys frames 0 and 5, so k = 2
+    clips = [dp.VideoClip([scene(0.2, i) for i in range(5)] + [scene(0.8, i) for i in range(5)])]
+    feat = lambda f: f.pixels.ravel()
+    for per_cluster in (1, 2, 9):
+        records = dp.sample_dataset(clips, feat, per_cluster=per_cluster, tau=1.0)
+        means = sorted(round(r.image.pixels.mean(), 1) for r in records)
+        picks = min(per_cluster, 5)
+        assert means == [0.2] * picks + [0.8] * picks
+        assert len({id(r.image) for r in records}) == 2 * picks
+
+
+def test_default_tau_of_a_one_frame_clip_is_one():
+    assert dp.default_tau(dp.VideoClip([rand_frame()]), lambda f: f.pixels.ravel()) == 1.0
+
+
 @pytest.mark.parametrize("per_cluster", [0, -1, 2.5])
 def test_sample_dataset_rejects_non_count_per_cluster(per_cluster):
     clips = [dp.VideoClip([rand_frame(seed=i) for i in range(6)], label=0)]
-    with pytest.raises(InvalidValue, match="per_cluster must be >= 1"):
+    with pytest.raises(InvalidValue, match="per_cluster must be an integer >= 1"):
         dp.sample_dataset(clips, lambda f: f.pixels.ravel(), per_cluster=per_cluster)
 
 
@@ -541,6 +579,20 @@ def test_horn_schunck_validation():
         dp.horn_schunck(np.zeros((1, 2, 4, 4)), np.zeros((1, 2, 4, 4)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["f1", "f2"])
+def test_flow_rejects_non_finite_frames(bad, which):
+    # NaN returned NaN flow and inf raised a RuntimeWarning; flow_energy
+    # returned NaN
+    frames = {"f1": np.zeros((2, 4, 4)), "f2": np.zeros((2, 4, 4))}
+    frames[which][1, 2, 3] = bad
+    with pytest.raises(InvalidValue, match=f"^{which} must be finite$"):
+        dp.horn_schunck(**frames)
+    zeros = np.zeros((2, 4, 4))
+    with pytest.raises(InvalidValue, match=f"^{which} must be finite$"):
+        dp.flow_energy(dp.FlowField(zeros, zeros), **frames)
+
+
 def neighbor_mean(x):
     """Mean of the four neighbours under edge replication by np.pad."""
     p = np.pad(x, 1, mode="edge")
@@ -886,7 +938,7 @@ def test_synthetic_blocks_cut_across_classes(motion):
 
 
 def test_synthetic_blocks_check_arguments_at_the_call():
-    with pytest.raises(InvalidValue, match="per_class must be >= 1"):
+    with pytest.raises(InvalidValue, match="per_class must be an integer >= 1"):
         dp.synthetic_blocks(4, 0, 16)
 
 
@@ -940,7 +992,7 @@ def test_gen_dataset_validation():
 @pytest.mark.parametrize("per_class", [0, -1, 2.5, True])
 @pytest.mark.parametrize("motion", [False, "correlated", "uncorrelated"])
 def test_gen_dataset_rejects_empty_classes(per_class, motion):
-    with pytest.raises(InvalidValue, match="per_class must be >= 1"):
+    with pytest.raises(InvalidValue, match="per_class must be an integer >= 1"):
         dp.synthetic_blocks(4, per_class, 16, motion=motion)
 
 

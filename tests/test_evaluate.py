@@ -81,6 +81,16 @@ def test_svm_predict_tie_goes_to_lowest_class():
     assert ev.svm_predict(model, np.ones((2, 2))).tolist() == [4, 4]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_svm_predict_rejects_non_finite_features(bad):
+    # a NaN row was predicted as the first class
+    X, y = blobs()
+    model = ev.svm_train(X, y, epochs=2)
+    X[3, 1] = bad
+    with pytest.raises(InvalidValue, match="features must be finite"):
+        ev.svm_predict(model, X)
+
+
 def test_svm_labels_preserved():
     X, y = blobs()
     model = ev.svm_train(X, y + 10, epochs=10, seed=0)

@@ -193,6 +193,15 @@ def test_parse_config_rejects_mistyped_override(key, value, fragment):
     assert fragment in str(err.value)
 
 
+def test_parse_config_rejects_a_float_that_is_no_number(tmp_path):
+    with pytest.raises(ConfigError, match="^regime.alpha: expected number, got 'fast'$"):
+        harness.parse_config(None, {"regime.alpha": "fast"})
+    path = tmp_path / "exp.cfg"
+    path.write_text("svm.c_reg = 1e\n")
+    with pytest.raises(ConfigError, match=r"^svm.c_reg: expected number, got '1e' \(line 1\)$"):
+        harness.parse_config(path)
+
+
 def test_parse_config_typed_overrides():
     cfg = harness.parse_config(None, {"regime.alpha": 1, "seed": 3,
                                       "regime.standard_ewma": True,
@@ -521,6 +530,14 @@ def test_run_experiment_rejects_unusable_output_dir(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match=r"^cannot create output_dir .*/file/out: "
                                           r"Not a directory$"):
         harness.run_experiment(cfg)
+
+
+def test_check_output_dir_rejects_an_unwritable_ancestor(tmp_path, monkeypatch):
+    # a superuser may write to any directory, so deny the access check itself
+    monkeypatch.setattr(harness.os, "access", lambda path, mode: False)
+    with pytest.raises(ConfigError, match=r"^cannot create output_dir .*/a/b: .* is not writable$"):
+        harness.check_output_dir(str(tmp_path / "a" / "b"))
+    harness.check_output_dir(str(tmp_path))  # an existing directory needs no write
 
 
 def test_fusion_requires_motion(tmp_path):

@@ -380,6 +380,34 @@ def test_load_bad_magic(tmp_path):
         nets.load_params(path, m)
 
 
+def test_load_rejects_parameters_of_another_structure(tmp_path):
+    path = tmp_path / "m.noc"
+    nets.save_model(tiny_head(1), path)
+    data = path.read_bytes()
+    fewer = tiny_head(0)
+    del fewer.params["fc2.b"]
+    with pytest.raises(ArchMismatch, match="parameter count mismatch"):
+        nets.load_params(path, fewer)
+    path.write_bytes(data.replace(b"fc1.b", b"fc9.b"))
+    with pytest.raises(ArchMismatch, match="unknown parameter 'fc9.b'"):
+        nets.load_params(path, tiny_head(0))
+    # same arch and input shape, twice the hidden width
+    wider = nets.build_noc(nets.NocArch("C0F3", (1, 1, 1), 2, 1 / 512), seed=0)
+    path.write_bytes(data)
+    with pytest.raises(ArchMismatch, match="shape mismatch for 'fc0.w'"):
+        nets.load_params(path, wider)
+    path.write_bytes(data.replace(b"fc1.b", b"\xff\xfe1.b"))
+    with pytest.raises(InvalidValue, match="malformed name"):
+        nets.load_params(path, tiny_head(0))
+
+
+def test_infer_rejects_an_unknown_layer_kind():
+    model = tiny_head(0)
+    model.layers.append(("softmax",))
+    with pytest.raises(InvalidValue, match="unknown layer kind 'softmax'"):
+        nets.infer(model, np.zeros((1, 1, 1, 1)))
+
+
 def tiny_head(seed):
     """C0F3 with 4-wide hidden layers: a .noc file of about 400 bytes."""
     return nets.build_noc(nets.NocArch("C0F3", (1, 1, 1), 2, 1 / 1024), seed=seed)

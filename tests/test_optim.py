@@ -339,6 +339,13 @@ def test_train_rejects_more_partitions_than_samples():
         optim.train(init, X, y, "1LR", optim.Hyper(iterations=2), 0)
 
 
+def test_train_rejects_labels_of_another_length():
+    X, y = toy_data(n=12)
+    init = nets.build_noc(arch(), seed=0)
+    with pytest.raises(SizeMismatch, match="^12 samples vs 11 labels$"):
+        optim.train(init, X, y[:11], "1LR", optim.Hyper(iterations=2), 1)
+
+
 @pytest.mark.parametrize("regime", optim.REGIMES)
 @pytest.mark.parametrize("field,value", [
     ("batch_size", 0), ("batch_size", 2.5), ("iterations", 0), ("iterations", -1),
